@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import OracleSpec, make_backend
+from .core import Backend, OracleSpec, make_backend
 from .iqae import IterationCapError, run_iqae
 from .mci import MciConfig, run_mci
 from .mlqae import run_mlqae
@@ -149,14 +149,21 @@ def summarize(values) -> tuple[float, float, float, float]:
     return float(arr.max()), float(arr.mean()), float(arr.min()), float(arr.std())
 
 
-def _run_once(config: ExperimentConfig, shots: int, rep: int) -> tuple[float, float, bool]:
-    """One repetition of one cell: returns (a_hat, oracle_calls, capped)."""
+def _run_once(
+    config: ExperimentConfig,
+    oracle: OracleSpec | None,
+    backend: Backend | None,
+    shots: int,
+    rep: int,
+) -> tuple[float, float, bool]:
+    """One repetition of one cell: returns (a_hat, oracle_calls, capped).
+
+    ``oracle`` and ``backend`` are the sweep's, unused (None) for MCI.
+    """
     rng = derive_rng(config.base_seed, config.algorithm, shots, rep)
     if config.algorithm == "mci":
         estimate = run_mci(MciConfig(config.a_true, shots, 1), rng=rng)[0]
         return float(estimate), float(shots), False
-    oracle = config.oracle()
-    backend = make_backend(config.backend)
     if config.algorithm == "mlqae":
         report = run_mlqae(
             oracle, config.depth, shots,
@@ -178,18 +185,24 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SummaryRow]:
     """Run every (shots, repetition) cell and summarize per shots value.
 
     ``jobs`` caps how many repetitions run concurrently; per-repetition
-    seed derivation makes the result identical for any job count.
+    seed derivation makes the result identical for any job count.  The
+    oracle and backend are immutable, so one of each serves every cell.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
+    oracle = backend = None
+    if config.algorithm != "mci":
+        oracle = config.oracle()
+        backend = make_backend(config.backend)
     rows: list[SummaryRow] = []
     for shots in config.shots_list:
         reps = range(config.repetitions)
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(lambda r: _run_once(config, shots, r), reps))
+                results = list(pool.map(
+                    lambda r: _run_once(config, oracle, backend, shots, r), reps))
         else:
-            results = [_run_once(config, shots, r) for r in reps]
+            results = [_run_once(config, oracle, backend, shots, r) for r in reps]
         estimates = [res[0] for res in results]
         calls = [res[1] for res in results]
         capped = sum(1 for res in results if res[2])

@@ -16,12 +16,15 @@ import numpy as np
 from .core import OracleSpec, Statevector, apply_q, apply_q_power, apply_s_0, \
     apply_s_chi, analytic_flag_probability, flag_probability, prepare_a
 from .iqae import ConfidenceInterval, binomial_confidence, find_next_k
+from .mlqae import LIKELIHOOD_FLOOR, MeasurementRecord, _grid, _grid_log_likelihood, \
+    eis_schedule, lis_schedule, log_likelihood
 
 __all__ = [
     "CheckResult",
     "dense_preparation",
     "dense_iterate",
     "probe_iterate",
+    "reference_log_likelihood",
     "run_checks",
 ]
 
@@ -144,6 +147,22 @@ def reference_largest_power(lo: float, hi: float) -> tuple[int, bool] | None:
         if flag is not None:
             best = (k, flag)
     return best
+
+
+def reference_log_likelihood(records, theta):
+    """Joint log-likelihood by the plain array formulation: sin, cos and log
+    recomputed for every record at every angle, with no cached tables."""
+    angles = np.asarray(theta, dtype=float)
+    total = np.zeros(angles.shape)
+    for rec in records:
+        c = 2 * rec.power + 1
+        s2 = np.sin(c * angles) ** 2
+        c2 = np.cos(c * angles) ** 2
+        total = total + rec.hits * np.log(np.maximum(s2, LIKELIHOOD_FLOOR))
+        total = total + (rec.shots - rec.hits) * np.log(np.maximum(c2, LIKELIHOOD_FLOOR))
+    if np.ndim(theta) == 0:
+        return float(total)
+    return total
 
 
 def _rng() -> np.random.Generator:
@@ -276,6 +295,33 @@ def _check_power_selection() -> CheckResult:
     return CheckResult("next-power search vs exhaustive scan", ok, detail)
 
 
+def _check_log_likelihood() -> CheckResult:
+    rng = _rng()
+    angles = [0.0, math.pi / 2] + [float(t) for t in rng.uniform(0.0, math.pi / 2, 64)]
+    grid_bad = scalar_bad = 0
+    for schedule in (eis_schedule(18), lis_schedule(18), eis_schedule(4), lis_schedule(4)):
+        for shots in (1, 3, 1024):
+            records = []
+            for i, power in enumerate(schedule.powers):
+                # hits of 0 and of N on alternating records, random in between
+                hits = (0, shots, int(rng.integers(0, shots + 1)))[i % 3]
+                records.append(MeasurementRecord(power, shots, hits))
+            # each record alone too: in a long sum a last-bit slip can round away
+            for subset in [records] + [[rec] for rec in records]:
+                grid_bad += not np.array_equal(
+                    _grid_log_likelihood(subset), reference_log_likelihood(subset, _grid())
+                )
+                scalar_bad += sum(
+                    log_likelihood(subset, t) != reference_log_likelihood(subset, t)
+                    for t in angles
+                )
+    return CheckResult(
+        "log-likelihood fast paths vs array reference, bit for bit (depth <= 18)",
+        grid_bad == 0 and scalar_bad == 0,
+        f"{grid_bad} grid and {scalar_bad} scalar mismatches",
+    )
+
+
 def run_checks() -> list[CheckResult]:
     """Run the whole brute-force suite; order is stable for scripting."""
     return [
@@ -286,4 +332,5 @@ def run_checks() -> list[CheckResult]:
         _check_reflections_involutive(),
         _check_binomial_confidence(),
         _check_power_selection(),
+        _check_log_likelihood(),
     ]

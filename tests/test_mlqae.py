@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaelab.core import AnalyticBackend, OracleSpec, StatevectorBackend
 from qaelab.mlqae import (
     MeasurementRecord,
     Schedule,
+    _grid,
+    _grid_log_likelihood,
     eis_schedule,
     lis_schedule,
     log_likelihood,
@@ -16,6 +20,7 @@ from qaelab.mlqae import (
     oracle_call_count,
     run_mlqae,
 )
+from qaelab.verify import reference_log_likelihood
 
 THETA_EIGHTH = math.asin(math.sqrt(0.125))  # 0.36136712390670783
 
@@ -98,6 +103,49 @@ class TestLogLikelihood:
         grid = np.linspace(0.0, math.pi / 2, 1_000_000)
         best = float(grid[np.argmax(log_likelihood(recs, grid))])
         assert abs(best - THETA_EIGHTH) < 1e-4
+
+
+@st.composite
+def schedule_records(draw):
+    """Records of an EIS or LIS schedule of depth <= 18.  Hits of 0 and of
+    N are drawn often, since they hit the likelihood floor, and so are tiny
+    shot counts, whose sums keep a last-bit slip from rounding away."""
+    schedule = draw(st.sampled_from((eis_schedule, lis_schedule)))(draw(st.integers(0, 18)))
+    records = []
+    for power in schedule.powers:
+        shots = draw(st.one_of(st.integers(1, 3), st.integers(1, 4096)))
+        hits = draw(st.one_of(st.just(0), st.just(shots), st.integers(0, shots)))
+        records.append(MeasurementRecord(power, shots, hits))
+    return records
+
+
+def with_singles(records):
+    """The records together, then each alone."""
+    return [records] + [[rec] for rec in records]
+
+
+class TestLogLikelihoodBitwise:
+    """The fast paths equal ``verify.reference_log_likelihood`` exactly: a
+    last-bit difference can move the argmax or the refined angle, and so
+    the reproduction CSVs."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(records=schedule_records())
+    def test_grid_tables(self, records):
+        for subset in with_singles(records):
+            assert np.array_equal(
+                _grid_log_likelihood(subset), reference_log_likelihood(subset, _grid())
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=schedule_records(), seed=st.integers(0, 2**32 - 1))
+    def test_scalar_angles(self, records, seed):
+        # many angles per example: a wrong rounding shows in ~0.1% of terms
+        angles = [0.0, math.pi / 2]
+        angles += [float(t) for t in np.random.default_rng(seed).uniform(0.0, math.pi / 2, 32)]
+        for subset in with_singles(records):
+            for theta in angles:
+                assert log_likelihood(subset, theta) == reference_log_likelihood(subset, theta)
 
 
 class TestMaximize:
