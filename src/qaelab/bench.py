@@ -185,8 +185,9 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SummaryRow]:
     """Run every (shots, repetition) cell and summarize per shots value.
 
     ``jobs`` caps how many repetitions run concurrently; per-repetition
-    seed derivation makes the result identical for any job count.  The
-    oracle and backend are immutable, so one of each serves every cell.
+    seed derivation makes the result identical for any job count.  One
+    oracle and one backend serve every cell: the oracle is immutable, and
+    the backend, which may memoize probabilities, is safe to share.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")

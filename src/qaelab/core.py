@@ -6,16 +6,19 @@ flag and bits 1..n are the domain index ``d``::
 
     index = (d << 1) | flag
 
-State preparation loads the uniform superposition over the domain and raises
-the flag exactly on a chosen "good" subset of indices, so the flag-1
+State preparation ``A`` loads the uniform superposition over the domain and
+raises the flag exactly on a chosen "good" subset of indices, so the flag-1
 probability equals ``a = |good| / 2**n``.  Writing ``theta = arcsin(sqrt(a))``,
 each amplification iterate advances the flag-1 probability along the rotation
 
     sin^2(theta) -> sin^2(3*theta) -> ... -> sin^2((2m+1)*theta)
 
-All operators are applied as O(2**(n+1)) passes over the amplitude array;
-no gate matrices are ever materialized here (dense cross-checks live in
-:mod:`qaelab.verify` and the test suite).
+The iterate ``Q = A S_0 A^dagger S_chi`` is applied through the identity
+``A S_0 A^dagger = I - 2|psi><psi|`` with ``psi = A|0>``, the prepared
+state: a flag-phase flip, one overlap with ``psi`` and one axpy, each an
+O(2**(n+1)) pass over the amplitude array.  No gate matrices are ever
+materialized here; the dense Hadamard-and-permutation build that checks
+this form independently lives in :mod:`qaelab.verify`.
 """
 
 from __future__ import annotations
@@ -123,14 +126,6 @@ class Statevector:
         return float(np.real(np.vdot(self.amps, self.amps)))
 
 
-@lru_cache(maxsize=128)
-def _marked_even_indices(oracle: OracleSpec) -> np.ndarray:
-    """Flag-0 array positions ``d << 1`` of the good domain indices, sorted."""
-    idx = np.fromiter((d << 1 for d in sorted(oracle.good_set)), dtype=np.intp,
-                      count=oracle.good_count)
-    return idx
-
-
 def prepare_a(oracle: OracleSpec) -> Statevector:
     """Build the post-preparation state: uniform over the domain, flag set on good indices.
 
@@ -140,11 +135,22 @@ def prepare_a(oracle: OracleSpec) -> Statevector:
     size = oracle.domain_size
     amps = np.zeros(2 * size, dtype=np.complex128)
     positions = np.arange(size, dtype=np.intp) << 1
-    good = _marked_even_indices(oracle)
-    if good.size:
-        positions[good >> 1] |= 1
+    good = np.fromiter(oracle.good_set, dtype=np.intp, count=oracle.good_count)
+    positions[good] |= 1
     amps[positions] = 1.0 / math.sqrt(size)
     return Statevector(oracle.n, amps)
+
+
+@lru_cache(maxsize=4)
+def _prepared_amps(oracle: OracleSpec) -> np.ndarray:
+    """Read-only amplitudes of ``prepare_a(oracle)``: the iterate's reflection axis.
+
+    A handful of oracles at most are live at once; each entry holds
+    ``2**(n+1)`` complex amplitudes (2 MiB at n = 16, 32 MiB at n = 20).
+    """
+    amps = prepare_a(oracle).amps
+    amps.flags.writeable = False
+    return amps
 
 
 def apply_s_chi(state: Statevector) -> Statevector:
@@ -159,43 +165,16 @@ def apply_s_0(state: Statevector) -> Statevector:
     return state
 
 
-def _apply_mark(state: Statevector, oracle: OracleSpec) -> None:
-    """Flip the flag bit on every good domain index (a self-inverse swap)."""
-    even = _marked_even_indices(oracle)
-    if even.size:
-        a = state.amps
-        tmp = a[even]  # fancy indexing copies
-        a[even] = a[even + 1]
-        a[even + 1] = tmp
-
-
-def _apply_hadamard_domain(state: Statevector) -> None:
-    """Hadamard on every domain qubit: a normalized Walsh transform over rows."""
-    size = 1 << state.n
-    table = state.amps.reshape(size, 2)
-    h = 1
-    while h < size:
-        block = table.reshape(-1, 2 * h, 2)
-        top = block[:, :h, :].copy()
-        block[:, :h, :] = top + block[:, h:, :]
-        block[:, h:, :] = top - block[:, h:, :]
-        h <<= 1
-    state.amps *= 2.0 ** (-0.5 * state.n)
-
-
 def apply_q(state: Statevector, oracle: OracleSpec) -> Statevector:
-    """One amplification iterate, in place.
+    """One amplification iterate ``Q = A S_0 A^dagger S_chi``, in place.
 
-    Factors act right to left: flag-phase flip, inverse preparation
-    (un-mark then Hadamards), reflection about the all-zeros state,
-    preparation (Hadamards then mark).
+    With ``psi = A|0>`` the prepared state, the reflection about it is
+    ``A S_0 A^dagger = I - 2|psi><psi|``.  So after the flag-phase flip the
+    iterate is one rank-one update: ``amps -= 2 <psi|amps> psi``.
     """
     apply_s_chi(state)
-    _apply_mark(state, oracle)
-    _apply_hadamard_domain(state)
-    apply_s_0(state)
-    _apply_hadamard_domain(state)
-    _apply_mark(state, oracle)
+    psi = _prepared_amps(oracle)
+    state.amps -= (2.0 * np.vdot(psi, state.amps)) * psi
     return state
 
 
@@ -231,14 +210,38 @@ class Backend:
 
 
 class StatevectorBackend(Backend):
-    """Runs the full register simulation and reads the probability off the state."""
+    """Runs the full register simulation and reads the probability off the state.
+
+    Each instance memoizes the probability per ``(oracle, m)`` and keeps the
+    most recent ``(oracle, m, amps)`` state: a higher power of the same
+    oracle advances from it, anything else restarts from the prepared state.
+    Both paths apply the same sequence of iterates to the same start, so the
+    memo returns exactly what a fresh simulation would.  Stored arrays are
+    read-only and every update is a single assignment, so threads may share
+    an instance; a race at worst computes one value twice.
+    """
 
     name = "sv"
 
+    def __init__(self) -> None:
+        self._probabilities: dict[tuple[OracleSpec, int], float] = {}
+        self._last: tuple[OracleSpec, int, np.ndarray] | None = None
+
     def flag_probability(self, oracle: OracleSpec, m: int) -> float:
-        state = prepare_a(oracle)
-        apply_q_power(state, oracle, m)
-        return flag_probability(state)
+        p = self._probabilities.get((oracle, m))
+        if p is not None:
+            return p
+        last = self._last
+        if last is not None and last[0] == oracle and last[1] <= m:
+            done, amps = last[1], last[2]
+        else:
+            done, amps = 0, _prepared_amps(oracle)
+        state = apply_q_power(Statevector(oracle.n, amps.copy()), oracle, m - done)
+        state.amps.flags.writeable = False
+        self._last = (oracle, m, state.amps)
+        p = flag_probability(state)
+        self._probabilities[(oracle, m)] = p
+        return p
 
 
 class AnalyticBackend(Backend):

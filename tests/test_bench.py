@@ -2,6 +2,7 @@
 and the table runner."""
 
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -163,6 +164,21 @@ class TestRunSweep:
             epsilon=0.02, base_seed=3,
         )
         assert run_sweep(cfg, jobs=3) == run_sweep(cfg, jobs=1)
+
+    def test_parallel_equals_serial_on_shared_statevector(self):
+        # the sweep's one memoizing StatevectorBackend serves all threads;
+        # frequent thread switches make its memo and kept state interleave
+        cfg = ExperimentConfig(
+            "iqae", qubits=8, backend="sv", shots_list=(16, 32), repetitions=6,
+            epsilon=0.02, base_seed=3,
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = run_sweep(cfg, jobs=3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == run_sweep(cfg, jobs=1)
 
     def test_rejects_bad_jobs(self):
         cfg = ExperimentConfig("mci", shots_list=(8,), repetitions=2)

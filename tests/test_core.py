@@ -1,9 +1,13 @@
 """Core statevector kernel: preparation, reflections, the iterate, backends."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from qaelab.core import (
@@ -216,6 +220,19 @@ class TestPower:
             apply_q(state, oracle)
             assert abs(state.norm_sq() - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("n", [3, 5, 10, 16])
+    def test_long_products_track_the_closed_form(self, n):
+        # rounding accumulates over the iterates; 256 of them stay within 1e-10
+        size = 1 << n
+        for good in sorted({1, size // 8, size // 3, size // 2, size - 1}):
+            oracle = OracleSpec(n, good)
+            state = prepare_a(oracle)
+            for m in range(1, 257):
+                apply_q(state, oracle)
+                expected = analytic_flag_probability(oracle, m)
+                assert abs(flag_probability(state) - expected) <= 1e-10, (good, m)
+                assert abs(state.norm_sq() - 1.0) <= 1e-10, (good, m)
+
 
 class TestAnalytic:
     def test_identity_power(self):
@@ -281,6 +298,67 @@ class TestBackends:
         table = table[:, table.sum(axis=0) > 0]
         p_value = chi2_contingency(table).pvalue
         assert p_value > 0.001
+
+
+@st.composite
+def small_oracles(draw):
+    n = draw(st.integers(1, 12))
+    size = 1 << n
+    return OracleSpec(n, draw(st.one_of(st.just(0), st.just(size), st.integers(0, size))))
+
+
+class TestStatevectorMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        first=small_oracles(),
+        second=small_oracles(),
+        calls=st.lists(st.tuples(st.booleans(), st.integers(0, 20)), min_size=1, max_size=12),
+    )
+    def test_equals_fresh_simulation_bitwise(self, first, second, calls):
+        # repeats hit the memo, rises advance the kept state, falls and
+        # oracle switches restart it
+        backend = StatevectorBackend()
+        for use_second, m in calls:
+            oracle = second if use_second else first
+            fresh = flag_probability(apply_q_power(prepare_a(oracle), oracle, m))
+            assert backend.flag_probability(oracle, m) == fresh
+
+    def test_threads_sharing_one_backend_match_fresh(self):
+        # more threads than cores, switching often, each in its own order
+        # over powers of two oracles: a stored state written by one thread
+        # while another advances from it would change some probability
+        oracles = (OracleSpec(9, 37), OracleSpec(9, 200))
+        keys = [(oracle, m) for oracle in oracles for m in range(16)]
+        expected = [
+            flag_probability(apply_q_power(prepare_a(oracle), oracle, m))
+            for oracle, m in keys
+        ]
+
+        def sweep(backend, order):
+            return [backend.flag_probability(*keys[j]) == expected[j] for j in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(8):
+                backend = StatevectorBackend()
+                rng = np.random.default_rng(trial)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    futures = [
+                        pool.submit(sweep, backend, rng.permutation(len(keys)))
+                        for _ in range(4)
+                    ]
+                    for future in futures:
+                        assert all(future.result(timeout=60)), f"trial {trial}"
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_negative_power_rejected(self):
+        backend = StatevectorBackend()
+        oracle = OracleSpec(3, 2)
+        backend.flag_probability(oracle, 2)
+        with pytest.raises(ValueError):
+            backend.flag_probability(oracle, -1)
 
 
 class TestMeasure:
