@@ -20,7 +20,6 @@ from .core import (
     analytic_flag_probability,
     apply_q,
     apply_q_power,
-    apply_s_0,
     apply_s_chi,
     flag_probability,
     make_backend,
@@ -74,7 +73,6 @@ __all__ = [
     "analytic_flag_probability",
     "apply_q",
     "apply_q_power",
-    "apply_s_0",
     "apply_s_chi",
     "flag_probability",
     "make_backend",

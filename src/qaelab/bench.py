@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Backend, OracleSpec, make_backend
+from .core import BACKENDS, Backend, OracleSpec, make_backend
 from .iqae import IterationCapError, run_iqae
 from .mci import MciConfig, run_mci
 from .mlqae import run_mlqae
@@ -46,7 +46,6 @@ SHOTS_LADDER = (16, 32, 64, 128, 256, 512, 1024)
 DEFAULT_SEED_BASE = 1729
 
 _ALGORITHM_IDS = {"mlqae": 1, "iqae": 2, "mci": 3}
-_BACKENDS = ("analytic", "sv", "statevector")
 
 
 class ReproduceCapError(RuntimeError):
@@ -88,19 +87,14 @@ class ExperimentConfig:
             raise ValueError(f"repetitions must be positive, got {self.repetitions}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
-        if self.backend not in _BACKENDS:
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.algorithm != "mci":
-            scaled = self.a_true * (1 << self.qubits)
-            if abs(scaled - round(scaled)) > 1e-9:
-                raise ValueError(
-                    f"a_true={self.a_true} is not representable on {self.qubits} "
-                    f"qubits: a_true * 2**qubits = {scaled} is not an integer"
-                )
+            # raises unless a_true * 2**qubits is an integer
+            OracleSpec.from_amplitude(self.qubits, self.a_true)
 
     def oracle(self) -> OracleSpec:
-        good = int(round(self.a_true * (1 << self.qubits)))
-        return OracleSpec(self.qubits, good)
+        return OracleSpec.from_amplitude(self.qubits, self.a_true)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .bench import (
     run_sweep,
     run_table,
 )
-from .core import OracleSpec, make_backend
+from .core import BACKENDS, OracleSpec, make_backend
 from .iqae import IterationCapError, run_iqae
 from .mci import MciConfig, run_mci
 from .mlqae import run_mlqae
@@ -40,21 +40,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _oracle_from_args(qubits: int, a: float) -> OracleSpec:
-    if not 0.0 <= a <= 1.0:
-        raise UsageError(f"--a must lie in [0, 1], got {a}")
-    scaled = a * (1 << qubits)
-    good = round(scaled)
-    if abs(scaled - good) > 1e-9:
-        raise UsageError(
-            f"--a {a} is not representable on {qubits} qubits: "
-            f"a * 2**qubits = {scaled} is not an integer"
-        )
-    return OracleSpec(qubits, int(good))
+def _oracle(args) -> OracleSpec:
+    try:
+        return OracleSpec.from_amplitude(args.qubits, args.a)
+    except ValueError as exc:
+        raise UsageError(f"--a: {exc}") from None
 
 
 def _cmd_mlqae(args) -> int:
-    oracle = _oracle_from_args(args.qubits, args.a)
+    oracle = _oracle(args)
     rng = np.random.default_rng(args.seed)
     report = run_mlqae(
         oracle, args.m, args.shots,
@@ -97,7 +91,7 @@ def _print_iqae(report, args) -> None:
 
 
 def _cmd_iqae(args) -> int:
-    oracle = _oracle_from_args(args.qubits, args.a)
+    oracle = _oracle(args)
     rng = np.random.default_rng(args.seed)
     try:
         report = run_iqae(
@@ -113,8 +107,8 @@ def _cmd_iqae(args) -> int:
 
 
 def _cmd_mci(args) -> int:
-    config = MciConfig(args.a, args.samples, args.reps, args.seed)
-    estimates = run_mci(config)
+    config = MciConfig(args.a, args.samples, args.reps)
+    estimates = run_mci(config, rng=np.random.default_rng(args.seed))
     mean_a = float(estimates.mean())
     std_a = float(estimates.std())
     if args.a > 0:
@@ -250,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="true amplitude; a * 2**qubits must be an integer")
 
     def add_backend_flag(p):
-        p.add_argument("--backend", choices=("analytic", "sv"), default="analytic",
+        p.add_argument("--backend", choices=tuple(BACKENDS), default="analytic",
                        help="probability source (default: analytic)")
 
     p = sub.add_parser("mlqae", help="maximum-likelihood estimation over a power ladder")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -34,7 +35,6 @@ __all__ = [
     "Statevector",
     "prepare_a",
     "apply_s_chi",
-    "apply_s_0",
     "apply_q",
     "apply_q_power",
     "flag_probability",
@@ -42,6 +42,7 @@ __all__ = [
     "Backend",
     "StatevectorBackend",
     "AnalyticBackend",
+    "BACKENDS",
     "make_backend",
     "measure_flag",
 ]
@@ -49,18 +50,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OracleSpec:
-    """Membership oracle over an ``n``-qubit domain.
+    """Membership oracle over an ``n``-qubit domain, given by its marked count.
+
+    The marked ("good") indices are the first ``good_count`` ones,
+    ``{0, ..., good_count - 1}``.  The estimators see the oracle only through
+    ``theta = arcsin(sqrt(good_count / 2**n))``, so which indices are marked
+    never matters, and an oracle costs O(1) to build at any ``n``.
 
     Args:
         n: number of domain qubits; the domain is ``{0, ..., 2**n - 1}``.
-        good_count: number of marked ("good") domain indices.
-        good_set: the marked indices themselves.  Defaults to the first
-            ``good_count`` indices ``{0, ..., good_count - 1}``.
+        good_count: number of marked domain indices.
     """
 
     n: int
     good_count: int
-    good_set: frozenset[int] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -70,17 +73,24 @@ class OracleSpec:
             raise ValueError(
                 f"good_count={self.good_count} outside [0, {size}] for n={self.n}"
             )
-        if self.good_set is None:
-            object.__setattr__(self, "good_set", frozenset(range(self.good_count)))
-        else:
-            object.__setattr__(self, "good_set", frozenset(self.good_set))
-        if len(self.good_set) != self.good_count:
+
+    @classmethod
+    def from_amplitude(cls, qubits: int, a: float) -> "OracleSpec":
+        """The oracle on ``qubits`` domain qubits whose flag-1 probability is ``a``.
+
+        ``a`` must lie in [0, 1] and ``a * 2**qubits`` must be an integer to
+        within 1e-9.  The product is taken exactly, so any ``qubits`` works.
+        """
+        if not 0.0 <= a <= 1.0:
+            raise ValueError(f"a must lie in [0, 1], got {a}")
+        scaled = Fraction(a) * (1 << qubits)
+        good = round(scaled)
+        if abs(scaled - good) > 1e-9:
             raise ValueError(
-                f"good_set has {len(self.good_set)} elements, expected {self.good_count}"
+                f"a={a} is not representable on {qubits} qubits: "
+                f"a * 2**qubits = {float(scaled)} is not an integer"
             )
-        for d in self.good_set:
-            if not 0 <= d < size:
-                raise ValueError(f"good index {d} outside the domain [0, {size})")
+        return cls(qubits, good)
 
     @property
     def domain_size(self) -> int:
@@ -130,13 +140,13 @@ def prepare_a(oracle: OracleSpec) -> Statevector:
     """Build the post-preparation state: uniform over the domain, flag set on good indices.
 
     Every domain index carries amplitude ``2**(-n/2)``; the flag qubit is 1
-    exactly on ``oracle.good_set``, so ``flag_probability`` equals ``oracle.a``.
+    exactly on the first ``oracle.good_count`` indices, so
+    ``flag_probability`` equals ``oracle.a``.
     """
     size = oracle.domain_size
     amps = np.zeros(2 * size, dtype=np.complex128)
     positions = np.arange(size, dtype=np.intp) << 1
-    good = np.fromiter(oracle.good_set, dtype=np.intp, count=oracle.good_count)
-    positions[good] |= 1
+    positions[:oracle.good_count] |= 1
     amps[positions] = 1.0 / math.sqrt(size)
     return Statevector(oracle.n, amps)
 
@@ -156,12 +166,6 @@ def _prepared_amps(oracle: OracleSpec) -> np.ndarray:
 def apply_s_chi(state: Statevector) -> Statevector:
     """Negate every flag-1 amplitude, in place."""
     state.amps[1::2] *= -1.0
-    return state
-
-
-def apply_s_0(state: Statevector) -> Statevector:
-    """Reflect about the all-zeros basis state: only amplitude 0 changes sign."""
-    state.amps[0] = -state.amps[0]
     return state
 
 
@@ -253,13 +257,17 @@ class AnalyticBackend(Backend):
         return analytic_flag_probability(oracle, m)
 
 
+#: every backend, by the name that configs, sweep files and ``--backend`` use
+BACKENDS: dict[str, type[Backend]] = {
+    cls.name: cls for cls in (AnalyticBackend, StatevectorBackend)
+}
+
+
 def make_backend(name: str) -> Backend:
-    """Map a backend name ('sv'/'statevector' or 'analytic') to an instance."""
-    if name in ("sv", "statevector"):
-        return StatevectorBackend()
-    if name == "analytic":
-        return AnalyticBackend()
-    raise ValueError(f"unknown backend {name!r}: expected 'sv' or 'analytic'")
+    """A new instance of the backend registered as ``name`` in :data:`BACKENDS`."""
+    if name not in BACKENDS:
+        raise ValueError(f"unknown backend {name!r}: expected one of {list(BACKENDS)}")
+    return BACKENDS[name]()
 
 
 def measure_flag(

@@ -21,7 +21,6 @@ class MciConfig:
     a_true: float
     samples: int
     repetitions: int
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.a_true <= 1.0:
@@ -32,16 +31,14 @@ class MciConfig:
             raise ValueError(f"repetitions must be positive, got {self.repetitions}")
 
 
-def run_mci(config: MciConfig, rng: np.random.Generator | None = None) -> np.ndarray:
+def run_mci(config: MciConfig, *, rng: np.random.Generator) -> np.ndarray:
     """Hit-or-miss estimates of ``a_true``, one per repetition.
 
     Each repetition throws ``config.samples`` points (x, y) uniformly on
     [0, 1]^2 and reports the fraction with ``y < a_true`` (strict, so the
     boundaries a_true = 0 and 1 come out exact).  Cost per estimate is
-    ``config.samples`` oracle queries.
+    ``config.samples`` oracle queries.  Every draw comes from ``rng``.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     estimates = np.empty(config.repetitions, dtype=float)
     for r in range(config.repetitions):
         points = rng.random((config.samples, 2))

@@ -97,39 +97,28 @@ class MeasurementRecord:
             raise ValueError(f"hits={self.hits} outside [0, {self.shots}]")
 
 
-def log_likelihood(records, theta):
-    """Joint log-likelihood of the records at rotation angle ``theta``.
+def log_likelihood(records, theta: float) -> float:
+    """Joint log-likelihood of the records at the rotation angle ``theta``.
 
-    Accepts a scalar angle or an ndarray of angles; the return matches the
-    input shape.  Each record with power ``m`` contributes
+    Each record with power ``m`` contributes
 
         hits * log(sin^2((2m+1) theta)) + (shots - hits) * log(cos^2((2m+1) theta))
 
-    with both squared terms clamped below at ``LIKELIHOOD_FLOOR``.
+    with both squared terms clamped below at ``LIKELIHOOD_FLOOR``.  It takes
+    one angle; the coarse grid scan uses :func:`_grid_log_likelihood`.  The
+    value is bit for bit that of ``verify.reference_log_likelihood``, which
+    tests compare it with; that needs ``** 2`` on a float and ``np.log``,
+    since ``s * s`` and ``math.log`` round differently.
     """
-    if np.ndim(theta) == 0:
-        # Scalar path for the refinement, bit for bit the array path below
-        # (tests compare it with verify.reference_log_likelihood).  It needs
-        # ``** 2`` on a float and ``np.log``: ``s * s`` and ``math.log``
-        # round differently.
-        t = float(theta)
-        value = 0.0
-        for rec in records:
-            c = 2 * rec.power + 1
-            s2 = math.sin(c * t) ** 2
-            c2 = math.cos(c * t) ** 2
-            value = value + rec.hits * np.log(max(s2, LIKELIHOOD_FLOOR))
-            value = value + (rec.shots - rec.hits) * np.log(max(c2, LIKELIHOOD_FLOOR))
-        return float(value)
-    angles = np.asarray(theta, dtype=float)
-    total = np.zeros(angles.shape)
+    t = float(theta)
+    value = 0.0
     for rec in records:
         c = 2 * rec.power + 1
-        s2 = np.sin(c * angles) ** 2
-        c2 = np.cos(c * angles) ** 2
-        total = total + rec.hits * np.log(np.maximum(s2, LIKELIHOOD_FLOOR))
-        total = total + (rec.shots - rec.hits) * np.log(np.maximum(c2, LIKELIHOOD_FLOOR))
-    return total
+        s2 = math.sin(c * t) ** 2
+        c2 = math.cos(c * t) ** 2
+        value = value + rec.hits * np.log(max(s2, LIKELIHOOD_FLOOR))
+        value = value + (rec.shots - rec.hits) * np.log(max(c2, LIKELIHOOD_FLOOR))
+    return float(value)
 
 
 @functools.cache
@@ -143,7 +132,8 @@ def _grid() -> np.ndarray:
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _log_tables(power: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only floored log sin^2 and log cos^2 of ``(2 power + 1) theta``
-    on the grid, elementwise the same as :func:`log_likelihood` computes."""
+    on the grid, elementwise the same as ``verify.reference_log_likelihood``
+    computes."""
     angles = (2 * power + 1) * _grid()
     log_cos2 = np.cos(angles)
     log_sin2 = np.sin(angles, out=angles)
@@ -156,8 +146,9 @@ def _log_tables(power: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grid_log_likelihood(records) -> np.ndarray:
-    """``log_likelihood(records, _grid())`` from the cached tables, summed
-    in the same order so that every value is bit for bit the same."""
+    """Joint log-likelihood at every grid angle from the cached tables,
+    summed in the order of ``verify.reference_log_likelihood(records, _grid())``
+    so that every value is bit for bit the same."""
     total = np.zeros(GRID_POINTS)
     term = np.empty(GRID_POINTS)
     for rec in records:

@@ -14,7 +14,6 @@ import pytest
 from qaelab import (
     MciConfig,
     OracleSpec,
-    Statevector,
     apply_q,
     cli,
     flag_probability,
@@ -25,6 +24,7 @@ from qaelab import (
 )
 from qaelab.bench import DEFAULT_SEED_BASE, derive_rng
 from qaelab.mlqae import MeasurementRecord, eis_schedule, maximize_likelihood
+from qaelab.verify import probe_iterate
 
 A_TRUE = 0.125
 ORACLE_10Q = OracleSpec(10, 128)
@@ -101,15 +101,7 @@ def test_02_iterate_unitarity():
     for n in range(1, 5):
         dim = 2 ** (n + 1)
         for good in range(2**n + 1):
-            oracle = OracleSpec(n, good)
-            cols = []
-            for j in range(dim):
-                amps = np.zeros(dim, dtype=np.complex128)
-                amps[j] = 1.0
-                state = Statevector(n, amps)
-                apply_q(state, oracle)
-                cols.append(state.amps.copy())
-            q = np.column_stack(cols)
+            q = probe_iterate(OracleSpec(n, good))
             err = float(np.max(np.abs(q @ q.conj().T - np.eye(dim))))
             worst = max(worst, err)
     elapsed = time.perf_counter() - start
@@ -154,10 +146,10 @@ def test_04_classical_baseline_statistics():
     """Hit-or-miss baseline at 10^4 repetitions lands in the expected
     error and spread bands at 1024 and 16384 samples."""
     start = time.perf_counter()
-    est_small = run_mci(MciConfig(A_TRUE, 1024, 10_000, seed=404))
+    est_small = run_mci(MciConfig(A_TRUE, 1024, 10_000), rng=np.random.default_rng(404))
     rel_small = _rel_err_pct(est_small, A_TRUE)
     std_small = float(np.std(est_small))
-    est_big = run_mci(MciConfig(A_TRUE, 16384, 10_000, seed=405))
+    est_big = run_mci(MciConfig(A_TRUE, 16384, 10_000), rng=np.random.default_rng(405))
     rel_big = _rel_err_pct(est_big, A_TRUE)
     elapsed = time.perf_counter() - start
     passed = (
@@ -253,7 +245,7 @@ def test_07_iterative_estimator_coverage():
 
 
 def _mlqae_budget_case(base_seed: int, qubits: int, depth: int):
-    oracle = OracleSpec(qubits, round(A_TRUE * 2**qubits))
+    oracle = OracleSpec.from_amplitude(qubits, A_TRUE)
     errs, calls = [], []
     for rep in range(30):
         report = run_mlqae(
@@ -265,7 +257,7 @@ def _mlqae_budget_case(base_seed: int, qubits: int, depth: int):
 
 
 def _iqae_budget_case(base_seed: int, qubits: int, epsilon: float):
-    oracle = OracleSpec(qubits, round(A_TRUE * 2**qubits))
+    oracle = OracleSpec.from_amplitude(qubits, A_TRUE)
     errs, calls = [], []
     for rep in range(30):
         report = run_iqae(

@@ -49,6 +49,14 @@ class TestMlqaeCommand:
         assert rc == 0
         assert abs(float(out.splitlines()[1].split(",")[0]) - 0.125) < 0.05
 
+    @pytest.mark.parametrize("qubits", ["64", "1100"])
+    def test_large_domain_prints_what_a_small_one_does(self, capsys, qubits):
+        # a = 1/8 is the same theta on any domain, so the same draws
+        _, want, _ = run_cli(capsys, *self.ARGS)
+        rc, out, _ = run_cli(capsys, "mlqae", "--qubits", qubits, *self.ARGS[3:])
+        assert rc == 0
+        assert out == want
+
     def test_unrepresentable_amplitude(self, capsys):
         rc, out, err = run_cli(
             capsys, "mlqae", "--qubits", "4", "--a", "0.1",
@@ -96,6 +104,13 @@ class TestIqaeCommand:
         rounds = int(lines[header_at + 1].split(",")[4])
         assert len(trace) == rounds
         assert "k=" in trace[0] and "half_plane=" in trace[0]
+
+    @pytest.mark.parametrize("qubits", ["64", "1100"])
+    def test_large_domain_prints_what_a_small_one_does(self, capsys, qubits):
+        _, want, _ = run_cli(capsys, *self.ARGS, "--trace")
+        rc, out, _ = run_cli(capsys, "iqae", "--qubits", qubits, *self.ARGS[3:], "--trace")
+        assert rc == 0
+        assert out == want
 
     def test_cap_returns_partial_result_and_code_3(self, capsys, monkeypatch):
         monkeypatch.setattr(iqae_mod, "CAP_MULTIPLIER", 0)
@@ -218,6 +233,14 @@ class TestSweepCommand:
         assert f"wrote {out_path}" in out
         assert out_path.read_text().splitlines()[0] == CSV_HEADER
 
+    @pytest.mark.parametrize("qubits", [64, 1100])
+    def test_large_domain_gives_the_small_csv(self, capsys, tmp_path, qubits):
+        _, want, _ = run_cli(capsys, "sweep", "--config", self.write(tmp_path, GOOD_CONFIG))
+        config = GOOD_CONFIG.replace("qubits = 4", f"qubits = {qubits}")
+        rc, out, _ = run_cli(capsys, "sweep", "--config", self.write(tmp_path, config))
+        assert rc == 0
+        assert out == want
+
     def test_missing_file(self, capsys):
         rc, _, err = run_cli(capsys, "sweep", "--config", "/no/such/file.conf")
         assert rc == 1
@@ -232,6 +255,7 @@ class TestSweepCommand:
             ("algorithm = iqae\nqubits = four\n", ":2: bad value 'four'"),
             ("qubits = 4\n", "missing required key 'algorithm'"),
             ("algorithm = iqae\nqubits = 0\n", "qubits must be positive"),
+            ("algorithm = iqae\nqubits = 4\na = 0.1\n", "not representable"),
         ],
     )
     def test_malformed_config(self, capsys, tmp_path, text, fragment):

@@ -1,7 +1,9 @@
 """Core statevector kernel: preparation, reflections, the iterate, backends."""
 
 import math
+import re
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,54 +20,21 @@ from qaelab.core import (
     analytic_flag_probability,
     apply_q,
     apply_q_power,
-    apply_s_0,
     apply_s_chi,
     flag_probability,
     make_backend,
     measure_flag,
     prepare_a,
 )
-
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-
-
-def dense_preparation_matrix(oracle):
-    """Independent dense build: Hadamard on each domain qubit, then a
-    permutation that flips the flag bit on the good indices."""
-    had = np.eye(1, dtype=complex)
-    for _ in range(oracle.n):
-        had = np.kron(had, _H)
-    had = np.kron(had, np.eye(2, dtype=complex))
-    dim = 2 << oracle.n
-    perm = np.zeros((dim, dim), dtype=complex)
-    for d in range(1 << oracle.n):
-        flip = 1 if d in oracle.good_set else 0
-        for f in (0, 1):
-            perm[(d << 1) | (f ^ flip), (d << 1) | f] = 1.0
-    return perm @ had
-
-
-def dense_iterate_matrix(oracle):
-    """Independent dense build of the amplification iterate."""
-    dim = 2 << oracle.n
-    prep = dense_preparation_matrix(oracle)
-    reflect0 = np.eye(dim, dtype=complex)
-    reflect0[0, 0] = -1.0
-    flag_phase = np.kron(np.eye(1 << oracle.n, dtype=complex), np.diag([1.0, -1.0]))
-    return prep @ reflect0 @ prep.conj().T @ flag_phase
+from qaelab.verify import dense_iterate, dense_preparation, probe_iterate
 
 
 class TestOracleSpec:
     def test_defaults_to_leading_indices(self):
         oracle = OracleSpec(3, 3)
-        assert oracle.good_set == frozenset({0, 1, 2})
+        assert list(np.flatnonzero(prepare_a(oracle).amps[1::2])) == [0, 1, 2]
         assert oracle.domain_size == 8
         assert oracle.a == 0.375
-
-    def test_explicit_good_set(self):
-        oracle = OracleSpec(2, 1, frozenset({1}))
-        assert oracle.a == 0.25
-        assert oracle.theta == pytest.approx(math.pi / 6, abs=1e-15)
 
     def test_theta_of_eighth(self):
         oracle = OracleSpec(10, 128)
@@ -78,19 +47,46 @@ class TestOracleSpec:
             OracleSpec(2, 5)
         with pytest.raises(ValueError):
             OracleSpec(2, -1)
-        with pytest.raises(ValueError):
-            OracleSpec(2, 1, frozenset({4}))
-        with pytest.raises(ValueError):
-            OracleSpec(2, 2, frozenset({1}))
+
+    def test_large_domain_builds_in_constant_time(self):
+        start = time.perf_counter()
+        oracle = OracleSpec(64, 1 << 61)
+        assert time.perf_counter() - start < 0.01
+        assert oracle.a == 0.125
+        assert oracle.theta == OracleSpec(10, 128).theta
+
+
+class TestFromAmplitude:
+    def test_scales_to_the_marked_count(self):
+        assert OracleSpec.from_amplitude(10, 0.125) == OracleSpec(10, 128)
+        assert OracleSpec.from_amplitude(3, 0.0) == OracleSpec(3, 0)
+        assert OracleSpec.from_amplitude(3, 1.0) == OracleSpec(3, 8)
+
+    def test_scales_exactly_beyond_float_range(self):
+        # a * 2**1100 overflows a float; the exact product does not
+        assert OracleSpec.from_amplitude(1100, 0.5).good_count == 1 << 1099
+        assert OracleSpec.from_amplitude(64, 2.0**-60) == OracleSpec(64, 16)
+
+    @pytest.mark.parametrize("qubits,a,fragment", [
+        (4, 0.1, "not representable"),
+        (4, 1 / 3, "not representable"),
+        (4, -0.5, "must lie in [0, 1]"),
+        (4, 1.5, "must lie in [0, 1]"),
+        (4, math.nan, "must lie in [0, 1]"),
+        (0, 1.0, "at least one domain qubit"),
+    ])
+    def test_rejects(self, qubits, a, fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            OracleSpec.from_amplitude(qubits, a)
 
 
 class TestPrepare:
     def test_quarter_amplitude(self):
-        state = prepare_a(OracleSpec(2, 1, frozenset({1})))
+        state = prepare_a(OracleSpec(2, 1))
         assert flag_probability(state) == pytest.approx(0.25, abs=1e-15)
-        # index (1 << 1) | 1 carries the single marked amplitude
-        assert state.amps[3] == pytest.approx(0.5)
-        assert state.amps[2] == 0.0
+        # index (0 << 1) | 1 carries the single marked amplitude
+        assert state.amps[1] == pytest.approx(0.5)
+        assert state.amps[0] == 0.0
 
     def test_empty_good_set(self):
         state = prepare_a(OracleSpec(3, 0))
@@ -104,7 +100,7 @@ class TestPrepare:
     @pytest.mark.parametrize("n,good", [(1, 1), (2, 3), (3, 3), (3, 8), (4, 5)])
     def test_matches_dense_build(self, n, good):
         oracle = OracleSpec(n, good)
-        column = dense_preparation_matrix(oracle)[:, 0]
+        column = dense_preparation(oracle)[:, 0]
         np.testing.assert_allclose(prepare_a(oracle).amps, column, atol=1e-12)
 
 
@@ -116,14 +112,7 @@ class TestReflections:
         np.testing.assert_array_equal(state.amps[0::2], amps[0::2])
         np.testing.assert_array_equal(state.amps[1::2], -amps[1::2])
 
-    def test_zero_reflection_touches_index_zero_only(self):
-        amps = np.arange(1, 9, dtype=complex)
-        state = Statevector(2, amps.copy())
-        apply_s_0(state)
-        assert state.amps[0] == -1.0
-        np.testing.assert_array_equal(state.amps[1:], amps[1:])
-
-    @pytest.mark.parametrize("op", [apply_s_chi, apply_s_0])
+    @pytest.mark.parametrize("op", [apply_s_chi])
     def test_involution(self, op):
         rng = np.random.default_rng(5)
         for n in (1, 3, 6):
@@ -137,7 +126,7 @@ class TestReflections:
 class TestIterate:
     def test_quarter_reaches_certainty(self):
         # a = 1/4 means theta = pi/6, so one iterate lands on sin^2(pi/2) = 1
-        oracle = OracleSpec(2, 1, frozenset({1}))
+        oracle = OracleSpec(2, 1)
         state = apply_q(prepare_a(oracle), oracle)
         assert flag_probability(state) == pytest.approx(1.0, abs=1e-12)
 
@@ -156,32 +145,24 @@ class TestIterate:
 
     def test_two_iterates_match_dense_build(self):
         oracle = OracleSpec(3, 3)
-        dense = dense_iterate_matrix(oracle)
-        expected = dense @ dense @ dense_preparation_matrix(oracle)[:, 0]
+        dense = dense_iterate(oracle)
+        expected = dense @ dense @ dense_preparation(oracle)[:, 0]
         state = apply_q_power(prepare_a(oracle), oracle, 2)
         np.testing.assert_allclose(state.amps, expected, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_probe_matrix_is_unitary(self, n):
-        dim = 2 << n
         for good in range((1 << n) + 1):
-            oracle = OracleSpec(n, good)
-            probe = np.empty((dim, dim), dtype=complex)
-            for j in range(dim):
-                probe[:, j] = apply_q(Statevector.basis(n, j), oracle).amps
+            probe = probe_iterate(OracleSpec(n, good))
             np.testing.assert_allclose(
-                probe @ probe.conj().T, np.eye(dim), atol=1e-10,
+                probe @ probe.conj().T, np.eye(2 << n), atol=1e-10,
                 err_msg=f"n={n} good={good}",
             )
 
     def test_probe_matrix_matches_dense(self):
         for n, good in [(1, 1), (2, 2), (3, 5), (4, 7)]:
             oracle = OracleSpec(n, good)
-            dim = 2 << n
-            probe = np.empty((dim, dim), dtype=complex)
-            for j in range(dim):
-                probe[:, j] = apply_q(Statevector.basis(n, j), oracle).amps
-            np.testing.assert_allclose(probe, dense_iterate_matrix(oracle), atol=1e-10)
+            np.testing.assert_allclose(probe_iterate(oracle), dense_iterate(oracle), atol=1e-10)
 
 
 class TestPower:
@@ -260,7 +241,6 @@ class TestAnalytic:
 class TestBackends:
     def test_factory(self):
         assert isinstance(make_backend("sv"), StatevectorBackend)
-        assert isinstance(make_backend("statevector"), StatevectorBackend)
         assert isinstance(make_backend("analytic"), AnalyticBackend)
         with pytest.raises(ValueError):
             make_backend("qpu")
@@ -407,9 +387,9 @@ class TestStatevector:
 
     def test_normalization_through_random_sequences(self):
         rng = np.random.default_rng(23)
-        oracle = OracleSpec(4, 6, frozenset({0, 2, 3, 7, 9, 14}))
+        oracle = OracleSpec(4, 6)
         state = prepare_a(oracle)
-        ops = [apply_s_chi, apply_s_0, lambda s: apply_q(s, oracle)]
+        ops = [apply_s_chi, lambda s: apply_q(s, oracle)]
         for _ in range(60):
             ops[rng.integers(len(ops))](state)
             assert abs(state.norm_sq() - 1.0) < 1e-10

@@ -457,6 +457,13 @@ class TestRunIqae:
         rep2 = run_iqae(ORACLE, 0.01, 0.05, 128, rng=np.random.default_rng(77))
         assert rep1 == rep2
 
+    def test_large_domain_matches_small(self):
+        # 2**61 of 2**64 marked: the same theta as ORACLE, so the same draws
+        large = OracleSpec.from_amplitude(64, A_TRUE)
+        for seed in (77, 78):
+            want = run_iqae(ORACLE, 0.005, 0.05, 128, rng=np.random.default_rng(seed))
+            assert run_iqae(large, 0.005, 0.05, 128, rng=np.random.default_rng(seed)) == want
+
     def test_statevector_backend(self):
         rep = run_iqae(
             OracleSpec(6, 8),

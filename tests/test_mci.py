@@ -10,12 +10,8 @@ from qaelab import MciConfig, run_mci
 
 class TestConfig:
     def test_accepts_valid(self):
-        cfg = MciConfig(0.125, 1024, 30, seed=5)
-        assert cfg.a_true == 0.125
-        assert cfg.seed == 5
-
-    def test_default_seed(self):
-        assert MciConfig(0.5, 10, 1).seed == 0
+        cfg = MciConfig(0.125, 1024, 30)
+        assert (cfg.a_true, cfg.samples, cfg.repetitions) == (0.125, 1024, 30)
 
     @pytest.mark.parametrize(
         "a_true,samples,reps",
@@ -28,51 +24,49 @@ class TestConfig:
 
 class TestRun:
     def test_shape_and_range(self):
-        est = run_mci(MciConfig(0.3, 50, 17))
+        est = run_mci(MciConfig(0.3, 50, 17), rng=np.random.default_rng(0))
         assert est.shape == (17,)
         assert np.all((0.0 <= est) & (est <= 1.0))
         # every estimate is a multiple of 1/samples
         assert np.allclose(est * 50, np.round(est * 50))
 
     def test_zero_measure_region_never_hit(self):
-        est = run_mci(MciConfig(0.0, 200, 25, seed=1))
+        est = run_mci(MciConfig(0.0, 200, 25), rng=np.random.default_rng(1))
         assert np.all(est == 0.0)
 
     def test_full_measure_region_always_hit(self):
         # strict comparison y < 1.0 still catches every draw since the
         # generator never returns 1.0 exactly
-        est = run_mci(MciConfig(1.0, 200, 25, seed=1))
+        est = run_mci(MciConfig(1.0, 200, 25), rng=np.random.default_rng(1))
         assert np.all(est == 1.0)
 
     def test_seed_reproducibility(self):
-        a = run_mci(MciConfig(0.125, 256, 40, seed=9))
-        b = run_mci(MciConfig(0.125, 256, 40, seed=9))
+        cfg = MciConfig(0.125, 256, 40)
+        a = run_mci(cfg, rng=np.random.default_rng(9))
+        b = run_mci(cfg, rng=np.random.default_rng(9))
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = run_mci(MciConfig(0.125, 256, 40, seed=9))
-        b = run_mci(MciConfig(0.125, 256, 40, seed=10))
+        cfg = MciConfig(0.125, 256, 40)
+        a = run_mci(cfg, rng=np.random.default_rng(9))
+        b = run_mci(cfg, rng=np.random.default_rng(10))
         assert not np.array_equal(a, b)
 
-    def test_explicit_rng_overrides_config_seed(self):
-        cfg = MciConfig(0.125, 256, 40, seed=9)
-        via_rng = run_mci(cfg, rng=np.random.default_rng(9))
-        default = run_mci(cfg)
-        assert np.array_equal(via_rng, default)
-        other = run_mci(cfg, rng=np.random.default_rng(1234))
-        assert not np.array_equal(other, default)
+    def test_requires_a_generator(self):
+        with pytest.raises(TypeError):
+            run_mci(MciConfig(0.125, 256, 40))
 
     def test_estimates_are_unbiased(self):
-        cfg = MciConfig(0.125, 256, 20_000, seed=505)
-        est = run_mci(cfg)
+        cfg = MciConfig(0.125, 256, 20_000)
+        est = run_mci(cfg, rng=np.random.default_rng(505))
         three_sigma = 3.0 * math.sqrt(0.125 * 0.875 / (256 * 20_000))
         assert abs(est.mean() - 0.125) < three_sigma
 
     def test_spread_matches_binomial_theory(self):
         # std of one estimate is sqrt(a(1-a)/S); mean absolute relative error
         # of a (near-)normal deviate is sigma * sqrt(2/pi) / a
-        cfg = MciConfig(0.125, 1024, 10_000, seed=404)
-        est = run_mci(cfg)
+        cfg = MciConfig(0.125, 1024, 10_000)
+        est = run_mci(cfg, rng=np.random.default_rng(404))
         sigma = math.sqrt(0.125 * 0.875 / 1024)
         assert np.std(est) == pytest.approx(sigma, rel=0.05)
         rel_err = np.abs(est - 0.125) / 0.125
