@@ -8,16 +8,15 @@ Summaries serialize to a fixed 13-column CSV and to whitespace plot tables.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import BACKENDS, Backend, OracleSpec, make_backend
-from .iqae import IterationCapError, run_iqae
+from .core import Backend, OracleSpec, make_backend
+from .iqae import IterationCapError, check_alpha, check_ratio, max_rounds, run_iqae
 from .mci import MciConfig, run_mci
-from .mlqae import run_mlqae
+from .mlqae import make_schedule, run_mlqae
 
 __all__ = [
     "CSV_HEADER",
@@ -87,11 +86,16 @@ class ExperimentConfig:
             raise ValueError(f"repetitions must be positive, got {self.repetitions}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}")
+        make_backend(self.backend)  # raises on an unknown name
         if self.algorithm != "mci":
             # raises unless a_true * 2**qubits is an integer
             OracleSpec.from_amplitude(self.qubits, self.a_true)
+        if self.algorithm == "mlqae":
+            make_schedule(self.schedule, self.depth)
+        elif self.algorithm == "iqae":
+            max_rounds(self.epsilon)
+            check_alpha(self.alpha)
+            check_ratio(self.ratio)
 
     def oracle(self) -> OracleSpec:
         return OracleSpec.from_amplitude(self.qubits, self.a_true)
@@ -175,16 +179,11 @@ def _run_once(
         return partial.a_hat, float(partial.oracle_calls), True
 
 
-def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SummaryRow]:
-    """Run every (shots, repetition) cell and summarize per shots value.
+def run_sweep(config: ExperimentConfig) -> list[SummaryRow]:
+    """Run every (shots, repetition) cell in order and summarize per shots value.
 
-    ``jobs`` caps how many repetitions run concurrently; per-repetition
-    seed derivation makes the result identical for any job count.  One
-    oracle and one backend serve every cell: the oracle is immutable, and
-    the backend, which may memoize probabilities, is safe to share.
+    One oracle and one backend (which may memoize) serve every cell.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
     oracle = backend = None
     if config.algorithm != "mci":
         oracle = config.oracle()
@@ -192,15 +191,8 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SummaryRow]:
     rows: list[SummaryRow] = []
     for shots in config.shots_list:
         reps = range(config.repetitions)
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(
-                    lambda r: _run_once(config, oracle, backend, shots, r), reps))
-        else:
-            results = [_run_once(config, oracle, backend, shots, r) for r in reps]
-        estimates = [res[0] for res in results]
-        calls = [res[1] for res in results]
-        capped = sum(1 for res in results if res[2])
+        results = [_run_once(config, oracle, backend, shots, r) for r in reps]
+        estimates, calls, capped = zip(*results)
         errors = [100.0 * abs(est - config.a_true) / config.a_true for est in estimates]
         rows.append(
             SummaryRow(
@@ -208,7 +200,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[SummaryRow]:
                 *summarize(estimates),
                 *summarize(errors),
                 *summarize(calls),
-                capped=capped,
+                capped=sum(capped),
             )
         )
     return rows
@@ -301,7 +293,7 @@ def table_configs(table: int) -> list[tuple[str, ExperimentConfig]]:
     raise ValueError(f"table must be 1..8, got {table}")
 
 
-def run_table(table: int, out_dir, jobs: int = 1) -> list[Path]:
+def run_table(table: int, out_dir) -> list[Path]:
     """Run the sweeps behind one reproduction table and write their CSVs.
 
     Raises ReproduceCapError if any repetition hit the iteration cap: the
@@ -312,7 +304,7 @@ def run_table(table: int, out_dir, jobs: int = 1) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for filename, config in table_configs(table):
-        rows = run_sweep(config, jobs=jobs)
+        rows = run_sweep(config)
         capped = sum(row.capped for row in rows)
         if capped:
             raise ReproduceCapError(

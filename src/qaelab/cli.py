@@ -44,7 +44,8 @@ def _oracle(args) -> OracleSpec:
     try:
         return OracleSpec.from_amplitude(args.qubits, args.a)
     except ValueError as exc:
-        raise UsageError(f"--a: {exc}") from None
+        flag = "--qubits" if args.qubits < 1 else "--a"
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _cmd_mlqae(args) -> int:
@@ -184,7 +185,7 @@ def parse_config_file(path) -> ExperimentConfig:
 
 def _cmd_sweep(args) -> int:
     config = parse_config_file(args.config)
-    rows = run_sweep(config, jobs=args.jobs)
+    rows = run_sweep(config)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             emit_csv(rows, fh)
@@ -219,7 +220,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     try:
-        paths = run_table(args.table, args.out, jobs=args.jobs)
+        paths = run_table(args.table, args.out)
     except ReproduceCapError as exc:
         print(f"reproduce: {exc}", file=sys.stderr)
         return EXIT_ITERATION_CAP
@@ -282,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True,
                    help="flat 'key = value' file with '#' comments")
     p.add_argument("--out", help="CSV destination (default: stdout)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="max concurrent repetitions (default: 1)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the brute-force cross-check suite")
@@ -293,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", type=int, required=True, choices=range(1, 9),
                    metavar="{1..8}", help="which table to reproduce")
     p.add_argument("--out", required=True, help="directory for the CSV output")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="max concurrent repetitions (default: 1)")
     p.set_defaults(func=_cmd_reproduce)
     return parser
 

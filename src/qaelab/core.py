@@ -81,6 +81,8 @@ class OracleSpec:
         ``a`` must lie in [0, 1] and ``a * 2**qubits`` must be an integer to
         within 1e-9.  The product is taken exactly, so any ``qubits`` works.
         """
+        if qubits < 1:
+            raise ValueError(f"need at least one domain qubit, got qubits={qubits}")
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"a must lie in [0, 1], got {a}")
         scaled = Fraction(a) * (1 << qubits)

@@ -21,6 +21,8 @@ from .core import AnalyticBackend, Backend, OracleSpec, measure_flag
 
 __all__ = [
     "ConfidenceInterval",
+    "check_alpha",
+    "check_ratio",
     "find_next_k",
     "binomial_confidence",
     "invert_to_theta",
@@ -85,6 +87,18 @@ def _half_plane_of_midpoint(interval: ConfidenceInterval, k: int) -> bool:
     return ((4 * k + 2) * interval.midpoint) % _TWO_PI <= math.pi
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a confidence budget outside (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def check_ratio(ratio: int) -> None:
+    """Reject a power growth ratio below 2."""
+    if ratio < 2:
+        raise ValueError(f"growth ratio must be at least 2, got {ratio}")
+
+
 def find_next_k(
     interval: ConfidenceInterval, k_current: int, ratio: int = 2
 ) -> tuple[int, bool]:
@@ -103,8 +117,7 @@ def find_next_k(
     """
     if k_current < 0:
         raise ValueError(f"current power must be non-negative, got {k_current}")
-    if ratio < 2:
-        raise ValueError(f"growth ratio must be at least 2, got {ratio}")
+    check_ratio(ratio)
     width = interval.width
     if width > 0.0:
         # largest k with (4k+2) * width <= pi
@@ -129,8 +142,7 @@ def binomial_confidence(hits: int, shots: int, alpha: float) -> tuple[float, flo
         raise ValueError(f"shots must be positive, got {shots}")
     if not 0 <= hits <= shots:
         raise ValueError(f"hits={hits} outside [0, {shots}]")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if hits == 0:
         p_lo = 0.0
     else:
@@ -263,10 +275,7 @@ def run_iqae(
         IterationCapError: after ``10 * max_rounds(epsilon)`` rounds without
             reaching the target width.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
+    check_alpha(alpha)
     budget = max_rounds(epsilon)
     alpha_round = alpha / budget
     cap = CAP_MULTIPLIER * budget

@@ -1,8 +1,8 @@
 """Classical hit-or-miss baseline on the unit square.
 
-Integrates the indicator of the region ``y < a_true`` by throwing uniform
-points; one oracle query corresponds to one sample point, which puts the
-method on the same cost axis as the amplitude estimators.
+Integrates the indicator of the region ``y < a_true`` from the hit count of
+uniform points; one oracle query corresponds to one sample point, which puts
+the method on the same cost axis as the amplitude estimators.
 """
 
 from __future__ import annotations
@@ -34,14 +34,10 @@ class MciConfig:
 def run_mci(config: MciConfig, *, rng: np.random.Generator) -> np.ndarray:
     """Hit-or-miss estimates of ``a_true``, one per repetition.
 
-    Each repetition throws ``config.samples`` points (x, y) uniformly on
-    [0, 1]^2 and reports the fraction with ``y < a_true`` (strict, so the
-    boundaries a_true = 0 and 1 come out exact).  Cost per estimate is
-    ``config.samples`` oracle queries.  Every draw comes from ``rng``.
+    Of ``config.samples`` uniform points on [0, 1]^2, the number with
+    ``y < a_true`` is exactly Binomial(samples, a_true), so each estimate is
+    one draw from ``rng`` divided by ``samples``.  Cost per estimate is
+    ``config.samples`` oracle queries.
     """
-    estimates = np.empty(config.repetitions, dtype=float)
-    for r in range(config.repetitions):
-        points = rng.random((config.samples, 2))
-        hits = int(np.count_nonzero(points[:, 1] < config.a_true))
-        estimates[r] = hits / config.samples
-    return estimates
+    hits = rng.binomial(config.samples, config.a_true, size=config.repetitions)
+    return hits / config.samples

@@ -20,6 +20,7 @@ __all__ = [
     "Schedule",
     "eis_schedule",
     "lis_schedule",
+    "make_schedule",
     "oracle_call_count",
     "MeasurementRecord",
     "log_likelihood",
@@ -54,6 +55,8 @@ class Schedule:
     def __post_init__(self) -> None:
         if self.kind not in ("eis", "lis"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if self.depth < 0:
+            raise ValueError(f"depth must be non-negative, got {self.depth}")
         if not self.powers or self.powers[0] != 0:
             raise ValueError("a schedule must start at power 0")
         for prev, cur in zip(self.powers, self.powers[1:]):
@@ -63,16 +66,21 @@ class Schedule:
 
 def eis_schedule(depth: int) -> Schedule:
     """Exponential ladder ``(0, 1, 2, 4, ..., 2**(depth-1))``."""
-    if depth < 0:
-        raise ValueError(f"depth must be non-negative, got {depth}")
     return Schedule("eis", depth, (0,) + tuple(2**j for j in range(depth)))
 
 
 def lis_schedule(depth: int) -> Schedule:
     """Linear ladder ``(0, 1, 2, ..., depth)``."""
-    if depth < 0:
-        raise ValueError(f"depth must be non-negative, got {depth}")
     return Schedule("lis", depth, tuple(range(depth + 1)))
+
+
+def make_schedule(kind: str, depth: int) -> Schedule:
+    """The ``"eis"`` or ``"lis"`` ladder with ``depth`` amplified circuits."""
+    if kind == "eis":
+        return eis_schedule(depth)
+    if kind == "lis":
+        return lis_schedule(depth)
+    raise ValueError(f"unknown schedule kind {kind!r}")
 
 
 def oracle_call_count(schedule: Schedule, shots: int) -> int:
@@ -233,12 +241,7 @@ def run_mlqae(
         backend: probability source; defaults to the analytic closed form.
         rng: seeded generator used for every draw, in schedule order.
     """
-    if kind == "eis":
-        schedule = eis_schedule(depth)
-    elif kind == "lis":
-        schedule = lis_schedule(depth)
-    else:
-        raise ValueError(f"unknown schedule kind {kind!r}")
+    schedule = make_schedule(kind, depth)
     if backend is None:
         backend = AnalyticBackend()
     records = tuple(

@@ -73,6 +73,16 @@ class TestMlqaeCommand:
         assert rc == 1
         assert "--a" in err
 
+    @pytest.mark.parametrize("qubits,a", [("-1", "0.5"), ("0", "1")])
+    def test_non_positive_qubits_blame_qubits(self, capsys, qubits, a):
+        rc, _, err = run_cli(
+            capsys, "mlqae", "--qubits", qubits, "--a", a,
+            "--m", "3", "--shots", "16", "--seed", "0",
+        )
+        assert rc == 1
+        assert f"--qubits: need at least one domain qubit, got qubits={qubits}" in err
+        assert "--a" not in err
+
 
 # ---------------------------------------------------------------------------
 # iqae
@@ -182,6 +192,16 @@ class TestUsage:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("command", [
+        ("sweep", "--config", "sweep.conf", "--out"),
+        ("reproduce", "--table", "5", "--out"),
+    ])
+    def test_jobs_flag_is_gone(self, capsys, tmp_path, command):
+        rc, _, err = run_cli(capsys, *command, str(tmp_path), "--jobs", "2")
+        assert rc == 1
+        assert "unrecognized arguments: --jobs 2" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [("--help",), ("mlqae", "--help")])
     def test_help_exits_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -227,7 +247,7 @@ class TestSweepCommand:
         out_path = tmp_path / "result.csv"
         rc, out, _ = run_cli(
             capsys, "sweep", "--config", self.write(tmp_path, GOOD_CONFIG),
-            "--out", str(out_path), "--jobs", "2",
+            "--out", str(out_path),
         )
         assert rc == 0
         assert f"wrote {out_path}" in out
@@ -256,13 +276,19 @@ class TestSweepCommand:
             ("qubits = 4\n", "missing required key 'algorithm'"),
             ("algorithm = iqae\nqubits = 0\n", "qubits must be positive"),
             ("algorithm = iqae\nqubits = 4\na = 0.1\n", "not representable"),
+            ("algorithm = iqae\nqubits = 4\nepsilon = 0.9\n", "epsilon must be in (0, 0.5)"),
+            ("algorithm = iqae\nqubits = 4\nalpha = 1.5\n", "alpha must be in (0, 1)"),
+            ("algorithm = iqae\nqubits = 4\nratio = 1\n", "growth ratio must be at least 2"),
+            ("algorithm = mlqae\nqubits = 4\nm = -1\n", "depth must be non-negative"),
+            ("algorithm = mlqae\nqubits = 4\nschedule = cubic\n", "unknown schedule kind"),
         ],
     )
     def test_malformed_config(self, capsys, tmp_path, text, fragment):
-        rc, _, err = run_cli(capsys, "sweep", "--config",
-                             self.write(tmp_path, text))
+        path = self.write(tmp_path, text)
+        rc, _, err = run_cli(capsys, "sweep", "--config", path)
         assert rc == 1
         assert fragment in err
+        assert path in err
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,7 @@ class TestFromAmplitude:
         (4, 1.5, "must lie in [0, 1]"),
         (4, math.nan, "must lie in [0, 1]"),
         (0, 1.0, "at least one domain qubit"),
+        (-1, 0.5, "need at least one domain qubit, got qubits=-1"),
     ])
     def test_rejects(self, qubits, a, fragment):
         with pytest.raises(ValueError, match=re.escape(fragment)):

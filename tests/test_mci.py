@@ -35,8 +35,7 @@ class TestRun:
         assert np.all(est == 0.0)
 
     def test_full_measure_region_always_hit(self):
-        # strict comparison y < 1.0 still catches every draw since the
-        # generator never returns 1.0 exactly
+        # Binomial(samples, 1) is always samples, so every point is a hit
         est = run_mci(MciConfig(1.0, 200, 25), rng=np.random.default_rng(1))
         assert np.all(est == 1.0)
 
