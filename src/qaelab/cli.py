@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -19,10 +20,10 @@ from .bench import (
     run_sweep,
     run_table,
 )
-from .core import BACKENDS, OracleSpec, make_backend
-from .iqae import IterationCapError, run_iqae
+from .core import BACKENDS, OracleSpec, check_shots, make_backend
+from .iqae import IterationCapError, check_alpha, max_rounds, run_iqae
 from .mci import MciConfig, run_mci
-from .mlqae import run_mlqae
+from .mlqae import make_schedule, run_mlqae
 from .verify import run_checks
 
 EXIT_OK = 0
@@ -48,9 +49,23 @@ def _oracle(args) -> OracleSpec:
         raise UsageError(f"{flag}: {exc}") from None
 
 
+def _checked(flag: str, check, *args, **kwargs):
+    """Call an estimator's own argument check; its ValueError names ``flag``."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
+def _rng(args) -> np.random.Generator:
+    return _checked("--seed", np.random.default_rng, args.seed)
+
+
 def _cmd_mlqae(args) -> int:
     oracle = _oracle(args)
-    rng = np.random.default_rng(args.seed)
+    _checked("--m", make_schedule, args.schedule, args.m)
+    _checked("--shots", check_shots, args.shots)
+    rng = _rng(args)
     report = run_mlqae(
         oracle, args.m, args.shots,
         kind=args.schedule, backend=make_backend(args.backend), rng=rng,
@@ -93,7 +108,10 @@ def _print_iqae(report, args) -> None:
 
 def _cmd_iqae(args) -> int:
     oracle = _oracle(args)
-    rng = np.random.default_rng(args.seed)
+    _checked("--epsilon", max_rounds, args.epsilon)
+    _checked("--alpha", check_alpha, args.alpha)
+    _checked("--shots", check_shots, args.shots)
+    rng = _rng(args)
     try:
         report = run_iqae(
             oracle, args.epsilon, args.alpha, args.shots,
@@ -108,8 +126,16 @@ def _cmd_iqae(args) -> int:
 
 
 def _cmd_mci(args) -> int:
-    config = MciConfig(args.a, args.samples, args.reps)
-    estimates = run_mci(config, rng=np.random.default_rng(args.seed))
+    # start from a valid config and set one flag at a time, so that
+    # MciConfig's own check of that field is the one that can fail
+    config = MciConfig(0.0, 1, 1)
+    for flag, field, value in (
+        ("--a", "a_true", args.a),
+        ("--samples", "samples", args.samples),
+        ("--reps", "repetitions", args.reps),
+    ):
+        config = _checked(flag, dataclasses.replace, config, **{field: value})
+    estimates = run_mci(config, rng=_rng(args))
     mean_a = float(estimates.mean())
     std_a = float(estimates.std())
     if args.a > 0:

@@ -44,6 +44,7 @@ __all__ = [
     "AnalyticBackend",
     "BACKENDS",
     "make_backend",
+    "check_shots",
     "measure_flag",
 ]
 
@@ -272,6 +273,12 @@ def make_backend(name: str) -> Backend:
     return BACKENDS[name]()
 
 
+def check_shots(shots: int) -> None:
+    """Reject a non-positive shot count."""
+    if shots < 1:
+        raise ValueError(f"shots must be positive, got {shots}")
+
+
 def measure_flag(
     backend: Backend,
     oracle: OracleSpec,
@@ -284,8 +291,7 @@ def measure_flag(
     The count is binomial with the backend's flag probability; a fixed
     generator state makes the draw reproducible.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
+    check_shots(shots)
     p = backend.flag_probability(oracle, m)
     p = min(1.0, max(0.0, p))
     return int(rng.binomial(shots, p))

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv
 
 from .core import AnalyticBackend, Backend, OracleSpec, measure_flag
 
@@ -133,10 +133,16 @@ def find_next_k(
 def binomial_confidence(hits: int, shots: int, alpha: float) -> tuple[float, float]:
     """Exact two-sided binomial confidence interval (Clopper-Pearson).
 
-    Bounds come from Beta quantiles: the lower bound is the alpha/2 quantile
-    of Beta(hits, shots - hits + 1) (0 when hits == 0), the upper the
-    1 - alpha/2 quantile of Beta(hits + 1, shots - hits) (1 when
-    hits == shots).  Always contains hits/shots.
+    Bounds come from Beta quantiles, computed by the inverse of the
+    regularized incomplete beta function I_x(a, b)
+    (``scipy.special.betaincinv(a, b, q)``): the lower bound is the
+    alpha/2 quantile of Beta(hits, shots - hits + 1) (0 when hits == 0),
+    the upper the 1 - alpha/2 quantile of Beta(hits + 1, shots - hits)
+    (1 when hits == shots).  Always contains hits/shots.
+
+    Raises:
+        ValueError: on bad arguments, or when the inverse does not converge
+            (only at an alpha far below any round budget).
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
@@ -146,11 +152,15 @@ def binomial_confidence(hits: int, shots: int, alpha: float) -> tuple[float, flo
     if hits == 0:
         p_lo = 0.0
     else:
-        p_lo = float(_beta.ppf(alpha / 2.0, hits, shots - hits + 1))
+        p_lo = float(betaincinv(hits, shots - hits + 1, alpha / 2.0))
+        if math.isnan(p_lo):  # root finding gave up: seen only at alpha < 1e-100
+            raise ValueError(
+                f"no lower bound for hits={hits}, shots={shots} at alpha={alpha}"
+            )
     if hits == shots:
         p_hi = 1.0
     else:
-        p_hi = float(_beta.ppf(1.0 - alpha / 2.0, hits + 1, shots - hits))
+        p_hi = float(betaincinv(hits + 1, shots - hits, 1.0 - alpha / 2.0))
     return p_lo, p_hi
 
 

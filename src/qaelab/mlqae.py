@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AnalyticBackend, Backend, OracleSpec, measure_flag
+from .core import AnalyticBackend, Backend, OracleSpec, check_shots, measure_flag
 
 __all__ = [
     "Schedule",
@@ -99,8 +99,7 @@ class MeasurementRecord:
     def __post_init__(self) -> None:
         if self.power < 0:
             raise ValueError(f"power must be non-negative, got {self.power}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be positive, got {self.shots}")
+        check_shots(self.shots)
         if not 0 <= self.hits <= self.shots:
             raise ValueError(f"hits={self.hits} outside [0, {self.shots}]")
 

@@ -80,26 +80,15 @@ def probe_iterate(oracle: OracleSpec) -> np.ndarray:
     return cols
 
 
-def _binomial_upper_tail(hits: int, shots: int, p: float) -> float:
-    """P[X >= hits] for X ~ Binomial(shots, p), by direct summation."""
-    return sum(
-        math.comb(shots, j) * p**j * (1.0 - p) ** (shots - j)
-        for j in range(hits, shots + 1)
-    )
-
-
-def _binomial_lower_tail(hits: int, shots: int, p: float) -> float:
-    """P[X <= hits] for X ~ Binomial(shots, p), by direct summation."""
-    return sum(
-        math.comb(shots, j) * p**j * (1.0 - p) ** (shots - j)
-        for j in range(0, hits + 1)
-    )
-
-
 def reference_binomial_confidence(
     hits: int, shots: int, alpha: float
 ) -> tuple[float, float]:
     """Clopper-Pearson bounds found by bisecting the exact tail sums."""
+    combs = [math.comb(shots, j) for j in range(shots + 1)]
+
+    def tail(p: float, js: range) -> float:
+        """P[X in js] for X ~ Binomial(shots, p), by direct summation."""
+        return sum(combs[j] * p**j * (1.0 - p) ** (shots - j) for j in js)
 
     def bisect(f, lo: float, hi: float, target: float) -> float:
         for _ in range(200):
@@ -114,12 +103,12 @@ def reference_binomial_confidence(
         p_lo = 0.0
     else:
         # P[X >= hits] grows with p; find where it crosses alpha/2
-        p_lo = bisect(lambda p: _binomial_upper_tail(hits, shots, p), 0.0, 1.0, alpha / 2)
+        p_lo = bisect(lambda p: tail(p, range(hits, shots + 1)), 0.0, 1.0, alpha / 2)
     if hits == shots:
         p_hi = 1.0
     else:
         # P[X <= hits] falls with p; find where it drops to alpha/2
-        p_hi = bisect(lambda p: -_binomial_lower_tail(hits, shots, p), 0.0, 1.0, -alpha / 2)
+        p_hi = bisect(lambda p: -tail(p, range(hits + 1)), 0.0, 1.0, -alpha / 2)
     return p_lo, p_hi
 
 

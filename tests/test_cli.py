@@ -1,4 +1,10 @@
-"""End-to-end tests of the command-line front end, run in process."""
+"""End-to-end tests of the command-line front end, run in process, and one
+import check in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +198,35 @@ class TestUsage:
         )
         assert rc == 1
 
+    MLQAE = ("mlqae", "--qubits", "4", "--a", "0.25", "--m", "3",
+             "--shots", "16", "--seed", "0")
+    IQAE = ("iqae", "--qubits", "4", "--a", "0.25", "--epsilon", "0.01",
+            "--alpha", "0.05", "--shots", "16", "--seed", "0")
+    MCI = ("mci", "--a", "0.25", "--samples", "64", "--reps", "4", "--seed", "0")
+
+    @pytest.mark.parametrize("base,flag,value,message", [
+        (MLQAE, "--m", "-1", "depth must be non-negative, got -1"),
+        (MLQAE, "--shots", "0", "shots must be positive, got 0"),
+        (MLQAE, "--seed", "-1", "expected non-negative integer"),
+        (IQAE, "--epsilon", "0.7", "epsilon must be in (0, 0.5), got 0.7"),
+        (IQAE, "--alpha", "2", "alpha must be in (0, 1), got 2.0"),
+        (IQAE, "--shots", "0", "shots must be positive, got 0"),
+        (MCI, "--a", "1.5", "a_true=1.5 outside [0, 1]"),
+        (MCI, "--samples", "0", "samples must be positive, got 0"),
+        (MCI, "--reps", "0", "repetitions must be positive, got 0"),
+        (MCI, "--seed", "-1", "expected non-negative integer"),
+    ])
+    def test_estimator_check_names_its_flag(self, capsys, base, flag, value, message):
+        argv = list(base)
+        argv[argv.index(flag) + 1] = value
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 1
+        assert out == ""
+        assert err.splitlines() == [
+            f"qaelab: error: {flag}: {message}",
+            "try 'qaelab --help' or 'qaelab COMMAND --help'",
+        ]
+
     @pytest.mark.parametrize("command", [
         ("sweep", "--config", "sweep.conf", "--out"),
         ("reproduce", "--table", "5", "--out"),
@@ -339,3 +374,22 @@ class TestReproduceCommand:
         assert rc == 3
         assert "iteration cap" in err
         assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# import cost
+# ---------------------------------------------------------------------------
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    """``scipy.stats`` takes most of a second to import, and every qaelab
+    call would pay it; only the tests use it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import qaelab.cli, sys; assert 'scipy.stats' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import beta
 
 import qaelab.iqae as iqae_mod
 from qaelab import (
@@ -18,6 +21,7 @@ from qaelab import (
     max_rounds,
     run_iqae,
 )
+from qaelab.verify import reference_binomial_confidence
 
 HALF_PI = 0.5 * math.pi
 A_TRUE = 0.125
@@ -46,44 +50,33 @@ def scan_largest_power(interval):
     return best
 
 
-def cp_by_tail_sums(hits, shots, alpha):
-    """Clopper-Pearson bounds by bisecting exact binomial tail sums.
-
-    The lower bound is the success probability at which seeing ``hits`` or
-    more has probability exactly alpha/2; the upper bound the probability at
-    which seeing ``hits`` or fewer does.  No Beta quantiles involved.
-    """
-    combs = [math.comb(shots, i) for i in range(shots + 1)]
-
-    def tail_ge(p):
-        return sum(combs[i] * p**i * (1.0 - p) ** (shots - i) for i in range(hits, shots + 1))
-
-    def tail_le(p):
-        return sum(combs[i] * p**i * (1.0 - p) ** (shots - i) for i in range(0, hits + 1))
-
-    if hits == 0:
-        lo = 0.0
-    else:
-        a, b = 0.0, 1.0
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if tail_ge(mid) < alpha / 2.0:  # tail_ge increases with p
-                a = mid
-            else:
-                b = mid
-        lo = 0.5 * (a + b)
-    if hits == shots:
-        hi = 1.0
-    else:
-        a, b = 0.0, 1.0
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if tail_le(mid) > alpha / 2.0:  # tail_le decreases with p
-                a = mid
-            else:
-                b = mid
-        hi = 0.5 * (a + b)
+def cp_by_beta_ppf(hits, shots, alpha):
+    """Clopper-Pearson bounds as ``scipy.stats.beta.ppf`` quantiles, the
+    formulation the reproduction CSV digests were first pinned with."""
+    lo = 0.0 if hits == 0 else float(beta.ppf(alpha / 2.0, hits, shots - hits + 1))
+    hi = 1.0 if hits == shots else float(beta.ppf(1.0 - alpha / 2.0, hits + 1, shots - hits))
     return lo, hi
+
+
+@st.composite
+def cp_arguments(draw):
+    """``(hits, shots <= 20000, alpha)``.  Hits of 0 and of ``shots`` are
+    drawn often, since they take the pinned branches, and so are the
+    per-round budgets ``alpha / max_rounds(epsilon)`` that IQAE passes."""
+    shots = draw(st.one_of(st.integers(1, 16), st.integers(1, 20_000)))
+    hits = draw(st.one_of(st.just(0), st.just(shots), st.integers(0, shots)))
+    alpha = draw(st.one_of(
+        st.builds(
+            lambda total, eps: total / max_rounds(eps),
+            st.sampled_from((0.05, 0.01, 0.001)),
+            st.sampled_from((0.01, 0.005, 1e-3, 1e-5)),
+        ),
+        # below alpha ~ 1e-88 beta.ppf's root finding can give up and return
+        # a wrong quantile with a RuntimeWarning, where betaincinv returns
+        # the right one or nan
+        st.floats(-80.0, -1e-9).map(lambda e: 10.0**e),
+    ))
+    return hits, shots, alpha
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +222,25 @@ class TestBinomialConfidence:
             (20, 20, 0.05),
             (100, 1024, 0.005),
             (513, 1024, 0.1),
+            # the per-round budget at epsilon = 1e-5
+            (3, 64, 0.05 / max_rounds(1e-5)),
+            (700, 1024, 0.05 / max_rounds(1e-5)),
         ],
     )
     def test_agrees_with_tail_sum_bisection(self, hits, shots, alpha):
         got = binomial_confidence(hits, shots, alpha)
-        want = cp_by_tail_sums(hits, shots, alpha)
+        want = reference_binomial_confidence(hits, shots, alpha)
         assert got[0] == pytest.approx(want[0], abs=1e-9)
         assert got[1] == pytest.approx(want[1], abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(args=cp_arguments())
+    def test_equals_beta_ppf_bitwise(self, args):
+        """The bare inverse incomplete beta gives the ``beta.ppf`` quantiles
+        bit for bit, so the reproduction CSVs cannot move.  Like the bitwise
+        log-likelihood tests, this assumes the CPU and scipy build the CSV
+        digests were pinned on."""
+        assert binomial_confidence(*args) == cp_by_beta_ppf(*args)
 
     def test_contains_observed_frequency(self):
         rng = np.random.default_rng(99)
@@ -249,6 +254,11 @@ class TestBinomialConfidence:
         lo1, hi1 = binomial_confidence(30, 100, 0.1)
         lo2, hi2 = binomial_confidence(30, 100, 0.01)
         assert lo2 < lo1 and hi1 < hi2
+
+    def test_unconverged_inverse_raises(self, monkeypatch):
+        monkeypatch.setattr(iqae_mod, "betaincinv", lambda a, b, q: math.nan)
+        with pytest.raises(ValueError, match="no lower bound for hits=2, shots=5"):
+            binomial_confidence(2, 5, 0.05)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
