@@ -8,7 +8,7 @@ Summaries serialize to a fixed 13-column CSV and to whitespace plot tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +34,6 @@ __all__ = [
     "table_configs",
     "run_table",
 ]
-
-CSV_HEADER = (
-    "shots,max_a,avg_a,min_a,std_a,"
-    "max_err_pct,avg_err_pct,min_err_pct,std_err_pct,"
-    "max_calls,avg_calls,min_calls,std_calls"
-)
 
 SHOTS_LADDER = (16, 32, 64, 128, 256, 512, 1024)
 DEFAULT_SEED_BASE = 1729
@@ -120,6 +114,11 @@ class SummaryRow:
     min_calls: float
     std_calls: float
     capped: int = 0
+
+
+#: the 12 statistics after ``shots``, in column order; ``capped`` is not a column
+_CSV_FIELDS = tuple(f.name for f in fields(SummaryRow))[1:-1]
+CSV_HEADER = ",".join(("shots",) + _CSV_FIELDS)
 
 
 def derive_rng(
@@ -210,13 +209,6 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
-_CSV_FIELDS = (
-    "max_a", "avg_a", "min_a", "std_a",
-    "max_err_pct", "avg_err_pct", "min_err_pct", "std_err_pct",
-    "max_calls", "avg_calls", "min_calls", "std_calls",
-)
-
-
 def emit_csv(rows, stream) -> None:
     """Write the 13-column summary table (floats at six significant digits)."""
     stream.write(CSV_HEADER + "\n")
@@ -248,49 +240,30 @@ def emit_plot_data(rows, kind: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_configs(table: int) -> list[tuple[str, ExperimentConfig]]:
-    """Sweep definitions behind ``reproduce --table N``.
+#: ``reproduce --table N``: one (file name, ExperimentConfig fields) per sweep
+_TABLES = {
+    1: [("table1.csv",
+         dict(algorithm="mci", shots_list=(1024, 16384), repetitions=10_000))],
+    2: [("table2.csv", dict(algorithm="mlqae", qubits=10, depth=3))],
+    3: [("table3.csv", dict(algorithm="mlqae", qubits=10, depth=4))],
+    4: [("table4_m3.csv", dict(algorithm="mlqae", qubits=14, depth=3)),
+        ("table4_m4.csv", dict(algorithm="mlqae", qubits=14, depth=4))],
+    5: [("table5.csv", dict(algorithm="iqae", qubits=10, epsilon=0.01))],
+    6: [("table6.csv", dict(algorithm="iqae", qubits=10, epsilon=0.005))],
+    7: [("table7.csv", dict(algorithm="iqae", qubits=14, epsilon=0.01))],
+    8: [("table8.csv", dict(algorithm="iqae", qubits=14, epsilon=0.005))],
+}
 
-    1: hit-or-miss baseline (1024 and 16384 samples, 10^4 repetitions);
-    2/3: MLQAE on 10 qubits at depth 3/4; 4: MLQAE on 14 qubits, both
-    depths (two files); 5/6: IQAE on 10 qubits at epsilon 0.01/0.005;
-    7/8: the same on 14 qubits.  Default base seed: 1729 + table number.
-    """
+
+def table_configs(table: int) -> list[tuple[str, ExperimentConfig]]:
+    """Sweep definitions behind ``reproduce --table N``: the rows of
+    ``_TABLES`` (all at a = 0.125), at base seed 1729 + N."""
+    if table not in _TABLES:
+        raise ValueError(f"table must be 1..8, got {table}")
     seed = DEFAULT_SEED_BASE + table
-    if table == 1:
-        return [(
-            "table1.csv",
-            ExperimentConfig(
-                "mci", a_true=0.125, shots_list=(1024, 16384),
-                repetitions=10_000, base_seed=seed,
-            ),
-        )]
-    if table == 2:
-        return [("table2.csv", ExperimentConfig(
-            "mlqae", qubits=10, base_seed=seed, depth=3))]
-    if table == 3:
-        return [("table3.csv", ExperimentConfig(
-            "mlqae", qubits=10, base_seed=seed, depth=4))]
-    if table == 4:
-        return [
-            ("table4_m3.csv", ExperimentConfig(
-                "mlqae", qubits=14, base_seed=seed, depth=3)),
-            ("table4_m4.csv", ExperimentConfig(
-                "mlqae", qubits=14, base_seed=seed, depth=4)),
-        ]
-    if table == 5:
-        return [("table5.csv", ExperimentConfig(
-            "iqae", qubits=10, base_seed=seed, epsilon=0.01))]
-    if table == 6:
-        return [("table6.csv", ExperimentConfig(
-            "iqae", qubits=10, base_seed=seed, epsilon=0.005))]
-    if table == 7:
-        return [("table7.csv", ExperimentConfig(
-            "iqae", qubits=14, base_seed=seed, epsilon=0.01))]
-    if table == 8:
-        return [("table8.csv", ExperimentConfig(
-            "iqae", qubits=14, base_seed=seed, epsilon=0.005))]
-    raise ValueError(f"table must be 1..8, got {table}")
+    return [
+        (name, ExperimentConfig(**kw, base_seed=seed)) for name, kw in _TABLES[table]
+    ]
 
 
 def run_table(table: int, out_dir) -> list[Path]:

@@ -327,12 +327,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"qaelab: error: {exc}", file=sys.stderr)
         print("try 'qaelab --help' or 'qaelab COMMAND --help'", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"qaelab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -70,21 +70,11 @@ class ConfidenceInterval:
         return ConfidenceInterval(lo, hi)
 
 
-def _half_plane(interval: ConfidenceInterval, k: int) -> bool | None:
-    """True/False if the scaled interval sits in an upper/lower cosine
-    half-plane mod 2*pi, None if it straddles a boundary."""
-    scale = 4 * k + 2
-    r_lo = (scale * interval.theta_lo) % _TWO_PI
-    r_hi = (scale * interval.theta_hi) % _TWO_PI
-    if r_lo <= r_hi <= math.pi:
-        return True
-    if math.pi <= r_lo <= r_hi:
-        return False
-    return None
-
-
-def _half_plane_of_midpoint(interval: ConfidenceInterval, k: int) -> bool:
-    return ((4 * k + 2) * interval.midpoint) % _TWO_PI <= math.pi
+def _half_turns(theta: float, k: int) -> int:
+    """Index of the half-turn [h*pi, (h+1)*pi) holding the scaled angle
+    (4k+2)*theta.  Even h is an upper cosine half-plane, odd h a lower one,
+    and h // 2 counts the full turns.  The one place that decides this."""
+    return math.floor((4 * k + 2) * theta / math.pi)
 
 
 def check_alpha(alpha: float) -> None:
@@ -105,11 +95,11 @@ def find_next_k(
     """Largest admissible amplification power for the next round.
 
     A power ``k`` is admissible when the scaled interval
-    ``[(4k+2) theta_lo, (4k+2) theta_hi]`` spans at most pi and sits inside
-    one cosine half-plane mod 2*pi.  The largest admissible power is
-    returned only if it reaches ``ratio * k_current``; otherwise the
-    current power is kept, with its half-plane recomputed from the interval
-    midpoint (valid because intervals only ever shrink).
+    ``[(4k+2) theta_lo, (4k+2) theta_hi]`` fits inside the half-turn that
+    holds its lower end.  The largest admissible power is returned only if
+    it reaches ``ratio * k_current``; otherwise the current power is kept,
+    with its half-plane taken from the interval midpoint (valid because
+    intervals only ever shrink).
 
     Returns:
         ``(k, upper)`` where ``upper`` says the scaled interval lies in
@@ -124,10 +114,10 @@ def find_next_k(
         k_cap = int((math.pi / width - 2.0) / 4.0)
         lowest = ratio * k_current if k_current >= 1 else 0
         for k in range(k_cap, lowest - 1, -1):
-            flag = _half_plane(interval, k)
-            if flag is not None:
-                return k, flag
-    return k_current, _half_plane_of_midpoint(interval, k_current)
+            h = _half_turns(interval.theta_lo, k)
+            if (4 * k + 2) * interval.theta_hi <= (h + 1) * math.pi:
+                return k, h % 2 == 0
+    return k_current, _half_turns(interval.midpoint, k_current) % 2 == 0
 
 
 def binomial_confidence(hits: int, shots: int, alpha: float) -> tuple[float, float]:
@@ -314,7 +304,7 @@ def run_iqae(
         pooled_shots += shots
         pooled_hits += hits
         p_lo, p_hi = binomial_confidence(pooled_hits, pooled_shots, alpha_round)
-        winding = math.floor((4 * k + 2) * interval.midpoint / _TWO_PI)
+        winding = _half_turns(interval.midpoint, k) // 2
         contribution = invert_to_theta(p_lo, p_hi, k, upper, winding)
         interval = interval.intersect(contribution)
         rounds.append(RoundRecord(k, upper, pooled_shots, pooled_hits, interval))

@@ -203,7 +203,7 @@ def maximize_likelihood(records) -> float:
     hi = float(grid[best + 1]) if best + 1 < GRID_POINTS else float(grid[-1])
     theta = _golden_max(lambda t: log_likelihood(records, t), lo, hi, _REFINE_TOL)
     coarse_theta = float(grid[best])
-    coarse_value = float(values[best])
+    coarse_value = log_likelihood(records, coarse_theta)
     refined_value = log_likelihood(records, theta)
     if refined_value < coarse_value or (refined_value == coarse_value and coarse_theta < theta):
         theta = coarse_theta

@@ -1,15 +1,17 @@
 """Brute-force cross-checks for the matrix-free core and the interval math.
 
 Everything here is built the slow, obvious way — dense Kronecker products,
-explicit permutation matrices, direct binomial tail sums, exhaustive power
-scans — precisely so it shares no code path with the implementations it
-checks.  The CLI ``verify`` subcommand runs :func:`run_checks`.
+explicit permutation matrices, direct binomial tail sums, power scans in
+exact rational arithmetic — precisely so it shares no code path with the
+implementations it checks.  The CLI ``verify`` subcommand runs
+:func:`run_checks`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -112,30 +114,38 @@ def reference_binomial_confidence(
     return p_lo, p_hi
 
 
-def _admissible_power(lo: float, hi: float, k: int) -> bool | None:
-    """Half-plane membership of [(4k+2)lo, (4k+2)hi] via explicit windings."""
-    scale = 4 * k + 2
-    if scale * (hi - lo) > math.pi:
-        return None
-    s_lo, s_hi = scale * lo, scale * hi
-    w = math.floor(s_lo / (2.0 * math.pi))
-    if s_lo >= 2.0 * math.pi * w and s_hi <= 2.0 * math.pi * w + math.pi:
+#: pi to 80 decimals, as an exact rational
+_PI = Fraction(
+    "3.14159265358979323846264338327950288419716939937510"
+    "582097494459230781640628620899"
+)
+
+
+def _admissible_power(lo: Fraction, hi: Fraction, k: int) -> bool | None:
+    """Half-plane membership of [(4k+2)lo, (4k+2)hi] via explicit windings,
+    in exact rational arithmetic: True/False for an upper/lower half-plane
+    mod 2*pi, None if the scaled interval crosses a boundary."""
+    s_lo, s_hi = (4 * k + 2) * lo, (4 * k + 2) * hi
+    w = math.floor(s_lo / (2 * _PI))  # s_lo - 2 pi w is in [0, 2 pi)
+    if s_hi <= 2 * _PI * w + _PI:
         return True
-    w = math.floor((s_lo - math.pi) / (2.0 * math.pi))
-    if s_lo >= 2.0 * math.pi * w + math.pi and s_hi <= 2.0 * math.pi * (w + 1):
+    w = math.floor((s_lo - _PI) / (2 * _PI))  # s_lo - 2 pi w is in [pi, 3 pi)
+    if s_hi <= 2 * _PI * (w + 1):
         return False
     return None
 
 
-def reference_largest_power(lo: float, hi: float) -> tuple[int, bool] | None:
-    """Largest admissible power by scanning every candidate from zero up."""
-    best: tuple[int, bool] | None = None
-    limit = int(math.pi / (4.0 * (hi - lo))) + 1
-    for k in range(0, limit + 1):
-        flag = _admissible_power(lo, hi, k)
+def reference_largest_power(lo: float, hi: float) -> tuple[int, bool]:
+    """Largest admissible power for the float interval [lo, hi] (lo < hi),
+    taken as exact rationals: scan down from the width bound
+    (4k+2)(hi - lo) <= pi and stop at the first admissible power.  Power 0
+    is admissible for every interval inside [0, pi/2]."""
+    lo_q, hi_q = Fraction(lo), Fraction(hi)
+    for k in range(math.floor(_PI / (4 * (hi_q - lo_q))), -1, -1):
+        flag = _admissible_power(lo_q, hi_q, k)
         if flag is not None:
-            best = (k, flag)
-    return best
+            return k, flag
+    raise ValueError(f"no admissible power for [{lo}, {hi}]")
 
 
 def reference_log_likelihood(records, theta):
@@ -270,17 +280,20 @@ def _check_power_selection() -> CheckResult:
         (1.2, 1.25),
         (0.0, 1.0),
         (0.5, 0.503),
+        # clipped at either end of [0, pi/2]
+        (0.5 * math.pi - 1e-4, 0.5 * math.pi),
+        (0.0, 1e-4),
     ]
     ok = True
-    detail = "all scans agree"
+    detail = f"all {len(intervals)} scans agree"
     for lo, hi in intervals:
         got_k, got_flag = find_next_k(ConfidenceInterval(lo, hi), 0)
         want = reference_largest_power(lo, hi)
-        if want is None or (got_k, got_flag) != want:
+        if (got_k, got_flag) != want:
             ok = False
             detail = f"disagreement on [{lo}, {hi}]: got {(got_k, got_flag)}, want {want}"
             break
-    return CheckResult("next-power search vs exhaustive scan", ok, detail)
+    return CheckResult("next-power search vs exact rational scan", ok, detail)
 
 
 def _check_log_likelihood() -> CheckResult:

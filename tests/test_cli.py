@@ -227,6 +227,29 @@ class TestUsage:
             "try 'qaelab --help' or 'qaelab COMMAND --help'",
         ]
 
+    def test_run_time_value_error_prints_the_hint(self, capsys, tmp_path):
+        # at alpha = 1e-200 the Clopper-Pearson inverse gives up mid-run; a
+        # sweep file with the same alpha passes the parse-time checks and
+        # fails the same way
+        config = tmp_path / "tiny.conf"
+        config.write_text(
+            "algorithm = iqae\nqubits = 4\na = 0.25\nshots = 4\nreps = 1\n"
+            "epsilon = 0.05\nalpha = 1e-200\n",
+            encoding="utf-8",
+        )
+        for argv, shots in [
+            (("iqae", "--qubits", "4", "--a", "0.25", "--epsilon", "0.05",
+              "--alpha", "1e-200", "--shots", "4", "--seed", "0"), 20),
+            (("sweep", "--config", str(config)), 8),
+        ]:
+            rc, out, err = run_cli(capsys, *argv)
+            assert rc == 1
+            assert out == ""
+            assert err.splitlines() == [
+                f"qaelab: error: no lower bound for hits=3, shots={shots} at alpha=2.5e-201",
+                "try 'qaelab --help' or 'qaelab COMMAND --help'",
+            ]
+
     @pytest.mark.parametrize("command", [
         ("sweep", "--config", "sweep.conf", "--out"),
         ("reproduce", "--table", "5", "--out"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import beta
+from scipy.stats import beta, binom
 
 import qaelab.iqae as iqae_mod
 from qaelab import (
@@ -21,33 +21,17 @@ from qaelab import (
     max_rounds,
     run_iqae,
 )
-from qaelab.verify import reference_binomial_confidence
+from qaelab.verify import reference_binomial_confidence, reference_largest_power
 
 HALF_PI = 0.5 * math.pi
+EPS = 2.0**-52
 A_TRUE = 0.125
 ORACLE = OracleSpec(10, 128)  # amplitude 128/1024 = 0.125
 
 
 # ---------------------------------------------------------------------------
-# independent reference implementations used as oracles below
+# independent reference implementations and argument strategies
 # ---------------------------------------------------------------------------
-
-
-def scan_largest_power(interval):
-    """Largest amplification power whose scaled copy of ``interval`` fits in
-    one cosine half-plane, found by explicit winding arithmetic (floor of the
-    scaled lower endpoint over pi).  Returns None when no power qualifies.
-    """
-    if interval.width == 0.0:
-        return None
-    k_cap = int((math.pi / interval.width - 2.0) / 4.0)
-    best = None
-    for k in range(k_cap + 1):
-        scale = 4 * k + 2
-        j = math.floor(scale * interval.theta_lo / math.pi)
-        if scale * interval.theta_hi <= (j + 1) * math.pi:
-            best = (k, j % 2 == 0)
-    return best
 
 
 def cp_by_beta_ppf(hits, shots, alpha):
@@ -77,6 +61,20 @@ def cp_arguments(draw):
         st.floats(-80.0, -1e-9).map(lambda e: 10.0**e),
     ))
     return hits, shots, alpha
+
+
+@st.composite
+def search_intervals(draw):
+    """``(lo, hi)`` of width 1e-6 to 1, clipped at pi/2 or at 0 two times in
+    three: there the scaled upper end lands on a half-turn boundary."""
+    width = 10.0 ** draw(st.floats(-6.0, 0.0))
+    where = draw(st.sampled_from(("top", "bottom", "interior")))
+    if where == "top":
+        return HALF_PI - width, HALF_PI
+    if where == "bottom":
+        return 0.0, width
+    lo = draw(st.floats(0.0, HALF_PI - width))
+    return lo, min(lo + width, HALF_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -142,23 +140,20 @@ class TestFindNextK:
 
     def test_narrow_interval_frozen_case(self):
         # [0.361, 0.362] admits a scaled width up to pi at powers into the
-        # hundreds; the exhaustive scan pins the answer at 761, upper plane
+        # hundreds; the exact scan pins the answer at 761, upper plane
         assert find_next_k(ConfidenceInterval(0.361, 0.362), 0) == (761, True)
 
-    def test_matches_exhaustive_scan_on_random_intervals(self):
-        # interior intervals only: an endpoint pinned at exactly pi/2 scales
-        # onto a half-plane boundary, where the two float routes may
-        # legitimately round an exact tie in opposite directions
-        rng = np.random.default_rng(314)
-        for _ in range(300):
-            width = float(10.0 ** rng.uniform(-4.0, -0.8))
-            lo = float(rng.uniform(0.0, HALF_PI - width))
-            iv = ConfidenceInterval(lo, lo + width)
-            want = scan_largest_power(iv)
-            if want is None:
-                mid_upper = ((2.0 * iv.midpoint) % (2.0 * math.pi)) <= math.pi
-                want = (0, mid_upper)
-            assert find_next_k(iv, 0) == want
+    @settings(max_examples=300, deadline=None)
+    @given(ends=search_intervals())
+    def test_equals_exact_reference(self, ends):
+        assert find_next_k(ConfidenceInterval(*ends), 0) == reference_largest_power(*ends)
+
+    def test_top_clipped_frozen_case(self):
+        # (4k+2) * pi/2 is an odd multiple of pi, so the top end sits on the
+        # upper boundary of its half-turn (float pi/2 is just inside it), and
+        # the largest power whose scaled width fits is admissible: 7853
+        iv = ConfidenceInterval(HALF_PI - 1e-4, HALF_PI)
+        assert find_next_k(iv, 0) == (7853, True)
 
     def test_growth_ratio_gates_acceptance(self):
         iv = ConfidenceInterval(0.361, 0.362)
@@ -313,6 +308,29 @@ class TestInvertToTheta:
         assert iv.theta_lo == HALF_PI
         assert iv.theta_hi == HALF_PI
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.integers(0, 10**6),
+        turn=st.floats(0.0, 1.0),
+        offset=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    )
+    def test_round_trip(self, k, turn, offset):
+        """An angle in half-turn h, taken to p = sin^2((2k+1) theta) and back.
+
+        phi = acos(1 - 2p) moves by about delta / sin(phi) when 1 - 2p is off
+        by delta ~ EPS, and sin(phi) = 2 sqrt(p (1 - p)), so the phase error
+        grows as p nears 0 or 1 and saturates near sqrt(2 EPS) once
+        p (1 - p) < EPS.  Dividing by 4k+2 gives the angle error; 4 EPS theta
+        more covers the rounding of theta itself."""
+        scale = 4 * k + 2
+        h = round(turn * 2 * k)
+        theta = min((h + offset) * math.pi / scale, HALF_PI)
+        p = math.sin((2 * k + 1) * theta) ** 2
+        iv = invert_to_theta(p, p, k, h % 2 == 0, h // 2)
+        tol = 4 * EPS / math.sqrt(max(p * (1.0 - p), EPS)) / scale + 4 * EPS * theta
+        assert abs(iv.theta_lo - theta) <= tol
+        assert abs(iv.theta_hi - theta) <= tol
+
     def test_ordering_preserved_across_branches(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -461,6 +479,38 @@ class TestRunIqae:
             if rep.a_lo <= A_TRUE <= rep.a_hi:
                 hits += 1
         assert hits >= 90
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    @pytest.mark.parametrize("n", [1, 4, 10, 20, 64])
+    def test_empty_and_full_oracles_mirror(self, n, alpha):
+        """a = 0 always draws 0 hits and a = 1 always draws all of them, and
+        theta -> pi/2 - theta maps one run's intervals onto the other's, so
+        both must choose the same powers and spend the same oracle calls."""
+        def powers_and_calls(good, epsilon, shots):
+            rep = run_iqae(OracleSpec(n, good), epsilon, alpha, shots,
+                           rng=np.random.default_rng(0))
+            return [rec.k for rec in rep.rounds], rep.oracle_calls
+
+        for epsilon in np.geomspace(0.2, 1e-7, 10):
+            for shots in (1, 2, 16, 100, 1024):
+                empty = powers_and_calls(0, float(epsilon), shots)
+                assert powers_and_calls(2**n, float(epsilon), shots) == empty
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-5])
+    @pytest.mark.parametrize("good", [0, 1, 2**19, 2**20 - 1, 2**20])
+    def test_coverage_from_empty_to_full(self, good, epsilon):
+        """The final interval misses a with probability at most alpha.  With
+        coverage exactly 1 - alpha the misses of R runs are
+        Binomial(R, alpha); the test allows up to that law's 0.999 quantile
+        (13 of 100 at alpha = 0.05), so it fails a correct estimator on at
+        most 0.1% of seed sets.  A cap hit fails it outright."""
+        runs, alpha, a = 100, 0.05, good / 2**20
+        misses = 0
+        for seed in range(runs):
+            rep = run_iqae(OracleSpec(20, good), epsilon, alpha, 100,
+                           rng=np.random.default_rng(seed))
+            misses += not rep.a_lo <= a <= rep.a_hi
+        assert misses <= binom.ppf(0.999, runs, alpha)
 
     def test_deterministic_given_seed(self):
         rep1 = run_iqae(ORACLE, 0.01, 0.05, 128, rng=np.random.default_rng(77))
