@@ -1,8 +1,8 @@
 """Matrix-free statevector core for amplitude amplification.
 
 The register holds ``n`` domain qubits plus one flag qubit.  Amplitudes live
-in a flat complex array of length ``2**(n+1)`` indexed so that bit 0 is the
-flag and bits 1..n are the domain index ``d``::
+in a flat array of length ``2**(n+1)`` indexed so that bit 0 is the flag and
+bits 1..n are the domain index ``d``::
 
     index = (d << 1) | flag
 
@@ -16,9 +16,11 @@ each amplification iterate advances the flag-1 probability along the rotation
 The iterate ``Q = A S_0 A^dagger S_chi`` is applied through the identity
 ``A S_0 A^dagger = I - 2|psi><psi|`` with ``psi = A|0>``, the prepared
 state: a flag-phase flip, one overlap with ``psi`` and one axpy, each an
-O(2**(n+1)) pass over the amplitude array.  No gate matrices are ever
-materialized here; the dense Hadamard-and-permutation build that checks
-this form independently lives in :mod:`qaelab.verify`.
+O(2**(n+1)) pass over the amplitude array.  Every one of these operators
+is real, so the prepared state and everything evolved from it stay real
+float64; the same functions act on a complex state unchanged.  No gate
+matrices are ever materialized here; the dense Hadamard-and-permutation
+build that checks this form independently lives in :mod:`qaelab.verify`.
 """
 
 from __future__ import annotations
@@ -112,13 +114,18 @@ class OracleSpec:
 
 @dataclass
 class Statevector:
-    """Dense amplitudes over ``n`` domain qubits plus the flag (bit 0)."""
+    """Dense amplitudes over ``n`` domain qubits plus the flag (bit 0).
+
+    The array is float64 unless complex amplitudes are passed in, in which
+    case it is complex128.
+    """
 
     n: int
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        self.amps = np.asarray(self.amps, dtype=np.complex128)
+        amps = np.asarray(self.amps)
+        self.amps = amps.astype(np.result_type(amps, np.float64), copy=False)
         expected = 2 << self.n
         if self.amps.shape != (expected,):
             raise ValueError(
@@ -128,7 +135,7 @@ class Statevector:
     @classmethod
     def basis(cls, n: int, index: int) -> "Statevector":
         """Computational basis state |index> on the full register."""
-        amps = np.zeros(2 << n, dtype=np.complex128)
+        amps = np.zeros(2 << n)
         amps[index] = 1.0
         return cls(n, amps)
 
@@ -147,7 +154,7 @@ def prepare_a(oracle: OracleSpec) -> Statevector:
     ``flag_probability`` equals ``oracle.a``.
     """
     size = oracle.domain_size
-    amps = np.zeros(2 * size, dtype=np.complex128)
+    amps = np.zeros(2 * size)
     positions = np.arange(size, dtype=np.intp) << 1
     positions[:oracle.good_count] |= 1
     amps[positions] = 1.0 / math.sqrt(size)
@@ -159,7 +166,7 @@ def _prepared_amps(oracle: OracleSpec) -> np.ndarray:
     """Read-only amplitudes of ``prepare_a(oracle)``: the iterate's reflection axis.
 
     A handful of oracles at most are live at once; each entry holds
-    ``2**(n+1)`` complex amplitudes (2 MiB at n = 16, 32 MiB at n = 20).
+    ``2**(n+1)`` float64 amplitudes (1 MiB at n = 16, 16 MiB at n = 20).
     """
     amps = prepare_a(oracle).amps
     amps.flags.writeable = False

@@ -148,6 +148,26 @@ class TestRunSweep:
             assert row.max_calls == row.avg_calls == row.min_calls == float(row.shots)
             assert row.std_calls == 0.0
 
+    def test_sv_csv_bytes_are_pinned(self):
+        """The statevector backend's sweep CSVs have their recorded sha256.
+
+        Tables 1-8 run on the analytic backend, so only these pin what the
+        simulated iterate feeds the binomial draws.  Same x86-64 / numpy
+        2.4.6 assumption as ``TestRunTable::test_csv_bytes_are_pinned``.
+        """
+        pinned = {
+            "3be44cba4b1524992f20fd4a0b6f8269c9a11b916322c6b81526b48eccd5dc4f":
+                ExperimentConfig("mlqae", depth=4, qubits=16, backend="sv",
+                                 repetitions=1, base_seed=1738),
+            "34b0787cd055cfb22e70ad10c5e93d785e216337f9cd432705e6d1f841485f74":
+                ExperimentConfig("iqae", epsilon=0.01, qubits=16, backend="sv",
+                                 repetitions=1, base_seed=1738),
+        }
+        for digest, cfg in pinned.items():
+            buf = io.StringIO()
+            emit_csv(run_sweep(cfg), buf)
+            assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, cfg.algorithm
+
     def test_single_repetition_degenerate_summaries(self):
         cfg = ExperimentConfig(
             "mlqae", qubits=4, shots_list=(32,), repetitions=1, base_seed=9,

@@ -124,6 +124,38 @@ class TestReflections:
             np.testing.assert_allclose(state.amps, amps, atol=1e-12)
 
 
+def random_complex_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2 << n) + 1j * rng.normal(size=2 << n)
+    return Statevector(n, amps / np.linalg.norm(amps))
+
+
+class TestDtype:
+    def test_real_paths_stay_float64(self):
+        oracle = OracleSpec(5, 7)
+        assert prepare_a(oracle).amps.dtype == np.float64
+        assert Statevector.basis(5, 3).amps.dtype == np.float64
+        backend = StatevectorBackend()
+        backend.flag_probability(oracle, 3)
+        assert backend._last[2].dtype == np.float64
+
+    def test_complex_state_stays_complex(self):
+        oracle = OracleSpec(4, 5)
+        state = random_complex_state(4, 11)
+        assert state.amps.dtype == np.complex128
+        assert apply_s_chi(state).amps.dtype == np.complex128
+        assert apply_q(state, oracle).amps.dtype == np.complex128
+
+    @pytest.mark.parametrize("n,good", [(1, 1), (3, 2), (4, 11)])
+    def test_complex_iterate_matches_dense(self, n, good):
+        # complex amplitudes take the same path as real ones; check them against
+        # the dense reference too
+        oracle = OracleSpec(n, good)
+        state = random_complex_state(n, n)
+        expected = dense_iterate(oracle) @ state.amps
+        np.testing.assert_allclose(apply_q(state, oracle).amps, expected, rtol=0, atol=1e-12)
+
+
 class TestIterate:
     def test_quarter_reaches_certainty(self):
         # a = 1/4 means theta = pi/6, so one iterate lands on sin^2(pi/2) = 1
@@ -202,14 +234,15 @@ class TestPower:
             apply_q(state, oracle)
             assert abs(state.norm_sq() - 1.0) < 1e-10
 
-    @pytest.mark.parametrize("n", [3, 5, 10, 16])
+    @pytest.mark.parametrize("n", [3, 5, 10, 16, 20])
     def test_long_products_track_the_closed_form(self, n):
-        # rounding accumulates over the iterates; 256 of them stay within 1e-10
+        # rounding accumulates over the iterates; 256 of them (32 at n = 20,
+        # to keep the test near a second) stay within 1e-10
         size = 1 << n
         for good in sorted({1, size // 8, size // 3, size // 2, size - 1}):
             oracle = OracleSpec(n, good)
             state = prepare_a(oracle)
-            for m in range(1, 257):
+            for m in range(1, (32 if n == 20 else 256) + 1):
                 apply_q(state, oracle)
                 expected = analytic_flag_probability(oracle, m)
                 assert abs(flag_probability(state) - expected) <= 1e-10, (good, m)
