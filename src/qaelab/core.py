@@ -50,6 +50,10 @@ __all__ = [
     "measure_flag",
 ]
 
+#: amplitudes per slice of the iterate's axpy: its temporary stays at 64 KiB
+#: of float64, which the allocator serves from memory it already holds
+_AXPY_SLICE = 1 << 13
+
 
 @dataclass(frozen=True)
 class OracleSpec:
@@ -188,7 +192,14 @@ def apply_q(state: Statevector, oracle: OracleSpec) -> Statevector:
     """
     apply_s_chi(state)
     psi = _prepared_amps(oracle)
-    state.amps -= (2.0 * np.vdot(psi, state.amps)) * psi
+    coef = 2.0 * np.vdot(psi, state.amps)
+    # slice by slice: a state-sized temporary (1 MiB at n = 16) lands on fresh
+    # pages whenever the allocator has just trimmed its heap, one page fault
+    # per 4 KiB; the arithmetic per amplitude is the same either way
+    amps = state.amps
+    for start in range(0, amps.size, _AXPY_SLICE):
+        stop = start + _AXPY_SLICE
+        amps[start:stop] -= coef * psi[start:stop]
     return state
 
 

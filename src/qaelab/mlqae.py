@@ -2,8 +2,8 @@
 
 One circuit is run per entry of a power schedule; the flag hit counts from
 all circuits are combined into a joint Bernoulli log-likelihood in the
-rotation angle, which is maximized by a coarse grid scan followed by
-golden-section refinement.
+rotation angle, which is maximized by a bounded coarse grid scan followed
+by golden-section refinement.
 """
 
 from __future__ import annotations
@@ -34,7 +34,11 @@ GRID_POINTS = 100_000
 #: counts of 0 or N stay finite at the boundary angles
 LIKELIHOOD_FLOOR = 1e-300
 _REFINE_TOL = 1e-10
-#: distinct powers whose grid tables stay cached (1.6 MB each)
+#: grid angles per block of the bounded scan; the last block holds the
+#: 100,000 - 390 * 256 = 160 left over
+_BLOCK_POINTS = 256
+#: distinct powers whose grid tables (1.6 MB each) and block maxima (about
+#: 6 KB each) stay cached
 _TABLE_CACHE_SIZE = 32
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -112,7 +116,7 @@ def log_likelihood(records, theta: float) -> float:
         hits * log(sin^2((2m+1) theta)) + (shots - hits) * log(cos^2((2m+1) theta))
 
     with both squared terms clamped below at ``LIKELIHOOD_FLOOR``.  It takes
-    one angle; the coarse grid scan uses :func:`_grid_log_likelihood`.  The
+    one angle; the coarse grid scan uses :func:`_weighted_sum`.  The
     value is bit for bit that of ``verify.reference_log_likelihood``, which
     tests compare it with; that needs ``** 2`` on a float and ``np.log``,
     since ``s * s`` and ``math.log`` round differently.
@@ -137,10 +141,11 @@ def _grid() -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _log_tables(power: int) -> tuple[np.ndarray, np.ndarray]:
+def _log_tables(power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only floored log sin^2 and log cos^2 of ``(2 power + 1) theta``
     on the grid, elementwise the same as ``verify.reference_log_likelihood``
-    computes."""
+    computes, then the maxima of each over every block of ``_BLOCK_POINTS``
+    grid angles."""
     angles = (2 * power + 1) * _grid()
     log_cos2 = np.cos(angles)
     log_sin2 = np.sin(angles, out=angles)
@@ -148,21 +153,55 @@ def _log_tables(power: int) -> tuple[np.ndarray, np.ndarray]:
         np.square(table, out=table)  # what ``array ** 2`` computes
         np.maximum(table, LIKELIHOOD_FLOOR, out=table)
         np.log(table, out=table)
+    starts = np.arange(0, GRID_POINTS, _BLOCK_POINTS)
+    tables = (log_sin2, log_cos2) + tuple(
+        np.maximum.reduceat(table, starts) for table in (log_sin2, log_cos2)
+    )
+    for table in tables:
         table.setflags(write=False)
-    return log_sin2, log_cos2
+    return tables
 
 
-def _grid_log_likelihood(records) -> np.ndarray:
-    """Joint log-likelihood at every grid angle from the cached tables,
-    summed in the order of ``verify.reference_log_likelihood(records, _grid())``
-    so that every value is bit for bit the same."""
-    total = np.zeros(GRID_POINTS)
-    term = np.empty(GRID_POINTS)
-    for rec in records:
-        log_sin2, log_cos2 = _log_tables(rec.power)
-        total += np.multiply(rec.hits, log_sin2, out=term)
-        total += np.multiply(rec.shots - rec.hits, log_cos2, out=term)
+def _weighted_sum(records, parts) -> np.ndarray:
+    """``hits * sin_part + (shots - hits) * cos_part`` summed over the records
+    and their ``(sin_part, cos_part)`` arrays in ``parts``, term by term in the
+    order of ``verify.reference_log_likelihood``.  On a slice of the grid
+    tables the values are bit for bit those of
+    ``reference_log_likelihood(records, _grid())`` on that slice."""
+    total = np.zeros(len(parts[0][0]))
+    term = np.empty_like(total)
+    for rec, (sin_part, cos_part) in zip(records, parts):
+        total += np.multiply(rec.hits, sin_part, out=term)
+        total += np.multiply(rec.shots - rec.hits, cos_part, out=term)
     return total
+
+
+def _grid_argmax(records) -> int:
+    """First grid index of the largest joint log-likelihood, the same as
+    ``np.argmax`` over the whole grid, scoring only the blocks that can hold it.
+
+    A block's bound is the weighted sum of its table maxima, added in the
+    order of the exact sum.  Weights are non-negative, and round-to-nearest
+    products and sums are monotone, so the float bound is at least the float
+    value at each angle of the block.  The block with the highest bound is
+    scored first; then the run of blocks from the first to the last whose
+    bound reaches its best value is scored in one slice.  A point outside
+    that run, or in a block of it whose bound falls short, scores below the
+    maximum, so ties still go to the smallest angle.
+    """
+    # one cache lookup per record: a schedule of more powers than the cache
+    # holds misses on every lookup
+    tables = [_log_tables(rec.power) for rec in records]
+
+    def score(start: int, stop: int) -> np.ndarray:
+        return _weighted_sum(records, [(s[start:stop], c[start:stop]) for s, c, _, _ in tables])
+
+    bounds = _weighted_sum(records, [(max_s, max_c) for _, _, max_s, max_c in tables])
+    top = int(np.argmax(bounds)) * _BLOCK_POINTS
+    reachable = np.max(score(top, top + _BLOCK_POINTS))
+    candidates = np.flatnonzero(bounds >= reachable)
+    start = int(candidates[0]) * _BLOCK_POINTS
+    return start + int(np.argmax(score(start, (int(candidates[-1]) + 1) * _BLOCK_POINTS)))
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -185,20 +224,21 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
 def maximize_likelihood(records) -> float:
     """Angle in [0, pi/2] maximizing the joint log-likelihood.
 
-    Stage one evaluates a uniform grid of ``GRID_POINTS`` angles; stage two
+    Stage one finds the best of a uniform grid of ``GRID_POINTS`` angles by
+    a bounded scan: an upper bound per block of ``_BLOCK_POINTS`` angles
+    rules out most blocks, and only the rest are scored exactly.  Stage two
     refines between the grid neighbours of the best point by golden section
     down to 1e-10.  Ties go to the smaller angle, and the result never
     scores below the best grid point.
 
-    The grid's log sin^2 and log cos^2 tables are built once per power and
-    cached: 1.6 MB per distinct power at 100,000 points, for up to 32
-    powers (about 51 MB).
+    The grid's log sin^2 and log cos^2 tables and their block maxima are
+    built once per power and cached: 1.6 MB plus about 6 KB per distinct
+    power at 100,000 points, for up to 32 powers (about 51 MB).
     """
     if not records:
         raise ValueError("need at least one measurement record")
     grid = _grid()
-    values = _grid_log_likelihood(records)
-    best = int(np.argmax(values))  # first occurrence: smallest angle wins ties
+    best = _grid_argmax(records)  # first occurrence: smallest angle wins ties
     lo = float(grid[best - 1]) if best > 0 else float(grid[0])
     hi = float(grid[best + 1]) if best + 1 < GRID_POINTS else float(grid[-1])
     theta = _golden_max(lambda t: log_likelihood(records, t), lo, hi, _REFINE_TOL)

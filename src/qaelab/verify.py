@@ -18,8 +18,8 @@ import numpy as np
 from .core import OracleSpec, Statevector, apply_q, apply_q_power, apply_s_chi, \
     analytic_flag_probability, flag_probability, prepare_a
 from .iqae import ConfidenceInterval, binomial_confidence, find_next_k
-from .mlqae import LIKELIHOOD_FLOOR, MeasurementRecord, _grid, _grid_log_likelihood, \
-    eis_schedule, lis_schedule, log_likelihood
+from .mlqae import LIKELIHOOD_FLOOR, MeasurementRecord, _grid, _grid_argmax, _log_tables, \
+    _weighted_sum, eis_schedule, lis_schedule, log_likelihood
 
 __all__ = [
     "CheckResult",
@@ -299,7 +299,7 @@ def _check_power_selection() -> CheckResult:
 def _check_log_likelihood() -> CheckResult:
     rng = _rng()
     angles = [0.0, math.pi / 2] + [float(t) for t in rng.uniform(0.0, math.pi / 2, 64)]
-    grid_bad = scalar_bad = 0
+    grid_bad = argmax_bad = scalar_bad = 0
     for schedule in (eis_schedule(18), lis_schedule(18), eis_schedule(4), lis_schedule(4)):
         for shots in (1, 3, 1024):
             records = []
@@ -309,17 +309,19 @@ def _check_log_likelihood() -> CheckResult:
                 records.append(MeasurementRecord(power, shots, hits))
             # each record alone too: in a long sum a last-bit slip can round away
             for subset in [records] + [[rec] for rec in records]:
-                grid_bad += not np.array_equal(
-                    _grid_log_likelihood(subset), reference_log_likelihood(subset, _grid())
-                )
+                want = reference_log_likelihood(subset, _grid())
+                tables = [_log_tables(rec.power)[:2] for rec in subset]
+                grid_bad += not np.array_equal(_weighted_sum(subset, tables), want)
+                argmax_bad += _grid_argmax(subset) != int(np.argmax(want))
                 scalar_bad += sum(
                     log_likelihood(subset, t) != reference_log_likelihood(subset, t)
                     for t in angles
                 )
     return CheckResult(
-        "log-likelihood fast paths vs array reference, bit for bit (depth <= 18)",
-        grid_bad == 0 and scalar_bad == 0,
-        f"{grid_bad} grid and {scalar_bad} scalar mismatches",
+        "log-likelihood fast paths and bounded grid argmax vs array reference, "
+        "bit for bit (depth <= 18)",
+        grid_bad == 0 and argmax_bad == 0 and scalar_bad == 0,
+        f"{grid_bad} grid, {argmax_bad} argmax and {scalar_bad} scalar mismatches",
     )
 
 

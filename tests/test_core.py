@@ -192,6 +192,20 @@ class TestIterate:
                 err_msg=f"n={n} good={good}",
             )
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_sliced_update_equals_whole_array_update(self, dtype):
+        # 2**15 amplitudes: several slices of the axpy plus the flag flip
+        oracle = OracleSpec(14, 3000)
+        rng = np.random.default_rng(5)
+        amps = rng.standard_normal(2 << 14).astype(dtype)
+        if dtype is np.complex128:
+            amps = amps + 1j * rng.standard_normal(2 << 14)
+        psi = prepare_a(oracle).amps
+        expected = amps.copy()
+        expected[1::2] *= -1.0
+        expected -= (2.0 * np.vdot(psi, expected)) * psi
+        assert np.array_equal(apply_q(Statevector(14, amps), oracle).amps, expected)
+
     def test_probe_matrix_matches_dense(self):
         for n, good in [(1, 1), (2, 2), (3, 5), (4, 7)]:
             oracle = OracleSpec(n, good)

@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qaelab.core import AnalyticBackend, OracleSpec, StatevectorBackend
 from qaelab.mlqae import (
+    GRID_POINTS,
     MeasurementRecord,
     Schedule,
+    _BLOCK_POINTS,
     _grid,
-    _grid_log_likelihood,
+    _grid_argmax,
+    _log_tables,
+    _weighted_sum,
     eis_schedule,
     lis_schedule,
     log_likelihood,
@@ -100,10 +104,12 @@ class TestLogLikelihood:
 
 @st.composite
 def schedule_records(draw):
-    """Records of an EIS or LIS schedule of depth <= 18.  Hits of 0 and of
-    N are drawn often, since they hit the likelihood floor, and so are tiny
-    shot counts, whose sums keep a last-bit slip from rounding away."""
-    schedule = draw(st.sampled_from((eis_schedule, lis_schedule)))(draw(st.integers(0, 18)))
+    """Records of an EIS or LIS schedule of depth <= 18.  Depth 18, whose EIS
+    top power 2**17 makes the grid tables oscillate fastest, is drawn often,
+    as are hits of 0 and of N, which hit the likelihood floor, and tiny shot
+    counts, whose sums keep a last-bit slip from rounding away."""
+    depth = draw(st.one_of(st.just(18), st.integers(0, 18)))
+    schedule = draw(st.sampled_from((eis_schedule, lis_schedule)))(depth)
     records = []
     for power in schedule.powers:
         shots = draw(st.one_of(st.integers(1, 3), st.integers(1, 4096)))
@@ -123,12 +129,18 @@ class TestLogLikelihoodBitwise:
     the reproduction CSVs."""
 
     @settings(max_examples=30, deadline=None)
-    @given(records=schedule_records())
-    def test_grid_tables(self, records):
+    @given(records=schedule_records(), middle=st.integers(1, GRID_POINTS // _BLOCK_POINTS - 1))
+    def test_grid_tables(self, records, middle):
+        # the first block, a middle one and the partial last one (160 points)
+        last = GRID_POINTS // _BLOCK_POINTS * _BLOCK_POINTS
+        spans = [(0, _BLOCK_POINTS), (middle * _BLOCK_POINTS, (middle + 1) * _BLOCK_POINTS),
+                 (last, GRID_POINTS)]
         for subset in with_singles(records):
-            assert np.array_equal(
-                _grid_log_likelihood(subset), reference_log_likelihood(subset, _grid())
-            )
+            want = reference_log_likelihood(subset, _grid())
+            tables = [_log_tables(rec.power) for rec in subset]
+            for start, stop in spans:
+                parts = [(s[start:stop], c[start:stop]) for s, c, _, _ in tables]
+                assert np.array_equal(_weighted_sum(subset, parts), want[start:stop])
 
     @settings(max_examples=100, deadline=None)
     @given(records=schedule_records(), seed=st.integers(0, 2**32 - 1))
@@ -142,6 +154,15 @@ class TestLogLikelihoodBitwise:
 
 
 class TestMaximize:
+    @settings(max_examples=30, deadline=None)
+    @given(records=schedule_records())
+    @example(records=[MeasurementRecord(0, 16, 16)])  # float-flat near pi/2
+    @example(records=[MeasurementRecord(0, 16, 0)])  # float-flat near 0
+    def test_bounded_scan_matches_full_argmax(self, records):
+        for subset in with_singles(records):
+            want = int(np.argmax(reference_log_likelihood(subset, _grid())))
+            assert _grid_argmax(subset) == want
+
     def test_all_misses_gives_zero(self):
         assert maximize_likelihood([MeasurementRecord(0, 16, 0)]) == 0.0
 
