@@ -38,6 +38,7 @@ from .mlqae import (
     run_mlqae,
 )
 from .iqae import (
+    ConfidenceBoundError,
     ConfidenceInterval,
     IqaeReport,
     IterationCapError,
@@ -54,6 +55,7 @@ from .bench import (
     ExperimentConfig,
     SummaryRow,
     derive_rng,
+    derive_rngs,
     emit_csv,
     emit_plot_data,
     run_sweep,
@@ -87,6 +89,7 @@ __all__ = [
     "maximize_likelihood",
     "oracle_call_count",
     "run_mlqae",
+    "ConfidenceBoundError",
     "ConfidenceInterval",
     "IqaeReport",
     "IterationCapError",
@@ -102,6 +105,7 @@ __all__ = [
     "ExperimentConfig",
     "SummaryRow",
     "derive_rng",
+    "derive_rngs",
     "emit_csv",
     "emit_plot_data",
     "run_sweep",

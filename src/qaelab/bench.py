@@ -8,10 +8,13 @@ Summaries serialize to a fixed 13-column CSV and to whitespace plot tables.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import Backend, OracleSpec, make_backend
 from .iqae import IterationCapError, check_alpha, check_ratio, max_rounds, run_iqae
@@ -26,6 +29,7 @@ __all__ = [
     "SummaryRow",
     "ReproduceCapError",
     "derive_rng",
+    "derive_rngs",
     "summarize",
     "run_sweep",
     "emit_csv",
@@ -128,7 +132,8 @@ def derive_rng(
 
     The four coordinates feed a SeedSequence entropy pool, so streams are
     reproducible across processes and changing one repetition's draw never
-    perturbs another's.
+    perturbs another's.  This is the definition of every sweep's streams;
+    :func:`derive_rngs` builds the same generators a cell at a time.
     """
     if algorithm not in _ALGORITHM_IDS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -136,6 +141,142 @@ def derive_rng(
         [base_seed, _ALGORITHM_IDS[algorithm], shots, repetition]
     )
     return np.random.default_rng(seq)
+
+
+def derive_rngs(
+    base_seed: int, algorithm: str, shots: int, repetitions: int
+) -> Iterator[np.random.Generator]:
+    """The generators of repetitions 0, 1, ..., repetitions - 1 of one cell.
+
+    Each has the PCG64 state that ``derive_rng(base_seed, algorithm, shots,
+    r)`` gives, so it draws the same stream.  SeedSequence's hash runs for
+    up to 2**14 repetitions at once on uint32 arrays, and each generator is
+    built only when the iteration reaches it.
+    """
+    if algorithm not in _ALGORITHM_IDS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    head = _words(base_seed) + [_ALGORITHM_IDS[algorithm]] + _words(shots)
+    return _batched_rngs(head, repetitions)
+
+
+# numpy.random.SeedSequence with its default pool of four 32-bit words
+# (O'Neill's seed_seq_fe), as derive_rngs reruns it on uint32 arrays
+_POOL = 4
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+# 0-d arrays, not ints: numpy takes about twice as long over a small array
+# with a Python int operand
+_MIX_L = np.array(0xCA01F9DD, dtype=np.uint32)
+_MIX_R = np.array(0x4973F715, dtype=np.uint32)
+_SHIFT = np.array(16, dtype=np.uint32)
+#: repetitions seeded per batch: a power of two that divides 2**32, so the
+#: repetition numbers of a batch differ only in their lowest 32-bit word
+_BATCH = 1 << 14
+
+
+def _words(n: int) -> list[int]:
+    """``n`` in 32-bit words, least significant first, as SeedSequence splits it."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _constants(first: int, mult: int, count: int) -> list[np.ndarray]:
+    """(input, output) constants of ``count`` successive hashmix calls, as
+    two columns: each call's output constant is its input one times ``mult``
+    and is the next call's input constant."""
+    chain = [first]
+    while len(chain) <= count:
+        chain.append(chain[-1] * mult & _MASK32)
+    return [np.array(chain[:-1], dtype=np.uint32)[:, None],
+            np.array(chain[1:], dtype=np.uint32)[:, None]]
+
+
+@functools.cache
+def _mixing_steps(words: int) -> list[list[np.ndarray]]:
+    """The constants of SeedSequence's mixing of ``words`` >= 4 entropy words.
+
+    One step fills the pool; in each of the next four, pool word ``src`` is
+    hashed into the other three rows (row ``src`` gets constant 0 and is put
+    back afterwards); each further step hashes one more entropy word into
+    all four.
+    """
+    chain = _constants(_INIT_A, _MULT_A, _POOL * words)
+    steps = [[c[:_POOL] for c in chain]]
+    for src in range(_POOL):
+        k = _POOL + src * (_POOL - 1)
+        steps.append([np.insert(c[k:k + _POOL - 1], src, 0, axis=0) for c in chain])
+    for k in range(_POOL * _POOL, _POOL * words, _POOL):
+        steps.append([c[k:k + _POOL] for c in chain])
+    return steps
+
+
+#: generate_state's constants for 8 uint32 words, that is 4 uint64 words
+_OUTPUT_STEP = _constants(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _hashmix(values: np.ndarray, step) -> np.ndarray:
+    """SeedSequence's hashmix of ``values``, row by row with the step's constants."""
+    hashed = (values ^ step[0]) * step[1]
+    hashed ^= hashed >> _SHIFT
+    return hashed
+
+
+def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of hashed words into pool words."""
+    mixed = _MIX_L * pool - _MIX_R * hashed
+    mixed ^= mixed >> _SHIFT
+    return mixed
+
+
+def _batch_seeds(head: list[int], first: int, count: int) -> np.ndarray:
+    """``SeedSequence(head + words(r)).generate_state(4, np.uint64)`` for
+    r = first, ..., first + count - 1 at once, as a (count, 4) array.
+
+    ``head`` holds at least three 32-bit words; in the range only r's lowest
+    word may vary.
+    """
+    low = first & _MASK32
+    high = _words(first >> 32) if first >> 32 else []
+    entropy = head + [np.arange(low, low + count, dtype=np.uint32)] + high
+    words = np.empty((len(entropy), count), dtype=np.uint32)
+    for row, word in zip(words, entropy):
+        row[...] = word
+    steps = _mixing_steps(len(words))
+    pool = _hashmix(words[:_POOL], steps[0])
+    for src in range(_POOL):
+        mixed = _mix(pool, _hashmix(pool[src], steps[1 + src]))
+        mixed[src] = pool[src]
+        pool = mixed
+    for word, step in zip(words[_POOL:], steps[1 + _POOL:]):
+        pool = _mix(pool, _hashmix(word, step))
+    state = np.ascontiguousarray(_hashmix(np.concatenate((pool, pool)), _OUTPUT_STEP).T)
+    # generate_state pairs its uint32 words into uint64 ones little-endian
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _PresetSeed(ISeedSequence):
+    """Hands PCG64 the four uint64 state words computed for it in advance."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if (n_words, dtype) != (len(self._words), np.uint64):
+            raise ValueError(f"holds {len(self._words)} uint64 words only")
+        return self._words
+
+
+def _batched_rngs(head: list[int], repetitions: int) -> Iterator[np.random.Generator]:
+    for first in range(0, repetitions, _BATCH):
+        for words in _batch_seeds(head, first, min(_BATCH, repetitions - first)):
+            yield np.random.Generator(np.random.PCG64(_PresetSeed(words)))
 
 
 def summarize(values) -> tuple[float, float, float, float]:
@@ -148,19 +289,12 @@ def summarize(values) -> tuple[float, float, float, float]:
 
 def _run_once(
     config: ExperimentConfig,
-    oracle: OracleSpec | None,
-    backend: Backend | None,
+    oracle: OracleSpec,
+    backend: Backend,
     shots: int,
-    rep: int,
+    rng: np.random.Generator,
 ) -> tuple[float, float, bool]:
-    """One repetition of one cell: returns (a_hat, oracle_calls, capped).
-
-    ``oracle`` and ``backend`` are the sweep's, unused (None) for MCI.
-    """
-    rng = derive_rng(config.base_seed, config.algorithm, shots, rep)
-    if config.algorithm == "mci":
-        estimate = run_mci(MciConfig(config.a_true, shots, 1), rng=rng)[0]
-        return float(estimate), float(shots), False
+    """One MLQAE or IQAE repetition: returns (a_hat, oracle_calls, capped)."""
     if config.algorithm == "mlqae":
         report = run_mlqae(
             oracle, config.depth, shots,
@@ -178,6 +312,23 @@ def _run_once(
         return partial.a_hat, float(partial.oracle_calls), True
 
 
+def _run_cell(
+    config: ExperimentConfig,
+    oracle: OracleSpec | None,
+    backend: Backend | None,
+    shots: int,
+) -> list[tuple[float, float, bool]]:
+    """Every repetition of one cell, in order: (a_hat, oracle_calls, capped).
+
+    ``oracle`` and ``backend`` are the sweep's, unused (None) for MCI.
+    """
+    rngs = derive_rngs(config.base_seed, config.algorithm, shots, config.repetitions)
+    if config.algorithm == "mci":
+        mci = MciConfig(config.a_true, shots, 1)
+        return [(float(run_mci(mci, rng=rng)[0]), float(shots), False) for rng in rngs]
+    return [_run_once(config, oracle, backend, shots, rng) for rng in rngs]
+
+
 def run_sweep(config: ExperimentConfig) -> list[SummaryRow]:
     """Run every (shots, repetition) cell in order and summarize per shots value.
 
@@ -189,9 +340,7 @@ def run_sweep(config: ExperimentConfig) -> list[SummaryRow]:
         backend = make_backend(config.backend)
     rows: list[SummaryRow] = []
     for shots in config.shots_list:
-        reps = range(config.repetitions)
-        results = [_run_once(config, oracle, backend, shots, r) for r in reps]
-        estimates, calls, capped = zip(*results)
+        estimates, calls, capped = zip(*_run_cell(config, oracle, backend, shots))
         errors = [100.0 * abs(est - config.a_true) / config.a_true for est in estimates]
         rows.append(
             SummaryRow(

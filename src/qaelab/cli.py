@@ -21,7 +21,13 @@ from .bench import (
     run_table,
 )
 from .core import BACKENDS, OracleSpec, check_shots, make_backend
-from .iqae import IterationCapError, check_alpha, max_rounds, run_iqae
+from .iqae import (
+    ConfidenceBoundError,
+    IterationCapError,
+    check_alpha,
+    max_rounds,
+    run_iqae,
+)
 from .mci import MciConfig, run_mci
 from .mlqae import make_schedule, run_mlqae
 from .verify import run_checks
@@ -121,6 +127,8 @@ def _cmd_iqae(args) -> int:
         _print_iqae(exc.report, args)
         print(f"iqae: {exc}", file=sys.stderr)
         return EXIT_ITERATION_CAP
+    except ConfidenceBoundError as exc:
+        raise UsageError(f"--alpha: {exc}") from None
     _print_iqae(report, args)
     return EXIT_OK
 
@@ -211,7 +219,10 @@ def parse_config_file(path) -> ExperimentConfig:
 
 def _cmd_sweep(args) -> int:
     config = parse_config_file(args.config)
-    rows = run_sweep(config)
+    try:
+        rows = run_sweep(config)
+    except ConfidenceBoundError as exc:
+        raise UsageError(f"{args.config}: alpha: {exc}") from None
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             emit_csv(rows, fh)

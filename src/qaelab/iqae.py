@@ -25,6 +25,7 @@ __all__ = [
     "check_ratio",
     "find_next_k",
     "binomial_confidence",
+    "ConfidenceBoundError",
     "invert_to_theta",
     "RoundRecord",
     "IqaeReport",
@@ -120,6 +121,10 @@ def find_next_k(
     return k_current, _half_turns(interval.midpoint, k_current) % 2 == 0
 
 
+class ConfidenceBoundError(ValueError):
+    """The Clopper-Pearson inverse gave up: alpha is too small for these counts."""
+
+
 def binomial_confidence(hits: int, shots: int, alpha: float) -> tuple[float, float]:
     """Exact two-sided binomial confidence interval (Clopper-Pearson).
 
@@ -131,8 +136,9 @@ def binomial_confidence(hits: int, shots: int, alpha: float) -> tuple[float, flo
     (1 when hits == shots).  Always contains hits/shots.
 
     Raises:
-        ValueError: on bad arguments, or when the inverse does not converge
-            (only at an alpha far below any round budget).
+        ValueError: on bad arguments.
+        ConfidenceBoundError: when the inverse does not converge (only at an
+            alpha far below any round budget).
     """
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
@@ -144,7 +150,7 @@ def binomial_confidence(hits: int, shots: int, alpha: float) -> tuple[float, flo
     else:
         p_lo = float(betaincinv(hits, shots - hits + 1, alpha / 2.0))
         if math.isnan(p_lo):  # root finding gave up: seen only at alpha < 1e-100
-            raise ValueError(
+            raise ConfidenceBoundError(
                 f"no lower bound for hits={hits}, shots={shots} at alpha={alpha}"
             )
     if hits == shots:

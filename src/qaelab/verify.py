@@ -2,9 +2,9 @@
 
 Everything here is built the slow, obvious way — dense Kronecker products,
 explicit permutation matrices, direct binomial tail sums, power scans in
-exact rational arithmetic — precisely so it shares no code path with the
-implementations it checks.  The CLI ``verify`` subcommand runs
-:func:`run_checks`.
+exact rational arithmetic, one numpy SeedSequence per repetition —
+precisely so it shares no code path with the implementations it checks.
+The CLI ``verify`` subcommand runs :func:`run_checks`.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bench import derive_rng, derive_rngs, table_configs
 from .core import OracleSpec, Statevector, apply_q, apply_q_power, apply_s_chi, \
     analytic_flag_probability, flag_probability, prepare_a
 from .iqae import ConfidenceInterval, binomial_confidence, find_next_k
@@ -325,6 +326,34 @@ def _check_log_likelihood() -> CheckResult:
     )
 
 
+def _check_seed_batches() -> CheckResult:
+    cells = [
+        (config.base_seed, config.algorithm, shots, config.repetitions)
+        for table in range(1, 9)
+        for _, config in table_configs(table)
+        for shots in config.shots_list
+    ]
+    # base seeds and shots of two and three 32-bit words
+    cells += [
+        (2**32 + 5, "mlqae", 16, 9),
+        (2**64 + 3, "iqae", 2**32 + 1, 9),
+        (0, "mci", 2**70 + 2**33, 9),
+    ]
+    states = differ = 0
+    for base_seed, algorithm, shots, reps in cells:
+        for rep, rng in enumerate(derive_rngs(base_seed, algorithm, shots, reps)):
+            want = derive_rng(base_seed, algorithm, shots, rep)
+            states += 1
+            differ += rng.bit_generator.state != want.bit_generator.state
+    expected = sum(cell[3] for cell in cells)
+    return CheckResult(
+        "batched cell seeding vs one SeedSequence per repetition "
+        "(tables 1-8, multi-word seeds)",
+        differ == 0 and states == expected,
+        f"{differ} of {states} generator states differ ({expected} repetitions)",
+    )
+
+
 def run_checks() -> list[CheckResult]:
     """Run the whole brute-force suite; order is stable for scripting."""
     return [
@@ -336,4 +365,5 @@ def run_checks() -> list[CheckResult]:
         _check_binomial_confidence(),
         _check_power_selection(),
         _check_log_likelihood(),
+        _check_seed_batches(),
     ]

@@ -6,7 +6,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import qaelab.bench as bench_mod
 import qaelab.iqae as iqae_mod
 from qaelab.bench import (
     CSV_HEADER,
@@ -17,6 +20,7 @@ from qaelab.bench import (
     ReproduceCapError,
     SummaryRow,
     derive_rng,
+    derive_rngs,
     emit_csv,
     emit_plot_data,
     run_sweep,
@@ -61,8 +65,88 @@ class TestDeriveRng:
             assert not np.array_equal(base, other.random(5))
 
     def test_unknown_algorithm(self):
+        for derive in (derive_rng, derive_rngs):
+            with pytest.raises(ValueError, match="unknown algorithm 'qpe'"):
+                derive(0, "qpe", 64, 1)
+
+
+def assert_same_streams(base_seed, algorithm, shots, repetitions, reps=None):
+    """derive_rngs yields ``repetitions`` generators, each with derive_rng's
+    PCG64 state and first draws (at the repetitions ``reps``, default all)."""
+    reps = range(repetitions) if reps is None else set(reps)
+    count = 0
+    for rep, rng in enumerate(derive_rngs(base_seed, algorithm, shots, repetitions)):
+        count += 1
+        if rep in reps:
+            want = derive_rng(base_seed, algorithm, shots, rep)
+            assert rng.bit_generator.state == want.bit_generator.state, rep
+            assert np.array_equal(rng.random(4), want.random(4)), rep
+            assert rng.binomial(16384, 0.125) == want.binomial(16384, 0.125), rep
+    assert count == repetitions
+
+
+class TestDeriveRngs:
+    """The batched SeedSequence hash against numpy's own, one per repetition."""
+
+    @given(
+        base_seed=st.one_of(
+            st.just(0),
+            st.integers(0, 2**32 - 1),
+            st.integers(2**32, 2**64 - 1),
+            st.integers(2**64, 2**160),
+        ),
+        algorithm=st.sampled_from(["mlqae", "iqae", "mci"]),
+        shots=st.one_of(st.integers(1, 2**32 - 1), st.integers(2**32, 2**96)),
+        repetitions=st.integers(1, 64),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(0, "mci", 1, 1)
+    @example(2**32, "mlqae", 2**32, 64)
+    @example(2**64, "iqae", 2**64 - 1, 33)
+    def test_same_generators_as_derive_rng(self, base_seed, algorithm, shots, repetitions):
+        assert_same_streams(base_seed, algorithm, shots, repetitions)
+
+    def test_a_table_1_cell(self):
+        # 10^4 repetitions in one batch, checked at a sample of them
+        config = table_configs(1)[0][1]
+        sample = list(range(0, 10_000, 97)) + [9_998, 9_999]
+        assert_same_streams(config.base_seed, "mci", 16384, 10_000, sample)
+
+    def test_batch_boundary(self):
+        first = bench_mod._BATCH
+        # no batch straddles a multiple of 2**32, where r gains a word
+        assert (1 << 32) % first == 0
+        assert_same_streams(1729, "iqae", 1024, first + 3, [0, first - 1, first, first + 2])
+
+    @pytest.mark.parametrize("first", [2**32, 2**32 + 5 * 2**14, 2**64 + 2**14])
+    def test_repetitions_past_32_bits(self, first):
+        head = bench_mod._words(2**40 + 7) + [3] + bench_mod._words(16)
+        got = bench_mod._batch_seeds(head, first, 5)
+        for offset, seed in enumerate(got):
+            entropy = [2**40 + 7, 3, 16, first + offset]
+            want = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+            assert np.array_equal(seed, want)
+
+    def test_generators_are_built_as_iterated(self):
+        # a trillion repetitions: only the first batch is ever seeded
+        rngs = derive_rngs(5, "mci", 64, 10**12)
+        first = next(rngs)
+        assert first.bit_generator.state == derive_rng(5, "mci", 64, 0).bit_generator.state
+
+    def test_the_preset_seed_serves_pcg64_only(self):
+        seed = next(derive_rngs(5, "mci", 64, 1)).bit_generator.seed_seq
         with pytest.raises(ValueError):
-            derive_rng(0, "qpe", 64, 0)
+            seed.generate_state(8)
+
+    @pytest.mark.parametrize("args", [
+        (-1, "mci", 64),
+        (0, "mci", -64),
+    ])
+    def test_negative_words_raise_as_in_derive_rng(self, args):
+        # raised at the call, not at the first next()
+        for derive in (derive_rng, derive_rngs):
+            with pytest.raises(ValueError, match="expected non-negative integer"):
+                derive(*args, 3)
 
 
 class TestExperimentConfig:

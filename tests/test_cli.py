@@ -230,23 +230,25 @@ class TestUsage:
     def test_run_time_value_error_prints_the_hint(self, capsys, tmp_path):
         # at alpha = 1e-200 the Clopper-Pearson inverse gives up mid-run; a
         # sweep file with the same alpha passes the parse-time checks and
-        # fails the same way
+        # fails the same way.  The message names the flag, or the file and
+        # its key.
         config = tmp_path / "tiny.conf"
         config.write_text(
             "algorithm = iqae\nqubits = 4\na = 0.25\nshots = 4\nreps = 1\n"
             "epsilon = 0.05\nalpha = 1e-200\n",
             encoding="utf-8",
         )
-        for argv, shots in [
+        for argv, source, shots in [
             (("iqae", "--qubits", "4", "--a", "0.25", "--epsilon", "0.05",
-              "--alpha", "1e-200", "--shots", "4", "--seed", "0"), 20),
-            (("sweep", "--config", str(config)), 8),
+              "--alpha", "1e-200", "--shots", "4", "--seed", "0"), "--alpha", 20),
+            (("sweep", "--config", str(config)), f"{config}: alpha", 8),
         ]:
             rc, out, err = run_cli(capsys, *argv)
             assert rc == 1
             assert out == ""
             assert err.splitlines() == [
-                f"qaelab: error: no lower bound for hits=3, shots={shots} at alpha=2.5e-201",
+                f"qaelab: error: {source}: no lower bound for hits=3, shots={shots} "
+                "at alpha=2.5e-201",
                 "try 'qaelab --help' or 'qaelab COMMAND --help'",
             ]
 
@@ -361,7 +363,8 @@ class TestVerifyCommand:
         lines = out.splitlines()
         assert all(ln.startswith("ok  ") for ln in lines[:-1])
         assert "FAIL" not in out
-        assert lines[-1].endswith("checks passed")
+        assert lines[-1] == f"all {len(lines) - 1} checks passed"
+        assert any(ln.startswith("ok   batched cell seeding") for ln in lines)
 
 
 # ---------------------------------------------------------------------------

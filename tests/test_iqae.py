@@ -252,7 +252,10 @@ class TestBinomialConfidence:
 
     def test_unconverged_inverse_raises(self, monkeypatch):
         monkeypatch.setattr(iqae_mod, "betaincinv", lambda a, b, q: math.nan)
-        with pytest.raises(ValueError, match="no lower bound for hits=2, shots=5"):
+        # typed, so that the CLI can blame alpha; still a ValueError
+        assert issubclass(iqae_mod.ConfidenceBoundError, ValueError)
+        with pytest.raises(iqae_mod.ConfidenceBoundError,
+                           match="no lower bound for hits=2, shots=5"):
             binomial_confidence(2, 5, 0.05)
 
     def test_rejects_bad_arguments(self):
