@@ -7,7 +7,7 @@ Core pieces:
 * :mod:`qaelab.mlqae` — maximum-likelihood estimation over a power ladder;
 * :mod:`qaelab.iqae` — iterative estimation with exact binomial intervals;
 * :mod:`qaelab.mci` — classical hit-or-miss baseline;
-* :mod:`qaelab.bench` — seeded sweeps, CSV/plot emission, reference tables;
+* :mod:`qaelab.bench` — seeded sweeps, CSV emission, reference tables;
 * :mod:`qaelab.verify` — brute-force cross-checks behind ``qaelab verify``.
 """
 
@@ -57,7 +57,6 @@ from .bench import (
     derive_rng,
     derive_rngs,
     emit_csv,
-    emit_plot_data,
     run_sweep,
     run_table,
     summarize,
@@ -107,7 +106,6 @@ __all__ = [
     "derive_rng",
     "derive_rngs",
     "emit_csv",
-    "emit_plot_data",
     "run_sweep",
     "run_table",
     "summarize",

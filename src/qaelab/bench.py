@@ -3,12 +3,11 @@
 A sweep runs one estimator at several shot counts, repeats each cell with
 independently derived generators, and reduces every cell to max/avg/min/std
 summaries of the estimate, its relative error, and the oracle query count.
-Summaries serialize to a fixed 13-column CSV and to whitespace plot tables.
+Summaries serialize to a fixed 13-column CSV.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -33,8 +32,6 @@ __all__ = [
     "summarize",
     "run_sweep",
     "emit_csv",
-    "emit_plot_data",
-    "PLOT_KINDS",
     "table_configs",
     "run_table",
 ]
@@ -155,21 +152,23 @@ def derive_rngs(
     """
     if algorithm not in _ALGORITHM_IDS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if repetitions < 0:
+        raise ValueError("expected non-negative integer")
     head = _words(base_seed) + [_ALGORITHM_IDS[algorithm]] + _words(shots)
     return _batched_rngs(head, repetitions)
 
 
-# numpy.random.SeedSequence with its default pool of four 32-bit words
-# (O'Neill's seed_seq_fe), as derive_rngs reruns it on uint32 arrays
+# numpy.random.SeedSequence (O'Neill's seed_seq_fe) with its default pool
+# of four 32-bit words, as numpy's random/bit_generator.pyx defines it
 _POOL = 4
 _MASK32 = 0xFFFF_FFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-# 0-d arrays, not ints: numpy takes about twice as long over a small array
-# with a Python int operand
-_MIX_L = np.array(0xCA01F9DD, dtype=np.uint32)
-_MIX_R = np.array(0x4973F715, dtype=np.uint32)
-_SHIFT = np.array(16, dtype=np.uint32)
+_INIT_A = np.uint32(0x43B0D7E5)
+_MULT_A = np.uint32(0x931E8875)
+_INIT_B = np.uint32(0x8B51F9DD)
+_MULT_B = np.uint32(0x58F38DED)
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 #: repetitions seeded per batch: a power of two that divides 2**32, so the
 #: repetition numbers of a batch differ only in their lowest 32-bit word
 _BATCH = 1 << 14
@@ -185,52 +184,18 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _constants(first: int, mult: int, count: int) -> list[np.ndarray]:
-    """(input, output) constants of ``count`` successive hashmix calls, as
-    two columns: each call's output constant is its input one times ``mult``
-    and is the next call's input constant."""
-    chain = [first]
-    while len(chain) <= count:
-        chain.append(chain[-1] * mult & _MASK32)
-    return [np.array(chain[:-1], dtype=np.uint32)[:, None],
-            np.array(chain[1:], dtype=np.uint32)[:, None]]
+def _hashmix(value, hash_const: list):
+    """SeedSequence's hashmix; advances ``hash_const[0]`` as the C code does."""
+    value = value ^ hash_const[0]
+    hash_const[0] *= _MULT_A
+    value = value * hash_const[0]
+    return value ^ (value >> _XSHIFT)
 
 
-@functools.cache
-def _mixing_steps(words: int) -> list[list[np.ndarray]]:
-    """The constants of SeedSequence's mixing of ``words`` >= 4 entropy words.
-
-    One step fills the pool; in each of the next four, pool word ``src`` is
-    hashed into the other three rows (row ``src`` gets constant 0 and is put
-    back afterwards); each further step hashes one more entropy word into
-    all four.
-    """
-    chain = _constants(_INIT_A, _MULT_A, _POOL * words)
-    steps = [[c[:_POOL] for c in chain]]
-    for src in range(_POOL):
-        k = _POOL + src * (_POOL - 1)
-        steps.append([np.insert(c[k:k + _POOL - 1], src, 0, axis=0) for c in chain])
-    for k in range(_POOL * _POOL, _POOL * words, _POOL):
-        steps.append([c[k:k + _POOL] for c in chain])
-    return steps
-
-
-#: generate_state's constants for 8 uint32 words, that is 4 uint64 words
-_OUTPUT_STEP = _constants(_INIT_B, _MULT_B, 2 * _POOL)
-
-
-def _hashmix(values: np.ndarray, step) -> np.ndarray:
-    """SeedSequence's hashmix of ``values``, row by row with the step's constants."""
-    hashed = (values ^ step[0]) * step[1]
-    hashed ^= hashed >> _SHIFT
-    return hashed
-
-
-def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of hashed words into pool words."""
-    mixed = _MIX_L * pool - _MIX_R * hashed
-    mixed ^= mixed >> _SHIFT
-    return mixed
+def _mix(x, y):
+    """SeedSequence's mix of a hashed word ``y`` into pool word ``x``."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
 
 
 def _batch_seeds(head: list[int], first: int, count: int) -> np.ndarray:
@@ -238,23 +203,35 @@ def _batch_seeds(head: list[int], first: int, count: int) -> np.ndarray:
     r = first, ..., first + count - 1 at once, as a (count, 4) array.
 
     ``head`` holds at least three 32-bit words; in the range only r's lowest
-    word may vary.
+    word may vary.  The words every r shares are uint32 scalars and r's
+    lowest word is a uint32 array, so each hash step below is
+    ``mix_entropy``'s or ``generate_state``'s statement for all r at once.
     """
     low = first & _MASK32
     high = _words(first >> 32) if first >> 32 else []
-    entropy = head + [np.arange(low, low + count, dtype=np.uint32)] + high
-    words = np.empty((len(entropy), count), dtype=np.uint32)
-    for row, word in zip(words, entropy):
-        row[...] = word
-    steps = _mixing_steps(len(words))
-    pool = _hashmix(words[:_POOL], steps[0])
-    for src in range(_POOL):
-        mixed = _mix(pool, _hashmix(pool[src], steps[1 + src]))
-        mixed[src] = pool[src]
-        pool = mixed
-    for word, step in zip(words[_POOL:], steps[1 + _POOL:]):
-        pool = _mix(pool, _hashmix(word, step))
-    state = np.ascontiguousarray(_hashmix(np.concatenate((pool, pool)), _OUTPUT_STEP).T)
+    entropy = [np.uint32(w) for w in head]
+    entropy.append(np.arange(low, low + count, dtype=np.uint32))
+    entropy += [np.uint32(w) for w in high]
+    # uint32 arithmetic wraps, as in C; numpy warns when a scalar does
+    with np.errstate(over="ignore"):
+        # mix_entropy; the entropy has at least _POOL words
+        hash_const = [_INIT_A]
+        mixer = [_hashmix(entropy[i], hash_const) for i in range(_POOL)]
+        for i_src in range(_POOL):
+            for i_dst in range(_POOL):
+                if i_src != i_dst:
+                    mixer[i_dst] = _mix(mixer[i_dst], _hashmix(mixer[i_src], hash_const))
+        for i_src in range(_POOL, len(entropy)):
+            for i_dst in range(_POOL):
+                mixer[i_dst] = _mix(mixer[i_dst], _hashmix(entropy[i_src], hash_const))
+        # generate_state(4, np.uint64): 8 uint32 words, cycling over the pool
+        hash_const = _INIT_B
+        state = np.empty((count, 2 * _POOL), dtype=np.uint32)
+        for i_dst in range(2 * _POOL):
+            data_val = mixer[i_dst % _POOL] ^ hash_const
+            hash_const *= _MULT_B
+            data_val = data_val * hash_const
+            state[:, i_dst] = data_val ^ (data_val >> _XSHIFT)
     # generate_state pairs its uint32 words into uint64 ones little-endian
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
@@ -365,28 +342,6 @@ def emit_csv(rows, stream) -> None:
         fields = [str(row.shots)]
         fields += [_fmt(getattr(row, name)) for name in _CSV_FIELDS]
         stream.write(",".join(fields) + "\n")
-
-
-PLOT_KINDS = {
-    "err_vs_shots": ("shots", "avg_err_pct", "min_err_pct", "max_err_pct"),
-    "a_vs_shots": ("shots", "avg_a", "min_a", "max_a"),
-    "calls_vs_shots": ("shots", "avg_calls", "min_calls", "max_calls"),
-    "err_vs_calls": ("avg_calls", "avg_err_pct", "min_err_pct", "max_err_pct"),
-}
-
-
-def emit_plot_data(rows, kind: str) -> str:
-    """Whitespace-separated (x, y_avg, y_min, y_max) table with a '#' header."""
-    try:
-        names = PLOT_KINDS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown plot kind {kind!r}: expected one of {sorted(PLOT_KINDS)}"
-        ) from None
-    lines = ["# " + " ".join(names)]
-    for row in rows:
-        lines.append(" ".join(_fmt(getattr(row, name)) for name in names))
-    return "\n".join(lines) + "\n"
 
 
 #: ``reproduce --table N``: one (file name, ExperimentConfig fields) per sweep

@@ -37,9 +37,6 @@ _REFINE_TOL = 1e-10
 #: grid angles per block of the bounded scan; the last block holds the
 #: 100,000 - 390 * 256 = 160 left over
 _BLOCK_POINTS = 256
-#: distinct powers whose grid tables (1.6 MB each) and block maxima (about
-#: 6 KB each) stay cached
-_TABLE_CACHE_SIZE = 32
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -140,12 +137,15 @@ def _grid() -> np.ndarray:
     return grid
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@functools.cache
 def _log_tables(power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only floored log sin^2 and log cos^2 of ``(2 power + 1) theta``
     on the grid, elementwise the same as ``verify.reference_log_likelihood``
     computes, then the maxima of each over every block of ``_BLOCK_POINTS``
-    grid angles."""
+    grid angles.
+
+    Cached for the life of the process: 1.6 MB per distinct power used.
+    """
     angles = (2 * power + 1) * _grid()
     log_cos2 = np.cos(angles)
     log_sin2 = np.sin(angles, out=angles)
@@ -189,8 +189,6 @@ def _grid_argmax(records) -> int:
     that run, or in a block of it whose bound falls short, scores below the
     maximum, so ties still go to the smallest angle.
     """
-    # one cache lookup per record: a schedule of more powers than the cache
-    # holds misses on every lookup
     tables = [_log_tables(rec.power) for rec in records]
 
     def score(start: int, stop: int) -> np.ndarray:

@@ -14,7 +14,6 @@ import qaelab.iqae as iqae_mod
 from qaelab.bench import (
     CSV_HEADER,
     DEFAULT_SEED_BASE,
-    PLOT_KINDS,
     SHOTS_LADDER,
     ExperimentConfig,
     ReproduceCapError,
@@ -22,7 +21,6 @@ from qaelab.bench import (
     derive_rng,
     derive_rngs,
     emit_csv,
-    emit_plot_data,
     run_sweep,
     run_table,
     summarize,
@@ -147,6 +145,11 @@ class TestDeriveRngs:
         for derive in (derive_rng, derive_rngs):
             with pytest.raises(ValueError, match="expected non-negative integer"):
                 derive(*args, 3)
+
+    def test_negative_repetitions_raise_as_in_derive_rng(self):
+        for derive in (derive_rng, derive_rngs):
+            with pytest.raises(ValueError, match="expected non-negative integer"):
+                derive(0, "mci", 16, -1)
 
 
 class TestExperimentConfig:
@@ -302,29 +305,6 @@ class TestEmitCsv:
         emit_csv(ROWS, a)
         emit_csv(ROWS, b)
         assert a.getvalue() == b.getvalue()
-
-
-class TestEmitPlotData:
-    def test_all_kinds_have_header_and_four_columns(self):
-        for kind, names in PLOT_KINDS.items():
-            text = emit_plot_data(ROWS, kind)
-            lines = text.splitlines()
-            assert lines[0] == "# " + " ".join(names)
-            assert len(lines) == 1 + len(ROWS)
-            for line in lines[1:]:
-                assert len(line.split()) == 4
-
-    def test_error_curve_values(self):
-        lines = emit_plot_data(ROWS, "err_vs_shots").splitlines()
-        assert lines[1].split() == ["16", "12.3457", "0.5", "60"]
-
-    def test_cost_as_x_axis(self):
-        lines = emit_plot_data(ROWS, "err_vs_calls").splitlines()
-        assert lines[1].split()[0] == "288"
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown plot kind"):
-            emit_plot_data(ROWS, "err_vs_time")
 
 
 class TestTableConfigs:

@@ -196,6 +196,14 @@ class TestMaximize:
         with pytest.raises(ValueError):
             maximize_likelihood([])
 
+    def test_deep_schedule_tables_stay_cached(self):
+        # LIS depth 40 uses 41 powers, more than a 32-entry cache holds
+        recs = [MeasurementRecord(p, 100, 12) for p in lis_schedule(40).powers]
+        maximize_likelihood(recs)
+        misses = _log_tables.cache_info().misses
+        maximize_likelihood(recs)
+        assert _log_tables.cache_info().misses == misses
+
 
 class TestRunMlqae:
     def test_call_accounting_exact(self):
