@@ -433,6 +433,20 @@ class TestStatevector:
         dup.amps[5] = 0.0
         assert state.amps[5] == 1.0
 
+    def test_evolved_states_start_on_a_cache_line(self):
+        # a state off a 64-byte boundary makes every iterate's wide stores
+        # straddle cache lines, so the iterate's speed would vary by process
+        oracle = OracleSpec(12, 500)
+        state = prepare_a(oracle)
+        complex_state = Statevector(12, state.amps.astype(np.complex128))
+        backend = StatevectorBackend()
+        backend.flag_probability(oracle, 1)
+        backend.flag_probability(oracle, 3)
+        for amps in (state.amps, state.copy().amps, complex_state.copy().amps,
+                     backend._last[2]):
+            assert amps.ctypes.data % 64 == 0
+        np.testing.assert_array_equal(complex_state.copy().amps, complex_state.amps)
+
     def test_normalization_through_random_sequences(self):
         rng = np.random.default_rng(23)
         oracle = OracleSpec(4, 6)
