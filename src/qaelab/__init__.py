@@ -34,8 +34,10 @@ from .mlqae import (
     lis_schedule,
     log_likelihood,
     maximize_likelihood,
+    maximize_likelihoods,
     oracle_call_count,
     run_mlqae,
+    run_mlqae_cell,
 )
 from .iqae import (
     ConfidenceBoundError,
@@ -86,8 +88,10 @@ __all__ = [
     "lis_schedule",
     "log_likelihood",
     "maximize_likelihood",
+    "maximize_likelihoods",
     "oracle_call_count",
     "run_mlqae",
+    "run_mlqae_cell",
     "ConfidenceBoundError",
     "ConfidenceInterval",
     "IqaeReport",

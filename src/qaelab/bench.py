@@ -18,7 +18,8 @@ from numpy.random.bit_generator import ISeedSequence
 from .core import Backend, OracleSpec, make_backend
 from .iqae import IterationCapError, check_alpha, check_ratio, max_rounds, run_iqae
 from .mci import MciConfig, run_mci
-from .mlqae import make_schedule, run_mlqae
+# run_mlqae is not called here; perfbench's tracer rebinds it under this name
+from .mlqae import make_schedule, run_mlqae, run_mlqae_cell  # noqa: F401
 
 __all__ = [
     "CSV_HEADER",
@@ -264,20 +265,14 @@ def summarize(values) -> tuple[float, float, float, float]:
     return float(arr.max()), float(arr.mean()), float(arr.min()), float(arr.std())
 
 
-def _run_once(
+def _run_iqae(
     config: ExperimentConfig,
     oracle: OracleSpec,
     backend: Backend,
     shots: int,
     rng: np.random.Generator,
 ) -> tuple[float, float, bool]:
-    """One MLQAE or IQAE repetition: returns (a_hat, oracle_calls, capped)."""
-    if config.algorithm == "mlqae":
-        report = run_mlqae(
-            oracle, config.depth, shots,
-            kind=config.schedule, backend=backend, rng=rng,
-        )
-        return report.a_hat, float(report.oracle_calls), False
+    """One IQAE repetition: returns (a_hat, oracle_calls, capped)."""
     try:
         report = run_iqae(
             oracle, config.epsilon, config.alpha, shots,
@@ -297,13 +292,20 @@ def _run_cell(
 ) -> list[tuple[float, float, bool]]:
     """Every repetition of one cell, in order: (a_hat, oracle_calls, capped).
 
-    ``oracle`` and ``backend`` are the sweep's, unused (None) for MCI.
+    ``oracle`` and ``backend`` are the sweep's, unused (None) for MCI.  An
+    MLQAE cell draws every repetition's records, then maximizes their
+    likelihoods together.
     """
     rngs = derive_rngs(config.base_seed, config.algorithm, shots, config.repetitions)
     if config.algorithm == "mci":
         mci = MciConfig(config.a_true, shots, 1)
         return [(float(run_mci(mci, rng=rng)[0]), float(shots), False) for rng in rngs]
-    return [_run_once(config, oracle, backend, shots, rng) for rng in rngs]
+    if config.algorithm == "mlqae":
+        reports = run_mlqae_cell(
+            oracle, config.depth, shots, kind=config.schedule, backend=backend, rngs=rngs
+        )
+        return [(report.a_hat, float(report.oracle_calls), False) for report in reports]
+    return [_run_iqae(config, oracle, backend, shots, rng) for rng in rngs]
 
 
 def run_sweep(config: ExperimentConfig) -> list[SummaryRow]:

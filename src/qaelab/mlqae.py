@@ -3,7 +3,8 @@
 One circuit is run per entry of a power schedule; the flag hit counts from
 all circuits are combined into a joint Bernoulli log-likelihood in the
 rotation angle, which is maximized by a bounded coarse grid scan followed
-by golden-section refinement.
+by golden-section refinement.  The refinement runs every repetition of a
+sweep cell in lockstep, with one vectorized likelihood evaluation per step.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ __all__ = [
     "MeasurementRecord",
     "log_likelihood",
     "maximize_likelihood",
+    "maximize_likelihoods",
     "MlqaeReport",
     "run_mlqae",
+    "run_mlqae_cell",
 ]
 
 GRID_POINTS = 100_000
@@ -105,6 +108,50 @@ class MeasurementRecord:
             raise ValueError(f"hits={self.hits} outside [0, {self.shots}]")
 
 
+def _likelihood_columns(record_sets) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's ``(multipliers, weights)``, one column per record set.
+
+    Row j of multipliers holds ``2m + 1`` of each set's record j.  Rows
+    2j and 2j + 1 of weights hold that record's hits and misses, so a
+    column reads hits_0, misses_0, hits_1, and so on.  Every record set
+    must have the same length.
+    """
+    if len({len(records) for records in record_sets}) > 1:
+        raise ValueError("record sets of one batch must have the same length")
+    records_at = list(zip(*record_sets))
+    multipliers = np.array([[2 * rec.power + 1 for rec in recs] for recs in records_at], dtype=float)
+    weights = np.array(
+        [row for recs in records_at
+         for row in ([rec.hits for rec in recs], [rec.shots - rec.hits for rec in recs])],
+        dtype=float,
+    )
+    return multipliers, weights
+
+
+def _log_likelihoods(multipliers: np.ndarray, weights: np.ndarray, thetas) -> np.ndarray:
+    """Joint log-likelihood of column b's records at the angle ``thetas[b]``.
+
+    The columns are :func:`_likelihood_columns`'.  Each value is bit for bit
+    that of the per-record loop ``verify.reference_scalar_log_likelihood``:
+    numpy's float64 sin, cos and log round as ``math.sin``, ``math.cos``
+    and ``np.log`` of one float do; ``np.float_power(x, 2)`` is libm's
+    ``pow`` like Python's ``x ** 2``, where ``np.square`` computes
+    ``x * x`` and differs in the last bit now and then; and
+    ``np.add.accumulate`` adds down each column in the loop's order.
+    """
+    # positional outputs: the per-call overhead is most of the cost at a
+    # batch of one
+    angles = multipliers * np.array(thetas)
+    terms = np.empty((2 * len(multipliers), len(thetas)))
+    np.sin(angles, terms[0::2])
+    np.cos(angles, terms[1::2])
+    np.float_power(terms, 2, terms)
+    np.maximum(terms, LIKELIHOOD_FLOOR, out=terms)
+    np.log(terms, terms)
+    terms *= weights
+    return np.add.accumulate(terms)[-1]
+
+
 def log_likelihood(records, theta: float) -> float:
     """Joint log-likelihood of the records at the rotation angle ``theta``.
 
@@ -112,21 +159,14 @@ def log_likelihood(records, theta: float) -> float:
 
         hits * log(sin^2((2m+1) theta)) + (shots - hits) * log(cos^2((2m+1) theta))
 
-    with both squared terms clamped below at ``LIKELIHOOD_FLOOR``.  It takes
-    one angle; the coarse grid scan uses :func:`_weighted_sum`.  The
-    value is bit for bit that of ``verify.reference_log_likelihood``, which
-    tests compare it with; that needs ``** 2`` on a float and ``np.log``,
-    since ``s * s`` and ``math.log`` round differently.
+    with both squared terms clamped below at ``LIKELIHOOD_FLOOR``.  It is
+    the likelihood kernel on a batch of one; the coarse grid scan uses
+    :func:`_weighted_sum` over cached tables instead.
     """
-    t = float(theta)
-    value = 0.0
-    for rec in records:
-        c = 2 * rec.power + 1
-        s2 = math.sin(c * t) ** 2
-        c2 = math.cos(c * t) ** 2
-        value = value + rec.hits * np.log(max(s2, LIKELIHOOD_FLOOR))
-        value = value + (rec.shots - rec.hits) * np.log(max(c2, LIKELIHOOD_FLOOR))
-    return float(value)
+    if not records:
+        return 0.0
+    multipliers, weights = _likelihood_columns([records])
+    return float(_log_likelihoods(multipliers, weights, [theta])[0])
 
 
 @functools.cache
@@ -202,50 +242,101 @@ def _grid_argmax(records) -> int:
     return start + int(np.argmax(score(start, (int(candidates[-1]) + 1) * _BLOCK_POINTS)))
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer on [lo, hi] for a unimodal f."""
+def _golden_max(lo: float, hi: float, tol: float):
+    """Golden-section maximizer on [lo, hi] for a unimodal f, as a generator.
+
+    It yields each point where it needs f and is sent f there; its return
+    value is the maximizer.
+    """
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
+    f1 = yield x1
+    f2 = yield x2
     while hi - lo > tol:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
+            f2 = yield x2
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
+            f1 = yield x1
     return 0.5 * (lo + hi)
 
 
-def maximize_likelihood(records) -> float:
-    """Angle in [0, pi/2] maximizing the joint log-likelihood.
+def _lockstep(refines, multipliers: np.ndarray, weights: np.ndarray) -> list[float]:
+    """Results of the :func:`_golden_max` generators ``refines``, column b of
+    the kernel's arrays belonging to ``refines[b]``.
+
+    All live generators step together: each step evaluates every one's next
+    point in one kernel call.  A finished generator's column leaves the batch.
+    """
+    results = [0.0] * len(refines)
+    live = list(range(len(refines)))
+    points = [next(refine) for refine in refines]
+    while live:
+        values = _log_likelihoods(multipliers, weights, points).tolist()
+        kept, points = [], []
+        for column, (b, value) in enumerate(zip(live, values)):
+            try:
+                points.append(refines[b].send(value))
+                kept.append(column)
+            except StopIteration as done:
+                results[b] = done.value
+        if len(kept) < len(live):
+            live = [live[column] for column in kept]
+            multipliers, weights = multipliers[:, kept], weights[:, kept]
+    return results
+
+
+def maximize_likelihoods(record_sets) -> list[tuple[float, float]]:
+    """``(theta, value)`` for each record set of the sequence ``record_sets``:
+    the angle in [0, pi/2] that maximizes its joint log-likelihood, and the
+    log-likelihood there.
 
     Stage one finds the best of a uniform grid of ``GRID_POINTS`` angles by
-    a bounded scan: an upper bound per block of ``_BLOCK_POINTS`` angles
-    rules out most blocks, and only the rest are scored exactly.  Stage two
-    refines between the grid neighbours of the best point by golden section
-    down to 1e-10.  Ties go to the smaller angle, and the result never
-    scores below the best grid point.
+    a bounded scan, one record set at a time: an upper bound per block of
+    ``_BLOCK_POINTS`` angles rules out most blocks, and only the rest are
+    scored exactly.  Stage two refines between the grid neighbours of the
+    best point by golden section down to 1e-10, all record sets in lockstep
+    (see :func:`_lockstep`).  Ties go to the smaller angle, and the result
+    never scores below the best grid point.  The record sets must have the
+    same length.
 
     The grid's log sin^2 and log cos^2 tables and their block maxima are
-    built once per power and cached: 1.6 MB plus about 6 KB per distinct
-    power at 100,000 points, for up to 32 powers (about 51 MB).
+    built once per power and cached for the life of the process: 1.6 MB
+    plus about 6 KB per distinct power at 100,000 points.
     """
-    if not records:
+    if not all(record_sets):
         raise ValueError("need at least one measurement record")
+    if not record_sets:
+        return []
+    multipliers, weights = _likelihood_columns(record_sets)
     grid = _grid()
-    best = _grid_argmax(records)  # first occurrence: smallest angle wins ties
-    lo = float(grid[best - 1]) if best > 0 else float(grid[0])
-    hi = float(grid[best + 1]) if best + 1 < GRID_POINTS else float(grid[-1])
-    theta = _golden_max(lambda t: log_likelihood(records, t), lo, hi, _REFINE_TOL)
-    coarse_theta = float(grid[best])
-    coarse_value = log_likelihood(records, coarse_theta)
-    refined_value = log_likelihood(records, theta)
-    if refined_value < coarse_value or (refined_value == coarse_value and coarse_theta < theta):
-        theta = coarse_theta
-    return float(theta)
+    coarse, refines = [], []
+    for records in record_sets:
+        best = _grid_argmax(records)  # first occurrence: smallest angle wins ties
+        lo = float(grid[best - 1]) if best > 0 else float(grid[0])
+        hi = float(grid[best + 1]) if best + 1 < GRID_POINTS else float(grid[-1])
+        coarse.append(float(grid[best]))
+        refines.append(_golden_max(lo, hi, _REFINE_TOL))
+    refined = _lockstep(refines, multipliers, weights)
+    coarse_values = _log_likelihoods(multipliers, weights, coarse).tolist()
+    refined_values = _log_likelihoods(multipliers, weights, refined).tolist()
+    results = []
+    for theta, value, coarse_theta, coarse_value in zip(
+        refined, refined_values, coarse, coarse_values
+    ):
+        if value < coarse_value or (value == coarse_value and coarse_theta < theta):
+            theta, value = coarse_theta, coarse_value
+        results.append((theta, value))
+    return results
+
+
+def maximize_likelihood(records) -> float:
+    """Angle in [0, pi/2] maximizing the joint log-likelihood: the angle of
+    :func:`maximize_likelihoods` on a batch of one."""
+    return maximize_likelihoods([records])[0][0]
 
 
 @dataclass(frozen=True)
@@ -257,6 +348,44 @@ class MlqaeReport:
     oracle_calls: int
     records: tuple[MeasurementRecord, ...]
     log_likelihood_at_max: float
+
+
+def run_mlqae_cell(
+    oracle: OracleSpec,
+    depth: int,
+    shots: int,
+    *,
+    kind: str = "eis",
+    backend: Backend | None = None,
+    rngs,
+) -> list[MlqaeReport]:
+    """One :func:`run_mlqae` per generator in ``rngs``, maximized together.
+
+    Every repetition's records are drawn first, repetition by repetition in
+    schedule order, as one run after another would draw them; then
+    :func:`maximize_likelihoods` maximizes all of them at once.
+    """
+    schedule = make_schedule(kind, depth)
+    if backend is None:
+        backend = AnalyticBackend()
+    record_sets = [
+        tuple(
+            MeasurementRecord(power, shots, measure_flag(backend, oracle, power, shots, rng))
+            for power in schedule.powers
+        )
+        for rng in rngs
+    ]
+    calls = oracle_call_count(schedule, shots)
+    return [
+        MlqaeReport(
+            theta_hat=theta_hat,
+            a_hat=math.sin(theta_hat) ** 2,
+            oracle_calls=calls,
+            records=records,
+            log_likelihood_at_max=value,
+        )
+        for records, (theta_hat, value) in zip(record_sets, maximize_likelihoods(record_sets))
+    ]
 
 
 def run_mlqae(
@@ -278,18 +407,4 @@ def run_mlqae(
         backend: probability source; defaults to the analytic closed form.
         rng: seeded generator used for every draw, in schedule order.
     """
-    schedule = make_schedule(kind, depth)
-    if backend is None:
-        backend = AnalyticBackend()
-    records = tuple(
-        MeasurementRecord(power, shots, measure_flag(backend, oracle, power, shots, rng))
-        for power in schedule.powers
-    )
-    theta_hat = maximize_likelihood(records)
-    return MlqaeReport(
-        theta_hat=theta_hat,
-        a_hat=math.sin(theta_hat) ** 2,
-        oracle_calls=oracle_call_count(schedule, shots),
-        records=records,
-        log_likelihood_at_max=log_likelihood(records, theta_hat),
-    )
+    return run_mlqae_cell(oracle, depth, shots, kind=kind, backend=backend, rngs=(rng,))[0]

@@ -26,6 +26,8 @@ from qaelab.bench import (
     summarize,
     table_configs,
 )
+from qaelab.core import make_backend
+from qaelab.mlqae import run_mlqae
 
 
 class TestSummarize:
@@ -214,6 +216,19 @@ class TestRunSweep:
             assert row.max_calls == row.avg_calls == row.min_calls == want
             assert row.std_calls == 0.0
             assert row.capped == 0
+
+    def test_mlqae_cell_is_one_run_per_repetition(self):
+        # the cell refines its repetitions together; each row is still that
+        # of run_mlqae on the repetition's own generator
+        cfg = ExperimentConfig("mlqae", qubits=6, shots_list=(16, 256), repetitions=9,
+                               depth=4, schedule="lis", base_seed=12)
+        oracle, backend = cfg.oracle(), make_backend(cfg.backend)
+        for shots in cfg.shots_list:
+            want = []
+            for rng in derive_rngs(cfg.base_seed, "mlqae", shots, cfg.repetitions):
+                report = run_mlqae(oracle, cfg.depth, shots, kind=cfg.schedule, rng=rng)
+                want.append((report.a_hat, float(report.oracle_calls), False))
+            assert bench_mod._run_cell(cfg, oracle, backend, shots) == want
 
     def test_iqae_calls_vary_and_never_cap(self):
         cfg = ExperimentConfig(

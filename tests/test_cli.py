@@ -363,8 +363,9 @@ class TestVerifyCommand:
         lines = out.splitlines()
         assert all(ln.startswith("ok  ") for ln in lines[:-1])
         assert "FAIL" not in out
-        assert lines[-1] == f"all {len(lines) - 1} checks passed"
+        assert lines[-1] == "all 10 checks passed"
         assert any(ln.startswith("ok   batched cell seeding") for ln in lines)
+        assert any(ln.startswith("ok   lockstep likelihood maximizer") for ln in lines)
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,28 @@ from qaelab.mlqae import (
     MeasurementRecord,
     Schedule,
     _BLOCK_POINTS,
+    _golden_max,
     _grid,
     _grid_argmax,
+    _likelihood_columns,
+    _log_likelihoods,
     _log_tables,
     _weighted_sum,
     eis_schedule,
     lis_schedule,
     log_likelihood,
+    make_schedule,
     maximize_likelihood,
+    maximize_likelihoods,
     oracle_call_count,
     run_mlqae,
+    run_mlqae_cell,
 )
-from qaelab.verify import reference_log_likelihood
+from qaelab.verify import (
+    reference_log_likelihood,
+    reference_maximize_likelihood,
+    reference_scalar_log_likelihood,
+)
 
 THETA_EIGHTH = math.asin(math.sqrt(0.125))  # 0.36136712390670783
 
@@ -153,6 +163,130 @@ class TestLogLikelihoodBitwise:
                 assert log_likelihood(subset, theta) == reference_log_likelihood(subset, theta)
 
 
+class TestKernelArithmetic:
+    """The float64 identities the likelihood kernel rests on: each batched
+    operation rounds as the scalar loop's operation does on one value."""
+
+    DRAWS = np.random.default_rng(1234).uniform(0.0, math.pi / 2, 100_000)
+
+    def test_float_power_is_pythons_square(self):
+        values = np.concatenate((np.sin(self.DRAWS), np.cos(self.DRAWS),
+                                 [0.0, 1.0, 1e-150, 1e-160, 5e-324, 1.5e-154]))
+        got = np.float_power(values, 2)
+        assert got.tolist() == [v ** 2 for v in values.tolist()]
+        # np.square is x * x: it differs, so the kernel cannot use it
+        assert not np.array_equal(np.square(values), got)
+
+    @pytest.mark.parametrize("power", [0, 1, 4, 8, 2**17])
+    def test_array_sin_cos_are_math_sin_cos(self, power):
+        angles = (2 * power + 1) * self.DRAWS
+        want_sin = [math.sin(a) for a in angles.tolist()]
+        want_cos = [math.cos(a) for a in angles.tolist()]
+        assert np.sin(angles).tolist() == want_sin
+        assert np.cos(angles).tolist() == want_cos
+        # into interleaved rows, as the kernel writes them
+        terms = np.empty((2, len(angles)))
+        np.sin(angles.reshape(1, -1), terms[0::2])
+        np.cos(angles.reshape(1, -1), terms[1::2])
+        assert terms[0].tolist() == want_sin and terms[1].tolist() == want_cos
+
+    def test_array_log_is_elementwise_log(self):
+        values = np.concatenate((np.sin(self.DRAWS) ** 2, [1e-300, 1.0, 0.5]))
+        assert np.log(values).tolist() == [float(np.log(v)) for v in values.tolist()]
+
+    @pytest.mark.parametrize("columns", [1, 2, 7, 30])
+    def test_accumulate_adds_down_a_column_in_order(self, columns):
+        rng = np.random.default_rng(columns)
+        # magnitudes from 1e-12 to 1e12, where the order of a sum shows
+        terms = rng.normal(size=(38, columns)) * 10.0 ** rng.integers(-12, 13, size=(38, columns))
+        got = np.add.accumulate(terms)[-1]
+        for b in range(columns):
+            value = 0.0
+            for term in terms[:, b].tolist():
+                value = value + term
+            assert got[b] == value
+
+
+@st.composite
+def record_batches(draw):
+    """1-40 record sets of one depth, 0-8, each EIS or LIS, with hits of 0
+    and of N drawn often."""
+    depth = draw(st.integers(0, 8))
+    batch = []
+    for _ in range(draw(st.integers(1, 40))):
+        schedule = draw(st.sampled_from((eis_schedule, lis_schedule)))(depth)
+        shots = draw(st.one_of(st.integers(1, 3), st.integers(1, 4096)))
+        batch.append([
+            MeasurementRecord(power, shots, draw(st.one_of(
+                st.just(0), st.just(shots), st.integers(0, shots))))
+            for power in schedule.powers
+        ])
+    return batch
+
+
+def golden_steps(lo, hi):
+    """Points the golden-section refine asks for on [lo, hi]."""
+    refine = _golden_max(lo, hi, 1e-10)
+    point, steps = next(refine), 1
+    try:
+        while True:
+            point = refine.send(-abs(point - lo))
+            steps += 1
+    except StopIteration:
+        return steps
+
+
+class TestLockstep:
+    """The lockstep maximizer equals the scalar one in ``verify`` bit for bit,
+    in the angle and in the log-likelihood there."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(batch=record_batches(), seed=st.integers(0, 2**32 - 1))
+    def test_kernel_columns_match_scalar_loop(self, batch, seed):
+        multipliers, weights = _likelihood_columns(batch)
+        thetas = np.random.default_rng(seed).uniform(0.0, math.pi / 2, len(batch)).tolist()
+        thetas[0] = 0.0
+        thetas[-1] = math.pi / 2
+        got = _log_likelihoods(multipliers, weights, thetas).tolist()
+        assert got == [reference_scalar_log_likelihood(records, theta)
+                       for records, theta in zip(batch, thetas)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(batch=record_batches())
+    def test_matches_scalar_refine(self, batch):
+        assert maximize_likelihoods(batch) == [reference_maximize_likelihood(r) for r in batch]
+
+    def test_rows_stop_after_different_step_counts(self):
+        # brackets one grid step wide at both ends of the grid, between inner ones
+        batch = [
+            [MeasurementRecord(p, 16, 0) for p in (0, 1, 2)],
+            [MeasurementRecord(p, 16, 4) for p in (0, 1, 2)],
+            [MeasurementRecord(p, 16, 16) for p in (0, 1, 2)],
+            [MeasurementRecord(0, 64, 40), MeasurementRecord(1, 64, 9), MeasurementRecord(2, 64, 30)],
+        ]
+        assert [_grid_argmax(records) for records in batch][::2] == [0, GRID_POINTS - 1]
+        grid = _grid()
+        edge = golden_steps(float(grid[0]), float(grid[1]))
+        inner = golden_steps(float(grid[0]), float(grid[2]))
+        assert edge < inner
+        assert maximize_likelihoods(batch) == [reference_maximize_likelihood(r) for r in batch]
+
+    def test_value_is_the_likelihood_at_the_angle(self):
+        batch = [[MeasurementRecord(p, 100, h) for p, h in zip((0, 1, 2, 4), hits)]
+                 for hits in ((12, 60, 98, 3), (0, 0, 0, 0), (50, 50, 50, 50))]
+        for records, (theta, value) in zip(batch, maximize_likelihoods(batch)):
+            assert theta == maximize_likelihood(records)
+            assert value == log_likelihood(records, theta)
+
+    def test_batch_validation(self):
+        assert maximize_likelihoods([]) == []
+        with pytest.raises(ValueError, match="at least one"):
+            maximize_likelihoods([[MeasurementRecord(0, 16, 3)], []])
+        with pytest.raises(ValueError, match="same length"):
+            maximize_likelihoods([[MeasurementRecord(0, 16, 3)],
+                                  [MeasurementRecord(0, 16, 3), MeasurementRecord(1, 16, 3)]])
+
+
 class TestMaximize:
     @settings(max_examples=30, deadline=None)
     @given(records=schedule_records())
@@ -203,6 +337,25 @@ class TestMaximize:
         misses = _log_tables.cache_info().misses
         maximize_likelihood(recs)
         assert _log_tables.cache_info().misses == misses
+
+
+class TestRunMlqaeCell:
+    def test_backend_sees_the_calls_of_run_after_run(self):
+        class Logged(AnalyticBackend):
+            def __init__(self):
+                self.calls = []
+
+            def flag_probability(self, oracle, m):
+                self.calls.append(m)
+                return super().flag_probability(oracle, m)
+
+        oracle = OracleSpec(10, 128)
+        cell, runs = Logged(), Logged()
+        run_mlqae_cell(oracle, 3, 16, backend=cell,
+                       rngs=[np.random.default_rng(r) for r in range(4)])
+        for r in range(4):
+            run_mlqae(oracle, 3, 16, backend=runs, rng=np.random.default_rng(r))
+        assert cell.calls == runs.calls == list(make_schedule("eis", 3).powers) * 4
 
 
 class TestRunMlqae:
