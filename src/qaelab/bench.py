@@ -82,10 +82,14 @@ class ExperimentConfig:
             raise ValueError(f"repetitions must be positive, got {self.repetitions}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
-        make_backend(self.backend)  # raises on an unknown name
+        backend = make_backend(self.backend)  # raises on an unknown name
         if self.algorithm != "mci":
             # raises unless a_true * 2**qubits is an integer
-            OracleSpec.from_amplitude(self.qubits, self.a_true)
+            oracle = OracleSpec.from_amplitude(self.qubits, self.a_true)
+            try:
+                backend.check_oracle(oracle)
+            except ValueError as exc:
+                raise ValueError(f"qubits: {exc}") from None
         if self.algorithm == "mlqae":
             make_schedule(self.schedule, self.depth)
         elif self.algorithm == "iqae":

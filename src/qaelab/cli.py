@@ -20,7 +20,7 @@ from .bench import (
     run_sweep,
     run_table,
 )
-from .core import BACKENDS, OracleSpec, check_shots, make_backend
+from .core import BACKENDS, Backend, OracleSpec, check_shots, make_backend
 from .iqae import (
     ConfidenceBoundError,
     IterationCapError,
@@ -67,14 +67,20 @@ def _rng(args) -> np.random.Generator:
     return _checked("--seed", np.random.default_rng, args.seed)
 
 
+def _backend(args, oracle: OracleSpec) -> Backend:
+    backend = make_backend(args.backend)
+    _checked("--qubits", backend.check_oracle, oracle)
+    return backend
+
+
 def _cmd_mlqae(args) -> int:
     oracle = _oracle(args)
+    backend = _backend(args, oracle)
     _checked("--m", make_schedule, args.schedule, args.m)
     _checked("--shots", check_shots, args.shots)
     rng = _rng(args)
     report = run_mlqae(
-        oracle, args.m, args.shots,
-        kind=args.schedule, backend=make_backend(args.backend), rng=rng,
+        oracle, args.m, args.shots, kind=args.schedule, backend=backend, rng=rng,
     )
     print("a_hat,theta_hat,oracle_calls,log_likelihood")
     print(
@@ -114,14 +120,14 @@ def _print_iqae(report, args) -> None:
 
 def _cmd_iqae(args) -> int:
     oracle = _oracle(args)
+    backend = _backend(args, oracle)
     _checked("--epsilon", max_rounds, args.epsilon)
     _checked("--alpha", check_alpha, args.alpha)
     _checked("--shots", check_shots, args.shots)
     rng = _rng(args)
     try:
         report = run_iqae(
-            oracle, args.epsilon, args.alpha, args.shots,
-            backend=make_backend(args.backend), rng=rng,
+            oracle, args.epsilon, args.alpha, args.shots, backend=backend, rng=rng,
         )
     except IterationCapError as exc:
         _print_iqae(exc.report, args)

@@ -171,13 +171,25 @@ def _aligned_copy(amps: np.ndarray) -> np.ndarray:
     return copy
 
 
+def _check_state_size(n: int) -> None:
+    """Reject ``n`` domain qubits whose ``2**(n+1)`` float64 amplitudes, with
+    the alignment slack, are more bytes than a numpy array can index."""
+    if (2 << n) * 8 + _ALIGN > np.iinfo(np.intp).max:
+        raise ValueError(
+            f"n={n} needs a statevector of 2**{n + 1} float64 amplitudes "
+            f"(2**{n + 4} bytes), more than numpy can index"
+        )
+
+
 def prepare_a(oracle: OracleSpec) -> Statevector:
     """Build the post-preparation state: uniform over the domain, flag set on good indices.
 
     Every domain index carries amplitude ``2**(-n/2)``; the flag qubit is 1
     exactly on the first ``oracle.good_count`` indices, so
-    ``flag_probability`` equals ``oracle.a``.
+    ``flag_probability`` equals ``oracle.a``.  Raises ``ValueError`` if
+    numpy cannot index the state.
     """
+    _check_state_size(oracle.n)
     size = oracle.domain_size
     amps = _aligned_empty(2 * size, np.float64)
     amps.fill(0.0)
@@ -255,6 +267,10 @@ class Backend:
     def flag_probability(self, oracle: OracleSpec, m: int) -> float:
         raise NotImplementedError
 
+    def check_oracle(self, oracle: OracleSpec) -> None:
+        """Raise ``ValueError`` if this backend cannot run ``oracle``; the
+        default accepts every oracle."""
+
 
 class StatevectorBackend(Backend):
     """Runs the full register simulation and reads the probability off the state.
@@ -273,6 +289,10 @@ class StatevectorBackend(Backend):
     def __init__(self) -> None:
         self._probabilities: dict[tuple[OracleSpec, int], float] = {}
         self._last: tuple[OracleSpec, int, np.ndarray] | None = None
+
+    def check_oracle(self, oracle: OracleSpec) -> None:
+        """Reject an oracle whose statevector numpy cannot index."""
+        _check_state_size(oracle.n)
 
     def flag_probability(self, oracle: OracleSpec, m: int) -> float:
         p = self._probabilities.get((oracle, m))

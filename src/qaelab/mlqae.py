@@ -37,9 +37,12 @@ GRID_POINTS = 100_000
 #: counts of 0 or N stay finite at the boundary angles
 LIKELIHOOD_FLOOR = 1e-300
 _REFINE_TOL = 1e-10
-#: grid angles per block of the bounded scan; the last block holds the
-#: 100,000 - 390 * 256 = 160 left over
+#: grid angles per block and per sub-block of the bounded scan; the last of
+#: the 391 blocks holds the 100,000 - 390 * 256 = 160 left over, then padding
 _BLOCK_POINTS = 256
+_SUB_POINTS = 32
+_BLOCKS = -(-GRID_POINTS // _BLOCK_POINTS)
+_PADDED = _BLOCKS * _BLOCK_POINTS
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -161,7 +164,7 @@ def log_likelihood(records, theta: float) -> float:
 
     with both squared terms clamped below at ``LIKELIHOOD_FLOOR``.  It is
     the likelihood kernel on a batch of one; the coarse grid scan uses
-    :func:`_weighted_sum` over cached tables instead.
+    :func:`_grid_argmaxes` over cached tables instead.
     """
     if not records:
         return 0.0
@@ -179,67 +182,104 @@ def _grid() -> np.ndarray:
 
 @functools.cache
 def _log_tables(power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only floored log sin^2 and log cos^2 of ``(2 power + 1) theta``
+    """Read-only rows floored log sin^2 and log cos^2 of ``(2 power + 1) theta``
     on the grid, elementwise the same as ``verify.reference_log_likelihood``
-    computes, then the maxima of each over every block of ``_BLOCK_POINTS``
-    grid angles.
+    computes and padded with the floor's log to ``_BLOCKS`` whole blocks.
 
-    Cached for the life of the process: 1.6 MB per distinct power used.
+    Returned as ``(blocks, subs, block_maxima, sub_maxima)``: the (2, ``_PADDED``)
+    table viewed as (2, ``_BLOCKS``, ``_BLOCK_POINTS``) and as (2, sub-blocks,
+    ``_SUB_POINTS``), then its maxima over each block, (2, ``_BLOCKS``), and over
+    each sub-block, (2, ``_BLOCKS``, ``_BLOCK_POINTS // _SUB_POINTS``).  A pad
+    point scores no higher than any grid angle and comes after all of them.
+    Cached for the life of the process: 1.6 MB plus 56 KB per distinct power.
     """
     angles = (2 * power + 1) * _grid()
-    log_cos2 = np.cos(angles)
-    log_sin2 = np.sin(angles, out=angles)
-    for table in (log_sin2, log_cos2):
-        np.square(table, out=table)  # what ``array ** 2`` computes
-        np.maximum(table, LIKELIHOOD_FLOOR, out=table)
-        np.log(table, out=table)
-    starts = np.arange(0, GRID_POINTS, _BLOCK_POINTS)
-    tables = (log_sin2, log_cos2) + tuple(
-        np.maximum.reduceat(table, starts) for table in (log_sin2, log_cos2)
-    )
-    for table in tables:
-        table.setflags(write=False)
+    table = np.full((2, _PADDED), LIKELIHOOD_FLOOR)
+    np.sin(angles, out=table[0, :GRID_POINTS])
+    np.cos(angles, out=table[1, :GRID_POINTS])
+    np.square(table, out=table)  # what ``array ** 2`` computes
+    np.maximum(table, LIKELIHOOD_FLOOR, out=table)
+    np.log(table, out=table)
+    subs = table.reshape(2, -1, _SUB_POINTS)
+    sub_maxima = subs.max(axis=2).reshape(2, _BLOCKS, -1)
+    tables = (table.reshape(2, _BLOCKS, _BLOCK_POINTS), subs, sub_maxima.max(axis=2), sub_maxima)
+    for part in tables:
+        part.flags.writeable = False
     return tables
 
 
-def _weighted_sum(records, parts) -> np.ndarray:
-    """``hits * sin_part + (shots - hits) * cos_part`` summed over the records
-    and their ``(sin_part, cos_part)`` arrays in ``parts``, term by term in the
-    order of ``verify.reference_log_likelihood``.  On a slice of the grid
-    tables the values are bit for bit those of
-    ``reference_log_likelihood(records, _grid())`` on that slice."""
-    total = np.zeros(len(parts[0][0]))
-    term = np.empty_like(total)
-    for rec, (sin_part, cos_part) in zip(records, parts):
-        total += np.multiply(rec.hits, sin_part, out=term)
-        total += np.multiply(rec.shots - rec.hits, cos_part, out=term)
-    return total
-
-
-def _grid_argmax(records) -> int:
-    """First grid index of the largest joint log-likelihood, the same as
-    ``np.argmax`` over the whole grid, scoring only the blocks that can hold it.
-
-    A block's bound is the weighted sum of its table maxima, added in the
-    order of the exact sum.  Weights are non-negative, and round-to-nearest
-    products and sums are monotone, so the float bound is at least the float
-    value at each angle of the block.  The block with the highest bound is
-    scored first; then the run of blocks from the first to the last whose
-    bound reaches its best value is scored in one slice.  A point outside
-    that run, or in a block of it whose bound falls short, scores below the
-    maximum, so ties still go to the smallest angle.
+def _weighted_sums(weights: np.ndarray, parts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``sum over r of weights[r, b] * parts[r, b, i]`` for every b and i, as
+    (B, k).  Rows 2j and 2j + 1 of ``weights`` (2R, B) are record j's hits and
+    misses, and ``parts`` (broadcast to ``out``'s (2R, B, k), ``out`` may be
+    ``parts``) holds the matching log sin^2 and log cos^2 values, so on table
+    values the sums are bit for bit ``verify.reference_log_likelihood``'s:
+    ``np.add.reduce`` over the first axis adds row after row in order when a
+    row has more than one element (over one column it would sum pairwise),
+    and here k is at least 8.
     """
-    tables = [_log_tables(rec.power) for rec in records]
+    np.multiply(weights[:, :, None], parts, out=out)
+    return np.add.reduce(out, axis=0)
 
-    def score(start: int, stop: int) -> np.ndarray:
-        return _weighted_sum(records, [(s[start:stop], c[start:stop]) for s, c, _, _ in tables])
 
-    bounds = _weighted_sum(records, [(max_s, max_c) for _, _, max_s, max_c in tables])
-    top = int(np.argmax(bounds)) * _BLOCK_POINTS
-    reachable = np.max(score(top, top + _BLOCK_POINTS))
-    candidates = np.flatnonzero(bounds >= reachable)
-    start = int(candidates[0]) * _BLOCK_POINTS
-    return start + int(np.argmax(score(start, (int(candidates[-1]) + 1) * _BLOCK_POINTS)))
+def _grid_argmaxes(record_sets, weights: np.ndarray) -> list[int]:
+    """First grid index of the largest joint log-likelihood of each record set,
+    ``np.argmax`` over the whole grid, by one :func:`_bounded_scan` per group
+    of sets with the same powers; ``weights`` are the kernel's columns."""
+    schedules: dict[tuple[int, ...], list[int]] = {}
+    for b, records in enumerate(record_sets):
+        schedules.setdefault(tuple(rec.power for rec in records), []).append(b)
+    best = np.empty(len(record_sets), dtype=np.intp)
+    for powers, columns in schedules.items():
+        best[columns] = _bounded_scan(powers, weights[:, columns])
+    return best.tolist()
+
+
+def _bounded_scan(powers, weights: np.ndarray) -> np.ndarray:
+    """First grid index of the largest joint log-likelihood of each column of
+    ``weights`` (2R, B), every column's records having the powers ``powers``.
+
+    A block's or sub-block's bound is the weighted sum of its table maxima,
+    added in the order of the exact sum.  Weights are non-negative, and
+    round-to-nearest products and sums are monotone, so the float bound is
+    at least the float value at each of its angles.  Each column's top block
+    is scored to get a value its maximum reaches; sub-block bounds are taken
+    only in the blocks whose bound reaches it, and only the sub-blocks whose
+    bound reaches it are scored.  Any angle left out scores below that value,
+    so ties still go to the smallest angle.
+    """
+    tables = [_log_tables(power) for power in powers]
+    rows, columns = weights.shape
+    bounds = np.concatenate([maxima for _, _, maxima, _ in tables])[:, None, :]
+    bounds = _weighted_sums(weights, bounds, np.empty((rows, columns, _BLOCKS)))
+    parts = np.empty((rows, columns, _BLOCK_POINTS))
+    top = bounds.argmax(axis=1)
+    # each take gathers straight into its rows of ``parts``: mode="clip" skips
+    # the buffered copy that the default mode makes (the indices are in range)
+    for j, (blocks, _, _, _) in enumerate(tables):
+        blocks.take(top, axis=1, out=parts[2 * j:2 * j + 2], mode="clip")
+    reach = _weighted_sums(weights, parts, parts).max(axis=1)
+
+    sets, kept = (bounds >= reach[:, None]).nonzero()
+    parts = np.empty((rows, len(kept), _BLOCK_POINTS // _SUB_POINTS))
+    for j, (_, _, _, sub_maxima) in enumerate(tables):
+        sub_maxima.take(kept, axis=1, out=parts[2 * j:2 * j + 2], mode="clip")
+    bounds = _weighted_sums(weights[:, sets], parts, parts)
+    pairs, subs = (bounds >= reach[sets, None]).nonzero()
+    sets = sets[pairs]
+    kept = kept[pairs] * (_BLOCK_POINTS // _SUB_POINTS) + subs
+
+    parts = np.empty((rows, len(kept), _SUB_POINTS))
+    for j, (_, sub_blocks, _, _) in enumerate(tables):
+        sub_blocks.take(kept, axis=1, out=parts[2 * j:2 * j + 2], mode="clip")
+    scores = _weighted_sums(weights[:, sets], parts, parts)
+    # sets ascend, and so do each set's sub-blocks: the first of a set's
+    # points at its maximum in this flat order is its smallest angle there
+    order = np.arange(columns)
+    best = np.maximum.reduceat(scores.max(axis=1), sets.searchsorted(order))
+    points = (scores == best[sets, None]).ravel().nonzero()[0]
+    first = points[sets[points // _SUB_POINTS].searchsorted(order)]
+    return kept[first // _SUB_POINTS] * _SUB_POINTS + first % _SUB_POINTS
 
 
 def _golden_max(lo: float, hi: float, tol: float):
@@ -295,17 +335,18 @@ def maximize_likelihoods(record_sets) -> list[tuple[float, float]]:
     log-likelihood there.
 
     Stage one finds the best of a uniform grid of ``GRID_POINTS`` angles by
-    a bounded scan, one record set at a time: an upper bound per block of
-    ``_BLOCK_POINTS`` angles rules out most blocks, and only the rest are
-    scored exactly.  Stage two refines between the grid neighbours of the
-    best point by golden section down to 1e-10, all record sets in lockstep
-    (see :func:`_lockstep`).  Ties go to the smaller angle, and the result
-    never scores below the best grid point.  The record sets must have the
-    same length.
+    a bounded scan, all record sets of one schedule together (see
+    :func:`_bounded_scan`): upper bounds per block of ``_BLOCK_POINTS``
+    angles, then per sub-block of ``_SUB_POINTS``, rule out most of the
+    grid, and only the rest is scored exactly.  Stage two refines between
+    the grid neighbours of the best point by golden section down to 1e-10,
+    all record sets in lockstep (see :func:`_lockstep`).  Ties go to the
+    smaller angle, and the result never scores below the best grid point.
+    The record sets must have the same length.
 
-    The grid's log sin^2 and log cos^2 tables and their block maxima are
-    built once per power and cached for the life of the process: 1.6 MB
-    plus about 6 KB per distinct power at 100,000 points.
+    The grid's log sin^2 and log cos^2 tables and their block and sub-block
+    maxima are built once per power and cached for the life of the process:
+    1.6 MB plus 56 KB per distinct power at 100,000 points.
     """
     if not all(record_sets):
         raise ValueError("need at least one measurement record")
@@ -314,11 +355,10 @@ def maximize_likelihoods(record_sets) -> list[tuple[float, float]]:
     multipliers, weights = _likelihood_columns(record_sets)
     grid = _grid()
     coarse, refines = [], []
-    for records in record_sets:
-        best = _grid_argmax(records)  # first occurrence: smallest angle wins ties
-        lo = float(grid[best - 1]) if best > 0 else float(grid[0])
-        hi = float(grid[best + 1]) if best + 1 < GRID_POINTS else float(grid[-1])
-        coarse.append(float(grid[best]))
+    for index in _grid_argmaxes(record_sets, weights):  # first occurrence: smallest angle wins ties
+        lo = float(grid[index - 1]) if index > 0 else float(grid[0])
+        hi = float(grid[index + 1]) if index + 1 < GRID_POINTS else float(grid[-1])
+        coarse.append(float(grid[index]))
         refines.append(_golden_max(lo, hi, _REFINE_TOL))
     refined = _lockstep(refines, multipliers, weights)
     coarse_values = _log_likelihoods(multipliers, weights, coarse).tolist()

@@ -22,8 +22,8 @@ from .core import OracleSpec, Statevector, apply_q, apply_q_power, apply_s_chi, 
     analytic_flag_probability, flag_probability, make_backend, prepare_a
 from .iqae import ConfidenceInterval, binomial_confidence, find_next_k
 from .mlqae import GRID_POINTS, LIKELIHOOD_FLOOR, MeasurementRecord, _INV_PHI, _REFINE_TOL, \
-    _grid, _grid_argmax, _log_tables, _weighted_sum, eis_schedule, lis_schedule, \
-    log_likelihood, maximize_likelihoods, run_mlqae_cell
+    _grid, _grid_argmaxes, _likelihood_columns, _log_tables, _weighted_sums, eis_schedule, \
+    lis_schedule, log_likelihood, maximize_likelihoods, run_mlqae_cell
 
 __all__ = [
     "CheckResult",
@@ -214,10 +214,11 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
 
 def reference_maximize_likelihood(records) -> tuple[float, float]:
     """``(theta, value)`` of one record set by the scalar refinement: the
-    bounded grid argmax, then golden section over
-    :func:`reference_scalar_log_likelihood`, one point per call."""
+    argmax of :func:`reference_log_likelihood` over the whole grid, then
+    golden section over :func:`reference_scalar_log_likelihood`, one point
+    per call."""
     grid = _grid()
-    best = _grid_argmax(records)  # first occurrence: smallest angle wins ties
+    best = int(np.argmax(reference_log_likelihood(records, grid)))  # first occurrence wins ties
     lo = float(grid[best - 1]) if best > 0 else float(grid[0])
     hi = float(grid[best + 1]) if best + 1 < GRID_POINTS else float(grid[-1])
     theta = _golden_max(
@@ -363,6 +364,15 @@ def _check_power_selection() -> CheckResult:
     return CheckResult("next-power search vs exact rational scan", ok, detail)
 
 
+def _table_scores(records) -> np.ndarray:
+    """The joint log-likelihood on the whole grid as the bounded scan scores
+    it: the weighted row sum of the records' cached tables."""
+    _, weights = _likelihood_columns([records])
+    parts = np.concatenate([_log_tables(rec.power)[0].reshape(2, -1) for rec in records])
+    parts = parts[:, None, :GRID_POINTS]
+    return _weighted_sums(weights, parts, np.empty(parts.shape))[0]
+
+
 def _check_log_likelihood() -> CheckResult:
     rng = _rng()
     angles = [0.0, math.pi / 2] + [float(t) for t in rng.uniform(0.0, math.pi / 2, 64)]
@@ -374,18 +384,22 @@ def _check_log_likelihood() -> CheckResult:
                 # hits of 0 and of N on alternating records, random in between
                 hits = (0, shots, int(rng.integers(0, shots + 1)))[i % 3]
                 records.append(MeasurementRecord(power, shots, hits))
-            # each record alone too: in a long sum a last-bit slip can round away
-            for subset in [records] + [[rec] for rec in records]:
-                want = reference_log_likelihood(subset, _grid())
-                tables = [_log_tables(rec.power)[:2] for rec in subset]
-                grid_bad += not np.array_equal(_weighted_sum(subset, tables), want)
-                argmax_bad += _grid_argmax(subset) != int(np.argmax(want))
+            # each record alone too, as one batch of mixed powers: in a long
+            # sum a last-bit slip can round away
+            singles = [[rec] for rec in records]
+            wants, got = [], []
+            for subset in [records] + singles:
+                wants.append(reference_log_likelihood(subset, _grid()))
+                grid_bad += not np.array_equal(_table_scores(subset), wants[-1])
                 scalar_bad += sum(
                     log_likelihood(subset, t) != reference_log_likelihood(subset, t)
                     for t in angles
                 )
+            for batch in ([records], singles):
+                got += _grid_argmaxes(batch, _likelihood_columns(batch)[1])
+            argmax_bad += sum(g != int(np.argmax(w)) for g, w in zip(got, wants))
     return CheckResult(
-        "log-likelihood fast paths and bounded grid argmax vs array reference, "
+        "log-likelihood fast paths and batched bounded grid argmax vs array reference, "
         "bit for bit (depth <= 18)",
         grid_bad == 0 and argmax_bad == 0 and scalar_bad == 0,
         f"{grid_bad} grid, {argmax_bad} argmax and {scalar_bad} scalar mismatches",
@@ -420,8 +434,8 @@ def _check_lockstep_maximizer() -> CheckResult:
         results += zip(batch, maximize_likelihoods(batch))
     differ = sum(got != reference_maximize_likelihood(records) for records, got in results)
     return CheckResult(
-        "lockstep likelihood maximizer vs scalar golden section, bit for bit "
-        "(tables 2-4, depth 18)",
+        "lockstep likelihood maximizer vs full-grid argmax and scalar golden section, "
+        "bit for bit (tables 2-4, depth 18)",
         differ == 0,
         f"{differ} of {len(results)} record sets differ in theta or value",
     )

@@ -174,6 +174,12 @@ class TestExperimentConfig:
         assert cfg.shots_list == (16, 32)
         assert all(isinstance(s, int) for s in cfg.shots_list)
 
+    def test_statevector_numpy_cannot_index_blames_qubits(self):
+        for algorithm in ("mlqae", "iqae"):
+            with pytest.raises(ValueError, match=r"^qubits: n=200 needs a statevector"):
+                ExperimentConfig(algorithm, qubits=200, backend="sv")
+        assert ExperimentConfig("mlqae", qubits=200).qubits == 200
+
     def test_unrepresentable_amplitude_rejected_for_estimators(self):
         with pytest.raises(ValueError, match="not representable"):
             ExperimentConfig("mlqae", qubits=4, a_true=0.1)

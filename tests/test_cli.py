@@ -89,6 +89,19 @@ class TestMlqaeCommand:
         assert f"--qubits: need at least one domain qubit, got qubits={qubits}" in err
         assert "--a" not in err
 
+    @pytest.mark.parametrize("estimator", [
+        ("mlqae", "--m", "3"),
+        ("iqae", "--epsilon", "0.01", "--alpha", "0.05"),
+    ])
+    def test_statevector_too_large_to_index_blames_qubits(self, capsys, estimator):
+        rc, out, err = run_cli(
+            capsys, *estimator, "--qubits", "200", "--a", "0.125",
+            "--shots", "16", "--seed", "0", "--backend", "sv",
+        )
+        assert rc == 1 and out == ""
+        assert ("--qubits: n=200 needs a statevector of 2**201 float64 amplitudes "
+                "(2**204 bytes), more than numpy can index") in err
+
 
 # ---------------------------------------------------------------------------
 # iqae
@@ -341,6 +354,8 @@ class TestSweepCommand:
             ("algorithm = iqae\nqubits = 4\nratio = 1\n", "growth ratio must be at least 2"),
             ("algorithm = mlqae\nqubits = 4\nm = -1\n", "depth must be non-negative"),
             ("algorithm = mlqae\nqubits = 4\nschedule = cubic\n", "unknown schedule kind"),
+            ("algorithm = mlqae\nqubits = 200\nbackend = sv\n",
+             ": qubits: n=200 needs a statevector of 2**201 float64 amplitudes"),
         ],
     )
     def test_malformed_config(self, capsys, tmp_path, text, fragment):

@@ -293,6 +293,18 @@ class TestBackends:
         with pytest.raises(ValueError):
             make_backend("qpu")
 
+    def test_statevector_numpy_cannot_index_is_rejected(self):
+        oracle = OracleSpec(200, 1)
+        message = r"n=200 needs a statevector of 2\*\*201 float64 amplitudes \(2\*\*204 bytes\)"
+        with pytest.raises(ValueError, match=message):
+            prepare_a(oracle)
+        with pytest.raises(ValueError, match=message):
+            StatevectorBackend().check_oracle(oracle)
+        with pytest.raises(ValueError, match=message):
+            StatevectorBackend().flag_probability(oracle, 1)
+        AnalyticBackend().check_oracle(oracle)
+        StatevectorBackend().check_oracle(OracleSpec(16, 1))
+
     def test_probabilities_agree(self):
         oracle = OracleSpec(5, 7)
         sv, an = StatevectorBackend(), AnalyticBackend()

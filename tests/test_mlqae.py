@@ -10,16 +10,18 @@ from hypothesis import strategies as st
 from qaelab.core import AnalyticBackend, OracleSpec, StatevectorBackend
 from qaelab.mlqae import (
     GRID_POINTS,
+    LIKELIHOOD_FLOOR,
     MeasurementRecord,
     Schedule,
     _BLOCK_POINTS,
+    _BLOCKS,
+    _SUB_POINTS,
     _golden_max,
     _grid,
-    _grid_argmax,
+    _grid_argmaxes,
     _likelihood_columns,
     _log_likelihoods,
     _log_tables,
-    _weighted_sum,
     eis_schedule,
     lis_schedule,
     log_likelihood,
@@ -31,6 +33,7 @@ from qaelab.mlqae import (
     run_mlqae_cell,
 )
 from qaelab.verify import (
+    _table_scores,
     reference_log_likelihood,
     reference_maximize_likelihood,
     reference_scalar_log_likelihood,
@@ -139,18 +142,24 @@ class TestLogLikelihoodBitwise:
     the reproduction CSVs."""
 
     @settings(max_examples=30, deadline=None)
-    @given(records=schedule_records(), middle=st.integers(1, GRID_POINTS // _BLOCK_POINTS - 1))
-    def test_grid_tables(self, records, middle):
-        # the first block, a middle one and the partial last one (160 points)
-        last = GRID_POINTS // _BLOCK_POINTS * _BLOCK_POINTS
-        spans = [(0, _BLOCK_POINTS), (middle * _BLOCK_POINTS, (middle + 1) * _BLOCK_POINTS),
-                 (last, GRID_POINTS)]
+    @given(records=schedule_records())
+    def test_grid_tables(self, records):
         for subset in with_singles(records):
             want = reference_log_likelihood(subset, _grid())
-            tables = [_log_tables(rec.power) for rec in subset]
-            for start, stop in spans:
-                parts = [(s[start:stop], c[start:stop]) for s, c, _, _ in tables]
-                assert np.array_equal(_weighted_sum(subset, parts), want[start:stop])
+            assert np.array_equal(_table_scores(subset), want)
+
+    @pytest.mark.parametrize("power", [0, 3, 2**17])
+    def test_table_padding_and_maxima(self, power):
+        blocks, subs, block_maxima, sub_maxima = _log_tables(power)
+        table = blocks.reshape(2, -1)
+        assert table.shape == (2, _BLOCKS * _BLOCK_POINTS)
+        # padding scores no higher than any grid angle
+        assert np.all(table[:, GRID_POINTS:] == np.log(LIKELIHOOD_FLOOR))
+        assert np.all(table[:, GRID_POINTS:] <= table[:, :GRID_POINTS].min(axis=1, keepdims=True))
+        assert np.shares_memory(subs, blocks) and subs.shape[2] == _SUB_POINTS
+        assert np.array_equal(sub_maxima.reshape(2, -1), subs.max(axis=2))
+        assert np.array_equal(block_maxima, blocks.max(axis=2))
+        assert not any(part.flags.writeable for part in (blocks, subs, block_maxima, sub_maxima))
 
     @settings(max_examples=100, deadline=None)
     @given(records=schedule_records(), seed=st.integers(0, 2**32 - 1))
@@ -206,6 +215,30 @@ class TestKernelArithmetic:
                 value = value + term
             assert got[b] == value
 
+    @pytest.mark.parametrize("inner", [(1, 8), (1, 32), (2, 8), (3, 32), (30, 256), (30, 391)])
+    def test_reduce_adds_rows_in_order(self, inner):
+        # the bounded scan's sums: (2R, B, k) arrays with k >= 8
+        rng = np.random.default_rng(sum(inner))
+        for rows in range(1, 39):
+            shape = (rows,) + inner
+            terms = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 13, size=shape)
+            value = terms[0]
+            for row in terms[1:]:
+                value = value + row
+            assert np.array_equal(np.add.reduce(terms, axis=0), value)
+
+    def test_reduce_over_one_column_is_not_in_order(self):
+        # why the scan never reduces rows of a single element
+        rng = np.random.default_rng(5)
+        differ = 0
+        for _ in range(50):
+            terms = rng.normal(size=(10, 1, 1)) * 10.0 ** rng.integers(-12, 13, size=(10, 1, 1))
+            value = terms[0]
+            for row in terms[1:]:
+                value = value + row
+            differ += not np.array_equal(np.add.reduce(terms, axis=0), value)
+        assert differ
+
 
 @st.composite
 def record_batches(draw):
@@ -222,6 +255,47 @@ def record_batches(draw):
             for power in schedule.powers
         ])
     return batch
+
+
+def peak_records(powers, shots, index):
+    """Records of ``powers`` whose hits round the expected counts at the grid
+    angle ``index``, so that their likelihood peaks near it."""
+    theta = float(_grid()[index])
+    return [MeasurementRecord(p, shots, round(shots * math.sin((2 * p + 1) * theta) ** 2))
+            for p in powers]
+
+
+@st.composite
+def mixed_batches(draw):
+    """1-10 record sets of 1-9 records each, every set with EIS, LIS or
+    other increasing powers; hits at random, all misses, all hits, or
+    around a peak drawn often from the short last grid block."""
+    length = draw(st.integers(1, 9))
+    batch = []
+    for _ in range(draw(st.integers(1, 10))):
+        powers = draw(st.one_of(
+            st.just(eis_schedule(length - 1).powers),
+            st.just(lis_schedule(length - 1).powers),
+            # few distinct powers: each one's grid tables stay cached (1.6 MB)
+            st.lists(st.integers(1, 20), min_size=length - 1, max_size=length - 1,
+                     unique=True).map(lambda ps: (0,) + tuple(sorted(ps))),
+        ))
+        shots = draw(st.one_of(st.integers(1, 3), st.integers(1, 4096)))
+        kind = draw(st.sampled_from(("random", "misses", "hits", "peak")))
+        if kind == "peak":
+            index = draw(st.one_of(st.integers((_BLOCKS - 1) * _BLOCK_POINTS, GRID_POINTS - 1),
+                                   st.integers(0, GRID_POINTS - 1)))
+            batch.append(peak_records(powers, shots, index))
+        else:
+            hits = {"random": st.integers(0, shots), "misses": st.just(0),
+                    "hits": st.just(shots)}[kind]
+            batch.append([MeasurementRecord(p, shots, draw(hits)) for p in powers])
+    return batch
+
+
+def grid_argmaxes(batch):
+    """The bounded scan's grid index of each record set of ``batch``."""
+    return _grid_argmaxes(batch, _likelihood_columns(batch)[1])
 
 
 def golden_steps(lo, hi):
@@ -264,7 +338,7 @@ class TestLockstep:
             [MeasurementRecord(p, 16, 16) for p in (0, 1, 2)],
             [MeasurementRecord(0, 64, 40), MeasurementRecord(1, 64, 9), MeasurementRecord(2, 64, 30)],
         ]
-        assert [_grid_argmax(records) for records in batch][::2] == [0, GRID_POINTS - 1]
+        assert grid_argmaxes(batch)[::2] == [0, GRID_POINTS - 1]
         grid = _grid()
         edge = golden_steps(float(grid[0]), float(grid[1]))
         inner = golden_steps(float(grid[0]), float(grid[2]))
@@ -293,9 +367,36 @@ class TestMaximize:
     @example(records=[MeasurementRecord(0, 16, 16)])  # float-flat near pi/2
     @example(records=[MeasurementRecord(0, 16, 0)])  # float-flat near 0
     def test_bounded_scan_matches_full_argmax(self, records):
-        for subset in with_singles(records):
-            want = int(np.argmax(reference_log_likelihood(subset, _grid())))
-            assert _grid_argmax(subset) == want
+        # the set alone, then its records as one batch of mixed powers
+        singles = [[rec] for rec in records]
+        got = grid_argmaxes([records]) + grid_argmaxes(singles)
+        for subset, index in zip(with_singles(records), got):
+            assert index == int(np.argmax(reference_log_likelihood(subset, _grid())))
+
+    @settings(max_examples=30, deadline=None)
+    @given(batch=mixed_batches())
+    def test_batched_scan_matches_full_argmax(self, batch):
+        want = [int(np.argmax(reference_log_likelihood(r, _grid()))) for r in batch]
+        assert grid_argmaxes(batch) == want
+        # a set's index does not depend on its batchmates
+        assert [grid_argmaxes([records])[0] for records in batch] == want
+
+    def test_batched_scan_edges(self):
+        # all misses, all hits, peaks inside the short last block (grid
+        # indices 99840-99999) and elsewhere, under three schedules of 5
+        schedules = [(0, 1, 2, 4, 8), (0, 1, 2, 3, 4), (0, 2, 3, 7, 11)]
+        targets = [99_840, 99_871, 99_950, 99_998, 12_345, 50_000, 0, GRID_POINTS - 1]
+        batch = []
+        for powers in schedules:
+            batch.append([MeasurementRecord(p, 64, 0) for p in powers])
+            batch.append([MeasurementRecord(p, 64, 64) for p in powers])
+            batch += [peak_records(powers, 4096, target) for target in targets]
+        want = [int(np.argmax(reference_log_likelihood(r, _grid()))) for r in batch]
+        assert want[:2] == [0, GRID_POINTS - 1]
+        last_block = [w for w in want if w >= (_BLOCKS - 1) * _BLOCK_POINTS]
+        assert len(last_block) >= 9 and min(last_block) < GRID_POINTS - 1
+        assert grid_argmaxes(batch) == want
+        assert grid_argmaxes(batch[::-1]) == want[::-1]
 
     def test_all_misses_gives_zero(self):
         assert maximize_likelihood([MeasurementRecord(0, 16, 0)]) == 0.0
