@@ -111,24 +111,41 @@ class MeasurementRecord:
             raise ValueError(f"hits={self.hits} outside [0, {self.shots}]")
 
 
-def _likelihood_columns(record_sets) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's ``(multipliers, weights)``, one column per record set.
+def _likelihood_columns(record_sets) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The record sets' ``powers`` and the kernel's ``(multipliers, weights)``.
 
-    Row j of multipliers holds ``2m + 1`` of each set's record j.  Rows
-    2j and 2j + 1 of weights hold that record's hits and misses, so a
-    column reads hits_0, misses_0, hits_1, and so on.  Every record set
-    must have the same length.
+    Every record set must have the same powers.  Row j of the (R, 1)
+    multipliers holds ``2m + 1`` of record j's power.  Rows 2j and 2j + 1 of
+    weights hold each set's record j hits and misses, one column per set,
+    so a column reads hits_0, misses_0, hits_1, and so on.
     """
-    if len({len(records) for records in record_sets}) > 1:
-        raise ValueError("record sets of one batch must have the same length")
-    records_at = list(zip(*record_sets))
-    multipliers = np.array([[2 * rec.power + 1 for rec in recs] for recs in records_at], dtype=float)
+    powers = tuple(rec.power for rec in record_sets[0])
+    if any(tuple(rec.power for rec in records) != powers for records in record_sets):
+        raise ValueError("record sets of one batch must have the same powers")
+    multipliers = np.array([[2 * power + 1] for power in powers], dtype=float)
     weights = np.array(
-        [row for recs in records_at
+        [row for recs in zip(*record_sets)
          for row in ([rec.hits for rec in recs], [rec.shots - rec.hits for rec in recs])],
         dtype=float,
     )
-    return multipliers, weights
+    return powers, multipliers, weights
+
+
+def _log_terms(angles: np.ndarray, out: np.ndarray) -> None:
+    """Floored log sin^2 and log cos^2 of ``angles`` (R, k) into rows 2j and
+    2j + 1 of ``out`` (2R, k), the one formula of the grid tables and the
+    kernel.  numpy's float64 sin, cos and log round as ``math.sin``,
+    ``math.cos`` and ``np.log`` of one float do; ``np.float_power(x, 2)`` is
+    libm's ``pow`` like Python's ``x ** 2``, where ``x * x`` differs in the
+    last bit now and then.
+    """
+    # positional outputs: the per-call overhead is most of the cost at a
+    # batch of one
+    np.sin(angles, out[0::2])
+    np.cos(angles, out[1::2])
+    np.float_power(out, 2, out)
+    np.maximum(out, LIKELIHOOD_FLOOR, out=out)
+    np.log(out, out)
 
 
 def _log_likelihoods(multipliers: np.ndarray, weights: np.ndarray, thetas) -> np.ndarray:
@@ -136,21 +153,11 @@ def _log_likelihoods(multipliers: np.ndarray, weights: np.ndarray, thetas) -> np
 
     The columns are :func:`_likelihood_columns`'.  Each value is bit for bit
     that of the per-record loop ``verify.reference_scalar_log_likelihood``:
-    numpy's float64 sin, cos and log round as ``math.sin``, ``math.cos``
-    and ``np.log`` of one float do; ``np.float_power(x, 2)`` is libm's
-    ``pow`` like Python's ``x ** 2``, where ``np.square`` computes
-    ``x * x`` and differs in the last bit now and then; and
-    ``np.add.accumulate`` adds down each column in the loop's order.
+    :func:`_log_terms` rounds as the loop does, and ``np.add.accumulate``
+    adds down each column in the loop's order.
     """
-    # positional outputs: the per-call overhead is most of the cost at a
-    # batch of one
-    angles = multipliers * np.array(thetas)
     terms = np.empty((2 * len(multipliers), len(thetas)))
-    np.sin(angles, terms[0::2])
-    np.cos(angles, terms[1::2])
-    np.float_power(terms, 2, terms)
-    np.maximum(terms, LIKELIHOOD_FLOOR, out=terms)
-    np.log(terms, terms)
+    _log_terms(multipliers * np.array(thetas), terms)
     terms *= weights
     return np.add.accumulate(terms)[-1]
 
@@ -163,12 +170,12 @@ def log_likelihood(records, theta: float) -> float:
         hits * log(sin^2((2m+1) theta)) + (shots - hits) * log(cos^2((2m+1) theta))
 
     with both squared terms clamped below at ``LIKELIHOOD_FLOOR``.  It is
-    the likelihood kernel on a batch of one; the coarse grid scan uses
-    :func:`_grid_argmaxes` over cached tables instead.
+    the likelihood kernel on a batch of one; the coarse grid scan sums
+    cached tables of the same terms instead (see :func:`_bounded_scan`).
     """
     if not records:
         return 0.0
-    multipliers, weights = _likelihood_columns([records])
+    _, multipliers, weights = _likelihood_columns([records])
     return float(_log_likelihoods(multipliers, weights, [theta])[0])
 
 
@@ -183,8 +190,8 @@ def _grid() -> np.ndarray:
 @functools.cache
 def _log_tables(power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only rows floored log sin^2 and log cos^2 of ``(2 power + 1) theta``
-    on the grid, elementwise the same as ``verify.reference_log_likelihood``
-    computes and padded with the floor's log to ``_BLOCKS`` whole blocks.
+    on the grid, by :func:`_log_terms` as the kernel computes them, and
+    padded with the floor's log to ``_BLOCKS`` whole blocks.
 
     Returned as ``(blocks, subs, block_maxima, sub_maxima)``: the (2, ``_PADDED``)
     table viewed as (2, ``_BLOCKS``, ``_BLOCK_POINTS``) and as (2, sub-blocks,
@@ -193,13 +200,8 @@ def _log_tables(power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     point scores no higher than any grid angle and comes after all of them.
     Cached for the life of the process: 1.6 MB plus 56 KB per distinct power.
     """
-    angles = (2 * power + 1) * _grid()
-    table = np.full((2, _PADDED), LIKELIHOOD_FLOOR)
-    np.sin(angles, out=table[0, :GRID_POINTS])
-    np.cos(angles, out=table[1, :GRID_POINTS])
-    np.square(table, out=table)  # what ``array ** 2`` computes
-    np.maximum(table, LIKELIHOOD_FLOOR, out=table)
-    np.log(table, out=table)
+    table = np.full((2, _PADDED), np.log(LIKELIHOOD_FLOOR))
+    _log_terms((2 * power + 1) * _grid()[None, :], table[:, :GRID_POINTS])
     subs = table.reshape(2, -1, _SUB_POINTS)
     sub_maxima = subs.max(axis=2).reshape(2, _BLOCKS, -1)
     tables = (table.reshape(2, _BLOCKS, _BLOCK_POINTS), subs, sub_maxima.max(axis=2), sub_maxima)
@@ -222,22 +224,12 @@ def _weighted_sums(weights: np.ndarray, parts: np.ndarray, out: np.ndarray) -> n
     return np.add.reduce(out, axis=0)
 
 
-def _grid_argmaxes(record_sets, weights: np.ndarray) -> list[int]:
-    """First grid index of the largest joint log-likelihood of each record set,
-    ``np.argmax`` over the whole grid, by one :func:`_bounded_scan` per group
-    of sets with the same powers; ``weights`` are the kernel's columns."""
-    schedules: dict[tuple[int, ...], list[int]] = {}
-    for b, records in enumerate(record_sets):
-        schedules.setdefault(tuple(rec.power for rec in records), []).append(b)
-    best = np.empty(len(record_sets), dtype=np.intp)
-    for powers, columns in schedules.items():
-        best[columns] = _bounded_scan(powers, weights[:, columns])
-    return best.tolist()
-
-
-def _bounded_scan(powers, weights: np.ndarray) -> np.ndarray:
+def _bounded_scan(powers, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First grid index of the largest joint log-likelihood of each column of
-    ``weights`` (2R, B), every column's records having the powers ``powers``.
+    ``weights`` (2R, B), every column's records having the powers ``powers``,
+    and that largest value: bit for bit :func:`log_likelihood` at the index's
+    angle, since the tables hold the kernel's terms and ``_weighted_sums``
+    adds them in the kernel's order.
 
     A block's or sub-block's bound is the weighted sum of its table maxima,
     added in the order of the exact sum.  Weights are non-negative, and
@@ -279,7 +271,7 @@ def _bounded_scan(powers, weights: np.ndarray) -> np.ndarray:
     best = np.maximum.reduceat(scores.max(axis=1), sets.searchsorted(order))
     points = (scores == best[sets, None]).ravel().nonzero()[0]
     first = points[sets[points // _SUB_POINTS].searchsorted(order)]
-    return kept[first // _SUB_POINTS] * _SUB_POINTS + first % _SUB_POINTS
+    return kept[first // _SUB_POINTS] * _SUB_POINTS + first % _SUB_POINTS, best
 
 
 def _golden_max(lo: float, hi: float, tol: float):
@@ -306,10 +298,11 @@ def _golden_max(lo: float, hi: float, tol: float):
 
 def _lockstep(refines, multipliers: np.ndarray, weights: np.ndarray) -> list[float]:
     """Results of the :func:`_golden_max` generators ``refines``, column b of
-    the kernel's arrays belonging to ``refines[b]``.
+    the kernel's weights belonging to ``refines[b]``.
 
     All live generators step together: each step evaluates every one's next
-    point in one kernel call.  A finished generator's column leaves the batch.
+    point in one kernel call.  A finished generator's column leaves the
+    weights; the one multipliers column serves every set.
     """
     results = [0.0] * len(refines)
     live = list(range(len(refines)))
@@ -325,7 +318,7 @@ def _lockstep(refines, multipliers: np.ndarray, weights: np.ndarray) -> list[flo
                 results[b] = done.value
         if len(kept) < len(live):
             live = [live[column] for column in kept]
-            multipliers, weights = multipliers[:, kept], weights[:, kept]
+            weights = weights[:, kept]
     return results
 
 
@@ -335,14 +328,14 @@ def maximize_likelihoods(record_sets) -> list[tuple[float, float]]:
     log-likelihood there.
 
     Stage one finds the best of a uniform grid of ``GRID_POINTS`` angles by
-    a bounded scan, all record sets of one schedule together (see
+    a bounded scan, all record sets together (see
     :func:`_bounded_scan`): upper bounds per block of ``_BLOCK_POINTS``
     angles, then per sub-block of ``_SUB_POINTS``, rule out most of the
     grid, and only the rest is scored exactly.  Stage two refines between
     the grid neighbours of the best point by golden section down to 1e-10,
     all record sets in lockstep (see :func:`_lockstep`).  Ties go to the
     smaller angle, and the result never scores below the best grid point.
-    The record sets must have the same length.
+    The record sets must have the same powers.
 
     The grid's log sin^2 and log cos^2 tables and their block and sub-block
     maxima are built once per power and cached for the life of the process:
@@ -352,20 +345,20 @@ def maximize_likelihoods(record_sets) -> list[tuple[float, float]]:
         raise ValueError("need at least one measurement record")
     if not record_sets:
         return []
-    multipliers, weights = _likelihood_columns(record_sets)
+    powers, multipliers, weights = _likelihood_columns(record_sets)
     grid = _grid()
+    indices, coarse_values = _bounded_scan(powers, weights)
     coarse, refines = [], []
-    for index in _grid_argmaxes(record_sets, weights):  # first occurrence: smallest angle wins ties
+    for index in indices.tolist():  # first occurrence: smallest angle wins ties
         lo = float(grid[index - 1]) if index > 0 else float(grid[0])
         hi = float(grid[index + 1]) if index + 1 < GRID_POINTS else float(grid[-1])
         coarse.append(float(grid[index]))
         refines.append(_golden_max(lo, hi, _REFINE_TOL))
     refined = _lockstep(refines, multipliers, weights)
-    coarse_values = _log_likelihoods(multipliers, weights, coarse).tolist()
     refined_values = _log_likelihoods(multipliers, weights, refined).tolist()
     results = []
     for theta, value, coarse_theta, coarse_value in zip(
-        refined, refined_values, coarse, coarse_values
+        refined, refined_values, coarse, coarse_values.tolist()
     ):
         if value < coarse_value or (value == coarse_value and coarse_theta < theta):
             theta, value = coarse_theta, coarse_value

@@ -11,6 +11,7 @@ The CLI ``verify`` subcommand runs :func:`run_checks`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +23,7 @@ from .core import OracleSpec, Statevector, apply_q, apply_q_power, apply_s_chi, 
     analytic_flag_probability, flag_probability, make_backend, prepare_a
 from .iqae import ConfidenceInterval, binomial_confidence, find_next_k
 from .mlqae import GRID_POINTS, LIKELIHOOD_FLOOR, MeasurementRecord, _INV_PHI, _REFINE_TOL, \
-    _grid, _grid_argmaxes, _likelihood_columns, _log_tables, _weighted_sums, eis_schedule, \
+    _bounded_scan, _grid, _likelihood_columns, _log_tables, _weighted_sums, eis_schedule, \
     lis_schedule, log_likelihood, maximize_likelihoods, run_mlqae_cell
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "dense_preparation",
     "dense_iterate",
     "probe_iterate",
+    "reference_grid_log_likelihood",
     "reference_log_likelihood",
     "reference_maximize_likelihood",
     "reference_scalar_log_likelihood",
@@ -154,29 +156,51 @@ def reference_largest_power(lo: float, hi: float) -> tuple[int, bool]:
     raise ValueError(f"no admissible power for [{lo}, {hi}]")
 
 
+def _reference_logs(power: int, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Floored log sin^2 and log cos^2 of ``(2 power + 1) angles``, squared by
+    ``np.float_power``, libm's ``pow``, on every shape of ``angles``."""
+    c = 2 * power + 1
+    s2 = np.float_power(np.sin(c * angles), 2)
+    c2 = np.float_power(np.cos(c * angles), 2)
+    return np.log(np.maximum(s2, LIKELIHOOD_FLOOR)), np.log(np.maximum(c2, LIKELIHOOD_FLOOR))
+
+
+@functools.lru_cache(maxsize=64)
+def _reference_grid_logs(power: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_reference_logs` over the whole grid, kept for the 64 powers
+    used last (1.6 MB each)."""
+    logs = _reference_logs(power, _grid())
+    for part in logs:
+        part.flags.writeable = False
+    return logs
+
+
+def _reference_sum(records, logs, total):
+    """``total`` plus each record's hits and misses times its floored logs,
+    ``logs(power)``, added one record after another."""
+    for rec in records:
+        log_s2, log_c2 = logs(rec.power)
+        total = total + rec.hits * log_s2
+        total = total + (rec.shots - rec.hits) * log_c2
+    return total
+
+
 def reference_log_likelihood(records, theta):
     """Joint log-likelihood by the plain array formulation: sin, cos and log
-    recomputed for every record at every angle, with no cached tables.
-
-    Its ``** 2`` squares differently by the shape of ``theta``.  On a 0-d
-    ``theta`` the sines and cosines are numpy float64 scalars, whose ``** 2``
-    is libm's ``pow``, as in :func:`reference_scalar_log_likelihood` and the
-    likelihood kernel's ``np.float_power``.  On an array it is ``np.square``,
-    that is ``x * x``, as in the grid tables.  The two differ in the last bit
-    on 828 of 10**6 uniform draws in [0, 1) (numpy 2.4.6, glibc, x86-64),
-    which is why the tables and the refinement square differently.
-    """
+    recomputed for every record at every angle, with no cached tables."""
     angles = np.asarray(theta, dtype=float)
-    total = np.zeros(angles.shape)
-    for rec in records:
-        c = 2 * rec.power + 1
-        s2 = np.sin(c * angles) ** 2
-        c2 = np.cos(c * angles) ** 2
-        total = total + rec.hits * np.log(np.maximum(s2, LIKELIHOOD_FLOOR))
-        total = total + (rec.shots - rec.hits) * np.log(np.maximum(c2, LIKELIHOOD_FLOOR))
+    total = _reference_sum(records, lambda power: _reference_logs(power, angles),
+                           np.zeros(angles.shape))
     if np.ndim(theta) == 0:
         return float(total)
     return total
+
+
+def reference_grid_log_likelihood(records) -> np.ndarray:
+    """``reference_log_likelihood(records, _grid())`` bit for bit, from each
+    power's grid logs computed once: the same terms summed in the same
+    order."""
+    return _reference_sum(records, _reference_grid_logs, np.zeros(GRID_POINTS))
 
 
 def reference_scalar_log_likelihood(records, theta: float) -> float:
@@ -214,11 +238,11 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
 
 def reference_maximize_likelihood(records) -> tuple[float, float]:
     """``(theta, value)`` of one record set by the scalar refinement: the
-    argmax of :func:`reference_log_likelihood` over the whole grid, then
+    argmax of :func:`reference_grid_log_likelihood` over the whole grid, then
     golden section over :func:`reference_scalar_log_likelihood`, one point
     per call."""
     grid = _grid()
-    best = int(np.argmax(reference_log_likelihood(records, grid)))  # first occurrence wins ties
+    best = int(np.argmax(reference_grid_log_likelihood(records)))  # first occurrence wins ties
     lo = float(grid[best - 1]) if best > 0 else float(grid[0])
     hi = float(grid[best + 1]) if best + 1 < GRID_POINTS else float(grid[-1])
     theta = _golden_max(
@@ -367,7 +391,7 @@ def _check_power_selection() -> CheckResult:
 def _table_scores(records) -> np.ndarray:
     """The joint log-likelihood on the whole grid as the bounded scan scores
     it: the weighted row sum of the records' cached tables."""
-    _, weights = _likelihood_columns([records])
+    _, _, weights = _likelihood_columns([records])
     parts = np.concatenate([_log_tables(rec.power)[0].reshape(2, -1) for rec in records])
     parts = parts[:, None, :GRID_POINTS]
     return _weighted_sums(weights, parts, np.empty(parts.shape))[0]
@@ -384,22 +408,18 @@ def _check_log_likelihood() -> CheckResult:
                 # hits of 0 and of N on alternating records, random in between
                 hits = (0, shots, int(rng.integers(0, shots + 1)))[i % 3]
                 records.append(MeasurementRecord(power, shots, hits))
-            # each record alone too, as one batch of mixed powers: in a long
-            # sum a last-bit slip can round away
-            singles = [[rec] for rec in records]
-            wants, got = [], []
-            for subset in [records] + singles:
-                wants.append(reference_log_likelihood(subset, _grid()))
-                grid_bad += not np.array_equal(_table_scores(subset), wants[-1])
+            # each record alone too: in a long sum a last-bit slip can round away
+            for subset in [records] + [[rec] for rec in records]:
+                want = reference_grid_log_likelihood(subset)
+                grid_bad += not np.array_equal(_table_scores(subset), want)
                 scalar_bad += sum(
                     log_likelihood(subset, t) != reference_log_likelihood(subset, t)
                     for t in angles
                 )
-            for batch in ([records], singles):
-                got += _grid_argmaxes(batch, _likelihood_columns(batch)[1])
-            argmax_bad += sum(g != int(np.argmax(w)) for g, w in zip(got, wants))
+                powers, _, weights = _likelihood_columns([subset])
+                argmax_bad += int(_bounded_scan(powers, weights)[0][0]) != int(np.argmax(want))
     return CheckResult(
-        "log-likelihood fast paths and batched bounded grid argmax vs array reference, "
+        "log-likelihood fast paths and bounded grid argmax vs array reference, "
         "bit for bit (depth <= 18)",
         grid_bad == 0 and argmax_bad == 0 and scalar_bad == 0,
         f"{grid_bad} grid, {argmax_bad} argmax and {scalar_bad} scalar mismatches",

@@ -16,9 +16,9 @@ from qaelab.mlqae import (
     _BLOCK_POINTS,
     _BLOCKS,
     _SUB_POINTS,
+    _bounded_scan,
     _golden_max,
     _grid,
-    _grid_argmaxes,
     _likelihood_columns,
     _log_likelihoods,
     _log_tables,
@@ -34,6 +34,7 @@ from qaelab.mlqae import (
 )
 from qaelab.verify import (
     _table_scores,
+    reference_grid_log_likelihood,
     reference_log_likelihood,
     reference_maximize_likelihood,
     reference_scalar_log_likelihood,
@@ -147,6 +148,18 @@ class TestLogLikelihoodBitwise:
         for subset in with_singles(records):
             want = reference_log_likelihood(subset, _grid())
             assert np.array_equal(_table_scores(subset), want)
+            assert np.array_equal(reference_grid_log_likelihood(subset), want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(records=schedule_records())
+    def test_tables_score_as_the_kernel(self, records):
+        # one formula: a table score at grid index i is the kernel's value at
+        # grid[i], so the scan's best value needs no second evaluation
+        powers, multipliers, weights = _likelihood_columns([records])
+        want = _log_likelihoods(multipliers, weights, _grid())
+        assert np.array_equal(_table_scores(records), want)
+        (index,), (best,) = _bounded_scan(powers, weights)
+        assert best == log_likelihood(records, float(_grid()[index]))
 
     @pytest.mark.parametrize("power", [0, 3, 2**17])
     def test_table_padding_and_maxima(self, power):
@@ -240,23 +253,6 @@ class TestKernelArithmetic:
         assert differ
 
 
-@st.composite
-def record_batches(draw):
-    """1-40 record sets of one depth, 0-8, each EIS or LIS, with hits of 0
-    and of N drawn often."""
-    depth = draw(st.integers(0, 8))
-    batch = []
-    for _ in range(draw(st.integers(1, 40))):
-        schedule = draw(st.sampled_from((eis_schedule, lis_schedule)))(depth)
-        shots = draw(st.one_of(st.integers(1, 3), st.integers(1, 4096)))
-        batch.append([
-            MeasurementRecord(power, shots, draw(st.one_of(
-                st.just(0), st.just(shots), st.integers(0, shots))))
-            for power in schedule.powers
-        ])
-    return batch
-
-
 def peak_records(powers, shots, index):
     """Records of ``powers`` whose hits round the expected counts at the grid
     angle ``index``, so that their likelihood peaks near it."""
@@ -266,20 +262,21 @@ def peak_records(powers, shots, index):
 
 
 @st.composite
-def mixed_batches(draw):
-    """1-10 record sets of 1-9 records each, every set with EIS, LIS or
-    other increasing powers; hits at random, all misses, all hits, or
-    around a peak drawn often from the short last grid block."""
+def record_batches(draw):
+    """1-40 record sets of one powers tuple of length 1-9, EIS, LIS or other
+    increasing powers; in each set, hits at random with 0 and N drawn often,
+    all misses, all hits, or around a peak drawn often from the short last
+    grid block."""
     length = draw(st.integers(1, 9))
+    powers = draw(st.one_of(
+        st.just(eis_schedule(length - 1).powers),
+        st.just(lis_schedule(length - 1).powers),
+        # few distinct powers: each one's grid tables stay cached (1.6 MB)
+        st.lists(st.integers(1, 20), min_size=length - 1, max_size=length - 1,
+                 unique=True).map(lambda ps: (0,) + tuple(sorted(ps))),
+    ))
     batch = []
-    for _ in range(draw(st.integers(1, 10))):
-        powers = draw(st.one_of(
-            st.just(eis_schedule(length - 1).powers),
-            st.just(lis_schedule(length - 1).powers),
-            # few distinct powers: each one's grid tables stay cached (1.6 MB)
-            st.lists(st.integers(1, 20), min_size=length - 1, max_size=length - 1,
-                     unique=True).map(lambda ps: (0,) + tuple(sorted(ps))),
-        ))
+    for _ in range(draw(st.integers(1, 40))):
         shots = draw(st.one_of(st.integers(1, 3), st.integers(1, 4096)))
         kind = draw(st.sampled_from(("random", "misses", "hits", "peak")))
         if kind == "peak":
@@ -287,15 +284,16 @@ def mixed_batches(draw):
                                    st.integers(0, GRID_POINTS - 1)))
             batch.append(peak_records(powers, shots, index))
         else:
-            hits = {"random": st.integers(0, shots), "misses": st.just(0),
-                    "hits": st.just(shots)}[kind]
+            hits = {"random": st.one_of(st.just(0), st.just(shots), st.integers(0, shots)),
+                    "misses": st.just(0), "hits": st.just(shots)}[kind]
             batch.append([MeasurementRecord(p, shots, draw(hits)) for p in powers])
     return batch
 
 
 def grid_argmaxes(batch):
     """The bounded scan's grid index of each record set of ``batch``."""
-    return _grid_argmaxes(batch, _likelihood_columns(batch)[1])
+    powers, _, weights = _likelihood_columns(batch)
+    return _bounded_scan(powers, weights)[0].tolist()
 
 
 def golden_steps(lo, hi):
@@ -317,7 +315,7 @@ class TestLockstep:
     @settings(max_examples=20, deadline=None)
     @given(batch=record_batches(), seed=st.integers(0, 2**32 - 1))
     def test_kernel_columns_match_scalar_loop(self, batch, seed):
-        multipliers, weights = _likelihood_columns(batch)
+        _, multipliers, weights = _likelihood_columns(batch)
         thetas = np.random.default_rng(seed).uniform(0.0, math.pi / 2, len(batch)).tolist()
         thetas[0] = 0.0
         thetas[-1] = math.pi / 2
@@ -356,9 +354,14 @@ class TestLockstep:
         assert maximize_likelihoods([]) == []
         with pytest.raises(ValueError, match="at least one"):
             maximize_likelihoods([[MeasurementRecord(0, 16, 3)], []])
-        with pytest.raises(ValueError, match="same length"):
+        message = "^record sets of one batch must have the same powers$"
+        with pytest.raises(ValueError, match=message):
             maximize_likelihoods([[MeasurementRecord(0, 16, 3)],
                                   [MeasurementRecord(0, 16, 3), MeasurementRecord(1, 16, 3)]])
+        # the same length, different powers
+        with pytest.raises(ValueError, match=message):
+            maximize_likelihoods([[MeasurementRecord(0, 16, 3), MeasurementRecord(1, 16, 3)],
+                                  [MeasurementRecord(0, 16, 3), MeasurementRecord(2, 16, 3)]])
 
 
 class TestMaximize:
@@ -367,36 +370,35 @@ class TestMaximize:
     @example(records=[MeasurementRecord(0, 16, 16)])  # float-flat near pi/2
     @example(records=[MeasurementRecord(0, 16, 0)])  # float-flat near 0
     def test_bounded_scan_matches_full_argmax(self, records):
-        # the set alone, then its records as one batch of mixed powers
-        singles = [[rec] for rec in records]
-        got = grid_argmaxes([records]) + grid_argmaxes(singles)
-        for subset, index in zip(with_singles(records), got):
-            assert index == int(np.argmax(reference_log_likelihood(subset, _grid())))
+        # the set alone, then each record alone, a batch of one each
+        for subset in with_singles(records):
+            want = int(np.argmax(reference_grid_log_likelihood(subset)))
+            assert grid_argmaxes([subset]) == [want]
 
     @settings(max_examples=30, deadline=None)
-    @given(batch=mixed_batches())
+    @given(batch=record_batches())
     def test_batched_scan_matches_full_argmax(self, batch):
-        want = [int(np.argmax(reference_log_likelihood(r, _grid()))) for r in batch]
+        want = [int(np.argmax(reference_grid_log_likelihood(r))) for r in batch]
         assert grid_argmaxes(batch) == want
         # a set's index does not depend on its batchmates
         assert [grid_argmaxes([records])[0] for records in batch] == want
 
     def test_batched_scan_edges(self):
         # all misses, all hits, peaks inside the short last block (grid
-        # indices 99840-99999) and elsewhere, under three schedules of 5
+        # indices 99840-99999) and elsewhere, in one batch per schedule of 5
         schedules = [(0, 1, 2, 4, 8), (0, 1, 2, 3, 4), (0, 2, 3, 7, 11)]
         targets = [99_840, 99_871, 99_950, 99_998, 12_345, 50_000, 0, GRID_POINTS - 1]
-        batch = []
+        last_block = []
         for powers in schedules:
-            batch.append([MeasurementRecord(p, 64, 0) for p in powers])
-            batch.append([MeasurementRecord(p, 64, 64) for p in powers])
+            batch = [[MeasurementRecord(p, 64, 0) for p in powers],
+                     [MeasurementRecord(p, 64, 64) for p in powers]]
             batch += [peak_records(powers, 4096, target) for target in targets]
-        want = [int(np.argmax(reference_log_likelihood(r, _grid()))) for r in batch]
-        assert want[:2] == [0, GRID_POINTS - 1]
-        last_block = [w for w in want if w >= (_BLOCKS - 1) * _BLOCK_POINTS]
+            want = [int(np.argmax(reference_grid_log_likelihood(r))) for r in batch]
+            assert want[:2] == [0, GRID_POINTS - 1]
+            last_block += [w for w in want if w >= (_BLOCKS - 1) * _BLOCK_POINTS]
+            assert grid_argmaxes(batch) == want
+            assert grid_argmaxes(batch[::-1]) == want[::-1]
         assert len(last_block) >= 9 and min(last_block) < GRID_POINTS - 1
-        assert grid_argmaxes(batch) == want
-        assert grid_argmaxes(batch[::-1]) == want[::-1]
 
     def test_all_misses_gives_zero(self):
         assert maximize_likelihood([MeasurementRecord(0, 16, 0)]) == 0.0
