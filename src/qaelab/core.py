@@ -280,8 +280,7 @@ class StatevectorBackend(Backend):
     oracle advances from it, anything else restarts from the prepared state.
     Both paths apply the same sequence of iterates to the same start, so the
     memo returns exactly what a fresh simulation would.  Stored arrays are
-    read-only and every update is a single assignment, so threads may share
-    an instance; a race at worst computes one value twice.
+    read-only.
     """
 
     name = "sv"

@@ -188,48 +188,52 @@ def _grid() -> np.ndarray:
 
 
 @functools.cache
-def _log_tables(power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _log_tables(power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only rows floored log sin^2 and log cos^2 of ``(2 power + 1) theta``
     on the grid, by :func:`_log_terms` as the kernel computes them, and
     padded with the floor's log to ``_BLOCKS`` whole blocks.
 
-    Returned as ``(blocks, subs, block_maxima, sub_maxima)``: the (2, ``_PADDED``)
-    table viewed as (2, ``_BLOCKS``, ``_BLOCK_POINTS``) and as (2, sub-blocks,
-    ``_SUB_POINTS``), then its maxima over each block, (2, ``_BLOCKS``), and over
-    each sub-block, (2, ``_BLOCKS``, ``_BLOCK_POINTS // _SUB_POINTS``).  A pad
-    point scores no higher than any grid angle and comes after all of them.
-    Cached for the life of the process: 1.6 MB plus 56 KB per distinct power.
+    Returned as ``(table, sub_maxima, block_maxima)``: the (2, ``_PADDED``)
+    table, its maxima over each sub-block, (2, ``_PADDED // _SUB_POINTS``),
+    and over each block, (2, ``_BLOCKS``).  A pad point scores no higher than
+    any grid angle and comes after all of them.  Cached for the life of the
+    process: 1.6 MB plus 56 KB per distinct power.
     """
     table = np.full((2, _PADDED), np.log(LIKELIHOOD_FLOOR))
     _log_terms((2 * power + 1) * _grid()[None, :], table[:, :GRID_POINTS])
-    subs = table.reshape(2, -1, _SUB_POINTS)
-    sub_maxima = subs.max(axis=2).reshape(2, _BLOCKS, -1)
-    tables = (table.reshape(2, _BLOCKS, _BLOCK_POINTS), subs, sub_maxima.max(axis=2), sub_maxima)
-    for part in tables:
+    sub_maxima = table.reshape(2, -1, _SUB_POINTS).max(axis=2)
+    block_maxima = sub_maxima.reshape(2, _BLOCKS, -1).max(axis=2)
+    for part in (table, sub_maxima, block_maxima):
         part.flags.writeable = False
-    return tables
+    return table, sub_maxima, block_maxima
 
 
-def _weighted_sums(weights: np.ndarray, parts: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``sum over r of weights[r, b] * parts[r, b, i]`` for every b and i, as
-    (B, k).  Rows 2j and 2j + 1 of ``weights`` (2R, B) are record j's hits and
-    misses, and ``parts`` (broadcast to ``out``'s (2R, B, k), ``out`` may be
-    ``parts``) holds the matching log sin^2 and log cos^2 values, so on table
-    values the sums are bit for bit ``verify.reference_log_likelihood``'s:
-    ``np.add.reduce`` over the first axis adds row after row in order when a
-    row has more than one element (over one column it would sum pairwise),
-    and here k is at least 8.
+def _scores(weights: np.ndarray, rows, width: int, sets, nodes) -> np.ndarray:
+    """Weighted sums over K nodes, as (K, ``width``): node k is the
+    ``nodes[k]``-th run of ``width`` values of each row of ``rows`` (one
+    (2, n) array of log sin^2 and log cos^2 values per record), the rows
+    weighted by column ``sets[k]`` of ``weights`` (2R, B), whose rows 2j and
+    2j + 1 are record j's hits and misses.  On table values the sums are bit
+    for bit ``verify.reference_log_likelihood``'s: ``np.add.reduce`` over
+    the first axis adds row after row in order when a row has more than one
+    element (over one column it would sum pairwise), and every width here
+    is at least 8.
     """
-    np.multiply(weights[:, :, None], parts, out=out)
-    return np.add.reduce(out, axis=0)
+    parts = np.empty((len(weights), len(nodes), width))
+    # each take gathers straight into its rows of ``parts``: mode="clip" skips
+    # the buffered copy that the default mode makes (the indices are in range)
+    for j, row in enumerate(rows):
+        row.reshape(2, -1, width).take(nodes, axis=1, out=parts[2 * j:2 * j + 2], mode="clip")
+    parts *= weights[:, sets, None]
+    return np.add.reduce(parts, axis=0)
 
 
 def _bounded_scan(powers, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First grid index of the largest joint log-likelihood of each column of
     ``weights`` (2R, B), every column's records having the powers ``powers``,
     and that largest value: bit for bit :func:`log_likelihood` at the index's
-    angle, since the tables hold the kernel's terms and ``_weighted_sums``
-    adds them in the kernel's order.
+    angle, since the tables hold the kernel's terms and :func:`_scores` adds
+    them in the kernel's order.
 
     A block's or sub-block's bound is the weighted sum of its table maxima,
     added in the order of the exact sum.  Weights are non-negative, and
@@ -240,34 +244,20 @@ def _bounded_scan(powers, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bound reaches it are scored.  Any angle left out scores below that value,
     so ties still go to the smallest angle.
     """
-    tables = [_log_tables(power) for power in powers]
-    rows, columns = weights.shape
-    bounds = np.concatenate([maxima for _, _, maxima, _ in tables])[:, None, :]
-    bounds = _weighted_sums(weights, bounds, np.empty((rows, columns, _BLOCKS)))
-    parts = np.empty((rows, columns, _BLOCK_POINTS))
-    top = bounds.argmax(axis=1)
-    # each take gathers straight into its rows of ``parts``: mode="clip" skips
-    # the buffered copy that the default mode makes (the indices are in range)
-    for j, (blocks, _, _, _) in enumerate(tables):
-        blocks.take(top, axis=1, out=parts[2 * j:2 * j + 2], mode="clip")
-    reach = _weighted_sums(weights, parts, parts).max(axis=1)
+    tables, sub_maxima, block_maxima = zip(*(_log_tables(power) for power in powers))
+    order = np.arange(weights.shape[1])
+    bounds = _scores(weights, block_maxima, _BLOCKS, order, np.zeros_like(order))
+    reach = _scores(weights, tables, _BLOCK_POINTS, order, bounds.argmax(axis=1)).max(axis=1)
 
     sets, kept = (bounds >= reach[:, None]).nonzero()
-    parts = np.empty((rows, len(kept), _BLOCK_POINTS // _SUB_POINTS))
-    for j, (_, _, _, sub_maxima) in enumerate(tables):
-        sub_maxima.take(kept, axis=1, out=parts[2 * j:2 * j + 2], mode="clip")
-    bounds = _weighted_sums(weights[:, sets], parts, parts)
+    bounds = _scores(weights, sub_maxima, _BLOCK_POINTS // _SUB_POINTS, sets, kept)
     pairs, subs = (bounds >= reach[sets, None]).nonzero()
     sets = sets[pairs]
     kept = kept[pairs] * (_BLOCK_POINTS // _SUB_POINTS) + subs
 
-    parts = np.empty((rows, len(kept), _SUB_POINTS))
-    for j, (_, sub_blocks, _, _) in enumerate(tables):
-        sub_blocks.take(kept, axis=1, out=parts[2 * j:2 * j + 2], mode="clip")
-    scores = _weighted_sums(weights[:, sets], parts, parts)
+    scores = _scores(weights, tables, _SUB_POINTS, sets, kept)
     # sets ascend, and so do each set's sub-blocks: the first of a set's
     # points at its maximum in this flat order is its smallest angle there
-    order = np.arange(columns)
     best = np.maximum.reduceat(scores.max(axis=1), sets.searchsorted(order))
     points = (scores == best[sets, None]).ravel().nonzero()[0]
     first = points[sets[points // _SUB_POINTS].searchsorted(order)]
@@ -300,25 +290,20 @@ def _lockstep(refines, multipliers: np.ndarray, weights: np.ndarray) -> list[flo
     """Results of the :func:`_golden_max` generators ``refines``, column b of
     the kernel's weights belonging to ``refines[b]``.
 
-    All live generators step together: each step evaluates every one's next
-    point in one kernel call.  A finished generator's column leaves the
-    weights; the one multipliers column serves every set.
+    All generators step together: each step evaluates every one's next point
+    in one kernel call.  A finished generator's column stays in the batch at
+    its last point and is sent nothing more; the one multipliers column
+    serves every set.
     """
-    results = [0.0] * len(refines)
-    live = list(range(len(refines)))
+    results = [None] * len(refines)
     points = [next(refine) for refine in refines]
-    while live:
-        values = _log_likelihoods(multipliers, weights, points).tolist()
-        kept, points = [], []
-        for column, (b, value) in enumerate(zip(live, values)):
-            try:
-                points.append(refines[b].send(value))
-                kept.append(column)
-            except StopIteration as done:
-                results[b] = done.value
-        if len(kept) < len(live):
-            live = [live[column] for column in kept]
-            weights = weights[:, kept]
+    while None in results:
+        for b, value in enumerate(_log_likelihoods(multipliers, weights, points).tolist()):
+            if results[b] is None:
+                try:
+                    points[b] = refines[b].send(value)
+                except StopIteration as done:
+                    results[b] = done.value
     return results
 
 
@@ -347,23 +332,17 @@ def maximize_likelihoods(record_sets) -> list[tuple[float, float]]:
         return []
     powers, multipliers, weights = _likelihood_columns(record_sets)
     grid = _grid()
-    indices, coarse_values = _bounded_scan(powers, weights)
-    coarse, refines = [], []
-    for index in indices.tolist():  # first occurrence: smallest angle wins ties
-        lo = float(grid[index - 1]) if index > 0 else float(grid[0])
-        hi = float(grid[index + 1]) if index + 1 < GRID_POINTS else float(grid[-1])
-        coarse.append(float(grid[index]))
-        refines.append(_golden_max(lo, hi, _REFINE_TOL))
-    refined = _lockstep(refines, multipliers, weights)
-    refined_values = _log_likelihoods(multipliers, weights, refined).tolist()
-    results = []
-    for theta, value, coarse_theta, coarse_value in zip(
-        refined, refined_values, coarse, coarse_values.tolist()
-    ):
-        if value < coarse_value or (value == coarse_value and coarse_theta < theta):
-            theta, value = coarse_theta, coarse_value
-        results.append((theta, value))
-    return results
+    indices, coarse_values = _bounded_scan(powers, weights)  # first occurrence wins ties
+    brackets = zip(grid[np.maximum(indices - 1, 0)].tolist(),
+                   grid[np.minimum(indices + 1, GRID_POINTS - 1)].tolist())
+    refined = _lockstep([_golden_max(lo, hi, _REFINE_TOL) for lo, hi in brackets],
+                        multipliers, weights)
+    refined_values = _log_likelihoods(multipliers, weights, refined)
+    coarse = grid[indices]
+    use_coarse = refined_values < coarse_values
+    use_coarse |= (refined_values == coarse_values) & (coarse < refined)
+    return list(zip(np.where(use_coarse, coarse, refined).tolist(),
+                    np.where(use_coarse, coarse_values, refined_values).tolist()))
 
 
 def maximize_likelihood(records) -> float:

@@ -22,8 +22,8 @@ from .bench import derive_rng, derive_rngs, table_configs
 from .core import OracleSpec, Statevector, apply_q, apply_q_power, apply_s_chi, \
     analytic_flag_probability, flag_probability, make_backend, prepare_a
 from .iqae import ConfidenceInterval, binomial_confidence, find_next_k
-from .mlqae import GRID_POINTS, LIKELIHOOD_FLOOR, MeasurementRecord, _INV_PHI, _REFINE_TOL, \
-    _bounded_scan, _grid, _likelihood_columns, _log_tables, _weighted_sums, eis_schedule, \
+from .mlqae import GRID_POINTS, LIKELIHOOD_FLOOR, MeasurementRecord, _INV_PHI, _PADDED, \
+    _REFINE_TOL, _bounded_scan, _grid, _likelihood_columns, _log_tables, _scores, eis_schedule, \
     lis_schedule, log_likelihood, maximize_likelihoods, run_mlqae_cell
 
 __all__ = [
@@ -391,10 +391,10 @@ def _check_power_selection() -> CheckResult:
 def _table_scores(records) -> np.ndarray:
     """The joint log-likelihood on the whole grid as the bounded scan scores
     it: the weighted row sum of the records' cached tables."""
-    _, _, weights = _likelihood_columns([records])
-    parts = np.concatenate([_log_tables(rec.power)[0].reshape(2, -1) for rec in records])
-    parts = parts[:, None, :GRID_POINTS]
-    return _weighted_sums(weights, parts, np.empty(parts.shape))[0]
+    powers, _, weights = _likelihood_columns([records])
+    node = np.zeros(1, dtype=np.intp)
+    tables = [_log_tables(power)[0] for power in powers]
+    return _scores(weights, tables, _PADDED, node, node)[0, :GRID_POINTS]
 
 
 def _check_log_likelihood() -> CheckResult:

@@ -33,6 +33,8 @@ from qaelab.mlqae import (
     run_mlqae_cell,
 )
 from qaelab.verify import (
+    _reference_grid_logs,
+    _reference_logs,
     _table_scores,
     reference_grid_log_likelihood,
     reference_log_likelihood,
@@ -145,10 +147,13 @@ class TestLogLikelihoodBitwise:
     @settings(max_examples=30, deadline=None)
     @given(records=schedule_records())
     def test_grid_tables(self, records):
+        # the grid reference caches each power's logs computed afresh, and
+        # sums them as reference_log_likelihood(subset, _grid()) does
+        for power in {rec.power for rec in records}:
+            for cached, fresh in zip(_reference_grid_logs(power), _reference_logs(power, _grid())):
+                assert np.array_equal(cached, fresh)
         for subset in with_singles(records):
-            want = reference_log_likelihood(subset, _grid())
-            assert np.array_equal(_table_scores(subset), want)
-            assert np.array_equal(reference_grid_log_likelihood(subset), want)
+            assert np.array_equal(_table_scores(subset), reference_grid_log_likelihood(subset))
 
     @settings(max_examples=30, deadline=None)
     @given(records=schedule_records())
@@ -163,16 +168,14 @@ class TestLogLikelihoodBitwise:
 
     @pytest.mark.parametrize("power", [0, 3, 2**17])
     def test_table_padding_and_maxima(self, power):
-        blocks, subs, block_maxima, sub_maxima = _log_tables(power)
-        table = blocks.reshape(2, -1)
+        table, sub_maxima, block_maxima = _log_tables(power)
         assert table.shape == (2, _BLOCKS * _BLOCK_POINTS)
         # padding scores no higher than any grid angle
         assert np.all(table[:, GRID_POINTS:] == np.log(LIKELIHOOD_FLOOR))
         assert np.all(table[:, GRID_POINTS:] <= table[:, :GRID_POINTS].min(axis=1, keepdims=True))
-        assert np.shares_memory(subs, blocks) and subs.shape[2] == _SUB_POINTS
-        assert np.array_equal(sub_maxima.reshape(2, -1), subs.max(axis=2))
-        assert np.array_equal(block_maxima, blocks.max(axis=2))
-        assert not any(part.flags.writeable for part in (blocks, subs, block_maxima, sub_maxima))
+        assert np.array_equal(sub_maxima, table.reshape(2, -1, _SUB_POINTS).max(axis=2))
+        assert np.array_equal(block_maxima, table.reshape(2, _BLOCKS, _BLOCK_POINTS).max(axis=2))
+        assert not any(part.flags.writeable for part in (table, sub_maxima, block_maxima))
 
     @settings(max_examples=100, deadline=None)
     @given(records=schedule_records(), seed=st.integers(0, 2**32 - 1))
@@ -254,19 +257,21 @@ class TestKernelArithmetic:
 
 
 def peak_records(powers, shots, index):
-    """Records of ``powers`` whose hits round the expected counts at the grid
-    angle ``index``, so that their likelihood peaks near it."""
+    """Records of ``powers``, with ``shots[j]`` shots for ``powers[j]``, whose
+    hits round the expected counts at the grid angle ``index``, so that their
+    likelihood peaks near it."""
     theta = float(_grid()[index])
-    return [MeasurementRecord(p, shots, round(shots * math.sin((2 * p + 1) * theta) ** 2))
-            for p in powers]
+    return [MeasurementRecord(p, n, round(n * math.sin((2 * p + 1) * theta) ** 2))
+            for p, n in zip(powers, shots)]
 
 
 @st.composite
 def record_batches(draw):
     """1-40 record sets of one powers tuple of length 1-9, EIS, LIS or other
-    increasing powers; in each set, hits at random with 0 and N drawn often,
-    all misses, all hits, or around a peak drawn often from the short last
-    grid block."""
+    increasing powers; each set draws one shot count, or in about half the
+    sets one per record, and hits at random with 0 and N drawn often, all
+    misses, all hits, or around a peak drawn often from the short last grid
+    block."""
     length = draw(st.integers(1, 9))
     powers = draw(st.one_of(
         st.just(eis_schedule(length - 1).powers),
@@ -276,17 +281,21 @@ def record_batches(draw):
                  unique=True).map(lambda ps: (0,) + tuple(sorted(ps))),
     ))
     batch = []
+    counts = st.one_of(st.integers(1, 3), st.integers(1, 4096))
     for _ in range(draw(st.integers(1, 40))):
-        shots = draw(st.one_of(st.integers(1, 3), st.integers(1, 4096)))
+        if draw(st.booleans()):
+            shots = [draw(counts) for _ in powers]
+        else:
+            shots = [draw(counts)] * len(powers)
         kind = draw(st.sampled_from(("random", "misses", "hits", "peak")))
         if kind == "peak":
             index = draw(st.one_of(st.integers((_BLOCKS - 1) * _BLOCK_POINTS, GRID_POINTS - 1),
                                    st.integers(0, GRID_POINTS - 1)))
             batch.append(peak_records(powers, shots, index))
         else:
-            hits = {"random": st.one_of(st.just(0), st.just(shots), st.integers(0, shots)),
-                    "misses": st.just(0), "hits": st.just(shots)}[kind]
-            batch.append([MeasurementRecord(p, shots, draw(hits)) for p in powers])
+            hits = {"random": lambda n: st.one_of(st.just(0), st.just(n), st.integers(0, n)),
+                    "misses": lambda n: st.just(0), "hits": st.just}[kind]
+            batch.append([MeasurementRecord(p, n, draw(hits(n))) for p, n in zip(powers, shots)])
     return batch
 
 
@@ -392,7 +401,7 @@ class TestMaximize:
         for powers in schedules:
             batch = [[MeasurementRecord(p, 64, 0) for p in powers],
                      [MeasurementRecord(p, 64, 64) for p in powers]]
-            batch += [peak_records(powers, 4096, target) for target in targets]
+            batch += [peak_records(powers, [4096] * len(powers), target) for target in targets]
             want = [int(np.argmax(reference_grid_log_likelihood(r))) for r in batch]
             assert want[:2] == [0, GRID_POINTS - 1]
             last_block += [w for w in want if w >= (_BLOCKS - 1) * _BLOCK_POINTS]
