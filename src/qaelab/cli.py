@@ -98,7 +98,7 @@ def _cmd_mlqae(args) -> int:
 def _print_iqae(report, args) -> None:
     if args.trace:
         for i, rnd in enumerate(report.rounds, 1):
-            plane = "upper" if rnd.upper_half_plane else "lower"
+            plane = "upper" if rnd.half_turn % 2 == 0 else "lower"
             print(
                 f"round {i}: k={rnd.k} half_plane={plane} "
                 f"shots={rnd.shots} hits={rnd.hits} "

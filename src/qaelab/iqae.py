@@ -15,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
-from .core import AnalyticBackend, Backend, OracleSpec, measure_flag
+from .core import AnalyticBackend, Backend, OracleSpec, check_shots, measure_flag
 
 __all__ = [
     "ConfidenceInterval",
@@ -38,6 +37,9 @@ _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 #: the round cap is this multiple of the nominal round budget
 CAP_MULTIPLIER = 10
+#: ``scipy.special.betaincinv``, bound on the first :func:`binomial_confidence`
+#: call, so that a command computing no interval skips scipy's 0.4 s import
+betaincinv = None
 
 
 @dataclass(frozen=True)
@@ -92,19 +94,18 @@ def check_ratio(ratio: int) -> None:
 
 def find_next_k(
     interval: ConfidenceInterval, k_current: int, ratio: int = 2
-) -> tuple[int, bool]:
+) -> tuple[int, int]:
     """Largest admissible amplification power for the next round.
 
     A power ``k`` is admissible when the scaled interval
     ``[(4k+2) theta_lo, (4k+2) theta_hi]`` fits inside the half-turn that
     holds its lower end.  The largest admissible power is returned only if
     it reaches ``ratio * k_current``; otherwise the current power is kept,
-    with its half-plane taken from the interval midpoint (valid because
+    with its half-turn taken from the interval midpoint (valid because
     intervals only ever shrink).
 
     Returns:
-        ``(k, upper)`` where ``upper`` says the scaled interval lies in
-        ``[0, pi]`` mod 2*pi.
+        ``(k, h)``, the scaled interval lying in the half-turn ``[h*pi, (h+1)*pi]``.
     """
     if k_current < 0:
         raise ValueError(f"current power must be non-negative, got {k_current}")
@@ -117,8 +118,8 @@ def find_next_k(
         for k in range(k_cap, lowest - 1, -1):
             h = _half_turns(interval.theta_lo, k)
             if (4 * k + 2) * interval.theta_hi <= (h + 1) * math.pi:
-                return k, h % 2 == 0
-    return k_current, _half_turns(interval.midpoint, k_current) % 2 == 0
+                return k, h
+    return k_current, _half_turns(interval.midpoint, k_current)
 
 
 class ConfidenceBoundError(ValueError):
@@ -140,11 +141,14 @@ def binomial_confidence(hits: int, shots: int, alpha: float) -> tuple[float, flo
         ConfidenceBoundError: when the inverse does not converge (only at an
             alpha far below any round budget).
     """
-    if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
+    check_shots(shots)
     if not 0 <= hits <= shots:
         raise ValueError(f"hits={hits} outside [0, {shots}]")
     check_alpha(alpha)
+    global betaincinv
+    if betaincinv is None:
+        import scipy.special
+        betaincinv = scipy.special.betaincinv
     if hits == 0:
         p_lo = 0.0
     else:
@@ -161,31 +165,27 @@ def binomial_confidence(hits: int, shots: int, alpha: float) -> tuple[float, flo
 
 
 def invert_to_theta(
-    p_lo: float,
-    p_hi: float,
-    k: int,
-    upper_half_plane: bool,
-    winding: int = 0,
+    p_lo: float, p_hi: float, k: int, half_turn: int
 ) -> ConfidenceInterval:
     """Map a flag-probability interval back to angles at amplification power ``k``.
 
     With ``phi = (4k+2) theta`` the probability is ``p = (1 - cos(phi)) / 2``.
-    The half-plane flag fixes the cosine branch and the caller-tracked
-    winding number restores the lost multiple of 2*pi before dividing the
-    scaling out.  Results are clipped into [0, pi/2].
+    ``half_turn`` is h = floor(phi / pi), from :func:`find_next_k`: even h is
+    the upper cosine branch, and h // 2 restores the lost multiple of 2*pi
+    before dividing the scaling out.  Results are clipped into [0, pi/2].
     """
     if not 0.0 <= p_lo <= p_hi <= 1.0:
         raise ValueError(f"bad probability interval [{p_lo}, {p_hi}]")
-    if winding < 0:
-        raise ValueError(f"winding must be non-negative, got {winding}")
+    if half_turn < 0:
+        raise ValueError(f"half_turn must be non-negative, got {half_turn}")
     scale = 4 * k + 2
     lo_arc = math.acos(max(-1.0, min(1.0, 1.0 - 2.0 * p_lo)))
     hi_arc = math.acos(max(-1.0, min(1.0, 1.0 - 2.0 * p_hi)))
-    if upper_half_plane:
+    if half_turn % 2 == 0:
         scaled_lo, scaled_hi = lo_arc, hi_arc
     else:
         scaled_lo, scaled_hi = _TWO_PI - hi_arc, _TWO_PI - lo_arc
-    base = _TWO_PI * winding
+    base = _TWO_PI * (half_turn // 2)
     theta_lo = (base + scaled_lo) / scale
     theta_hi = (base + scaled_hi) / scale
     return ConfidenceInterval(
@@ -199,7 +199,7 @@ class RoundRecord:
     """State after one measurement round."""
 
     k: int
-    upper_half_plane: bool
+    half_turn: int  # index h of the half-turn [h*pi, (h+1)*pi] holding (4k+2)*theta
     shots: int  # pooled shots at this power, including this round
     hits: int  # pooled hits at this power
     interval_after: ConfidenceInterval
@@ -300,7 +300,7 @@ def run_iqae(
             break
         if len(rounds) >= cap:
             raise IterationCapError(_report(interval, calls, rounds, epsilon, alpha))
-        k_next, upper = find_next_k(interval, k, ratio)
+        k_next, half_turn = find_next_k(interval, k, ratio)
         if k_next != k:
             pooled_shots = 0
             pooled_hits = 0
@@ -310,8 +310,7 @@ def run_iqae(
         pooled_shots += shots
         pooled_hits += hits
         p_lo, p_hi = binomial_confidence(pooled_hits, pooled_shots, alpha_round)
-        winding = _half_turns(interval.midpoint, k) // 2
-        contribution = invert_to_theta(p_lo, p_hi, k, upper, winding)
+        contribution = invert_to_theta(p_lo, p_hi, k, half_turn)
         interval = interval.intersect(contribution)
-        rounds.append(RoundRecord(k, upper, pooled_shots, pooled_hits, interval))
+        rounds.append(RoundRecord(k, half_turn, pooled_shots, pooled_hits, interval))
     return _report(interval, calls, rounds, epsilon, alpha)

@@ -129,30 +129,31 @@ _PI = Fraction(
 )
 
 
-def _admissible_power(lo: Fraction, hi: Fraction, k: int) -> bool | None:
-    """Half-plane membership of [(4k+2)lo, (4k+2)hi] via explicit windings,
-    in exact rational arithmetic: True/False for an upper/lower half-plane
-    mod 2*pi, None if the scaled interval crosses a boundary."""
+def _admissible_power(lo: Fraction, hi: Fraction, k: int) -> int | None:
+    """Half-turn index of [(4k+2)lo, (4k+2)hi] via explicit windings w, in
+    exact rational arithmetic: 2w for the upper half-plane [2 pi w, 2 pi w + pi],
+    2w + 1 for the lower one, None if the scaled interval crosses a boundary."""
     s_lo, s_hi = (4 * k + 2) * lo, (4 * k + 2) * hi
     w = math.floor(s_lo / (2 * _PI))  # s_lo - 2 pi w is in [0, 2 pi)
     if s_hi <= 2 * _PI * w + _PI:
-        return True
+        return 2 * w
     w = math.floor((s_lo - _PI) / (2 * _PI))  # s_lo - 2 pi w is in [pi, 3 pi)
     if s_hi <= 2 * _PI * (w + 1):
-        return False
+        return 2 * w + 1
     return None
 
 
-def reference_largest_power(lo: float, hi: float) -> tuple[int, bool]:
+def reference_largest_power(lo: float, hi: float) -> tuple[int, int]:
     """Largest admissible power for the float interval [lo, hi] (lo < hi),
     taken as exact rationals: scan down from the width bound
     (4k+2)(hi - lo) <= pi and stop at the first admissible power.  Power 0
-    is admissible for every interval inside [0, pi/2]."""
+    is admissible for every interval inside [0, pi/2].  Returns the power
+    and its exact half-turn index."""
     lo_q, hi_q = Fraction(lo), Fraction(hi)
     for k in range(math.floor(_PI / (4 * (hi_q - lo_q))), -1, -1):
-        flag = _admissible_power(lo_q, hi_q, k)
-        if flag is not None:
-            return k, flag
+        half_turn = _admissible_power(lo_q, hi_q, k)
+        if half_turn is not None:
+            return k, half_turn
     raise ValueError(f"no admissible power for [{lo}, {hi}]")
 
 
@@ -379,11 +380,11 @@ def _check_power_selection() -> CheckResult:
     ok = True
     detail = f"all {len(intervals)} scans agree"
     for lo, hi in intervals:
-        got_k, got_flag = find_next_k(ConfidenceInterval(lo, hi), 0)
+        got = find_next_k(ConfidenceInterval(lo, hi), 0)
         want = reference_largest_power(lo, hi)
-        if (got_k, got_flag) != want:
+        if got != want:
             ok = False
-            detail = f"disagreement on [{lo}, {hi}]: got {(got_k, got_flag)}, want {want}"
+            detail = f"disagreement on [{lo}, {hi}]: got {got}, want {want}"
             break
     return CheckResult("next-power search vs exact rational scan", ok, detail)
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end, run in process, and one
 import check in a fresh interpreter."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -140,6 +141,20 @@ class TestIqaeCommand:
         rc, out, _ = run_cli(capsys, "iqae", "--qubits", qubits, *self.ARGS[3:], "--trace")
         assert rc == 0
         assert out == want
+
+    @pytest.mark.parametrize("argv,digest", [
+        (ARGS, "a15bf8b43986a352ac82fba87b50bbbe5b0d9d1030f229ca15ea95cf5dc1212f"),
+        (("iqae", "--qubits", "6", "--a", "0.375", "--epsilon", "0.005", "--alpha", "0.05",
+          "--shots", "64", "--seed", "3", "--backend", "sv"),
+         "f33f3bc6e301cc3fa3b960d3fe871b568e027ea955a1b15e703d2479c8747b03"),
+    ], ids=["args", "sv"])
+    def test_trace_stdout_is_pinned(self, capsys, argv, digest):
+        """Both traces hold rounds on each half-plane, so their half_plane
+        fields depend on the parity of every round's half-turn index."""
+        rc, out, _ = run_cli(capsys, *argv, "--trace")
+        assert rc == 0
+        assert "half_plane=lower" in out and "half_plane=upper" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_cap_returns_partial_result_and_code_3(self, capsys, monkeypatch):
         monkeypatch.setattr(iqae_mod, "CAP_MULTIPLIER", 0)
@@ -423,15 +438,50 @@ class TestReproduceCommand:
 # ---------------------------------------------------------------------------
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    """``scipy.stats`` takes most of a second to import, and every qaelab
-    call would pay it; only the tests use it."""
+def run_fresh_python(code):
+    """Run ``code`` in a new interpreter that imports qaelab from this tree."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import qaelab.cli, sys; assert 'scipy.stats' not in sys.modules"],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120,
     )
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    """``scipy.stats`` takes most of a second to import, and every qaelab
+    call would pay it; only the tests use it."""
+    proc = run_fresh_python("import qaelab.cli, sys; assert 'scipy.stats' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+NO_SCIPY_SCRIPT = """
+import contextlib, io, sys
+from qaelab import cli
+
+def check(step):
+    loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    assert not loaded, f"after {step}: {loaded[:5]}"
+
+check("import qaelab.cli")
+for argv in (
+    ["--help"],
+    ["mlqae", "--qubits", "6", "--a", "0.125", "--m", "3", "--shots", "16", "--seed", "1"],
+    ["mci", "--a", "0.125", "--samples", "64", "--reps", "4", "--seed", "1"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse's --help
+            rc = exc.code
+    assert rc == 0, (argv, rc)
+    check(argv[0])
+"""
+
+
+def test_commands_without_an_interval_leave_scipy_out():
+    """``scipy.special`` takes about 0.4 s to import and only a
+    Clopper-Pearson bound needs it, so it loads on the first interval."""
+    proc = run_fresh_python(NO_SCIPY_SCRIPT)
     assert proc.returncode == 0, proc.stderr
