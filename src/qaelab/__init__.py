@@ -29,10 +29,8 @@ from .core import (
 from .mlqae import (
     MeasurementRecord,
     MlqaeReport,
-    Schedule,
-    eis_schedule,
-    lis_schedule,
     log_likelihood,
+    make_schedule,
     maximize_likelihood,
     maximize_likelihoods,
     oracle_call_count,
@@ -83,10 +81,8 @@ __all__ = [
     "prepare_a",
     "MeasurementRecord",
     "MlqaeReport",
-    "Schedule",
-    "eis_schedule",
-    "lis_schedule",
     "log_likelihood",
+    "make_schedule",
     "maximize_likelihood",
     "maximize_likelihoods",
     "oracle_call_count",

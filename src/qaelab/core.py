@@ -193,9 +193,11 @@ def prepare_a(oracle: OracleSpec) -> Statevector:
     size = oracle.domain_size
     amps = _aligned_empty(2 * size, np.float64)
     amps.fill(0.0)
-    positions = np.arange(size, dtype=np.intp) << 1
-    positions[:oracle.good_count] |= 1
-    amps[positions] = 1.0 / math.sqrt(size)
+    amplitude = 1.0 / math.sqrt(size)
+    # row i holds domain index i's flag-0 and flag-1 amplitudes
+    pairs = amps.reshape(-1, 2)
+    pairs[:oracle.good_count, 1] = amplitude
+    pairs[oracle.good_count:, 0] = amplitude
     return Statevector(oracle.n, amps)
 
 

@@ -18,9 +18,6 @@ import numpy as np
 from .core import AnalyticBackend, Backend, OracleSpec, check_shots, measure_flag
 
 __all__ = [
-    "Schedule",
-    "eis_schedule",
-    "lis_schedule",
     "make_schedule",
     "oracle_call_count",
     "MeasurementRecord",
@@ -37,62 +34,33 @@ GRID_POINTS = 100_000
 #: counts of 0 or N stay finite at the boundary angles
 LIKELIHOOD_FLOOR = 1e-300
 _REFINE_TOL = 1e-10
-#: grid angles per block and per sub-block of the bounded scan; the last of
-#: the 391 blocks holds the 100,000 - 390 * 256 = 160 left over, then padding
-_BLOCK_POINTS = 256
-_SUB_POINTS = 32
-_BLOCKS = -(-GRID_POINTS // _BLOCK_POINTS)
-_PADDED = _BLOCKS * _BLOCK_POINTS
+#: grid angles per block and per sub-block of the bounded scan: 250 whole
+#: blocks of 16 sub-blocks each, so no pad point is needed.  At EIS depth 18
+#: 400-angle blocks leave about 165 sub-blocks per set to score, 250-angle
+#: ones about 250
+_BLOCK_POINTS = 400
+_SUB_POINTS = 25
+_BLOCKS = GRID_POINTS // _BLOCK_POINTS
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Which powers of the amplification iterate to run.
-
-    ``kind`` is ``"eis"`` (exponentially spaced) or ``"lis"`` (linearly
-    spaced); ``depth`` is the number of amplified circuits beyond the
-    zero-power one.
-    """
-
-    kind: str
-    depth: int
-    powers: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("eis", "lis"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.depth < 0:
-            raise ValueError(f"depth must be non-negative, got {self.depth}")
-        if not self.powers or self.powers[0] != 0:
-            raise ValueError("a schedule must start at power 0")
-        for prev, cur in zip(self.powers, self.powers[1:]):
-            if cur <= prev:
-                raise ValueError(f"powers must increase strictly, got {self.powers}")
-
-
-def eis_schedule(depth: int) -> Schedule:
-    """Exponential ladder ``(0, 1, 2, 4, ..., 2**(depth-1))``."""
-    return Schedule("eis", depth, (0,) + tuple(2**j for j in range(depth)))
-
-
-def lis_schedule(depth: int) -> Schedule:
-    """Linear ladder ``(0, 1, 2, ..., depth)``."""
-    return Schedule("lis", depth, tuple(range(depth + 1)))
-
-
-def make_schedule(kind: str, depth: int) -> Schedule:
-    """The ``"eis"`` or ``"lis"`` ladder with ``depth`` amplified circuits."""
+def make_schedule(kind: str, depth: int) -> tuple[int, ...]:
+    """The powers of the amplification iterate to run: ``"eis"`` spaces them
+    exponentially, ``(0, 1, 2, 4, ..., 2**(depth-1))``, and ``"lis"``
+    linearly, ``(0, 1, 2, ..., depth)``; ``depth`` is the number of
+    amplified circuits beyond the zero-power one."""
+    if kind not in ("eis", "lis"):
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
     if kind == "eis":
-        return eis_schedule(depth)
-    if kind == "lis":
-        return lis_schedule(depth)
-    raise ValueError(f"unknown schedule kind {kind!r}")
+        return (0,) + tuple(2**j for j in range(depth))
+    return tuple(range(depth + 1))
 
 
-def oracle_call_count(schedule: Schedule, shots: int) -> int:
+def oracle_call_count(powers, shots: int) -> int:
     """Total oracle queries: a power-m circuit costs ``2m + 1`` per shot."""
-    return shots * sum(2 * m + 1 for m in schedule.powers)
+    return shots * sum(2 * m + 1 for m in powers)
 
 
 @dataclass(frozen=True)
@@ -190,17 +158,15 @@ def _grid() -> np.ndarray:
 @functools.cache
 def _log_tables(power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only rows floored log sin^2 and log cos^2 of ``(2 power + 1) theta``
-    on the grid, by :func:`_log_terms` as the kernel computes them, and
-    padded with the floor's log to ``_BLOCKS`` whole blocks.
+    on the grid, by :func:`_log_terms` as the kernel computes them.
 
-    Returned as ``(table, sub_maxima, block_maxima)``: the (2, ``_PADDED``)
-    table, its maxima over each sub-block, (2, ``_PADDED // _SUB_POINTS``),
-    and over each block, (2, ``_BLOCKS``).  A pad point scores no higher than
-    any grid angle and comes after all of them.  Cached for the life of the
-    process: 1.6 MB plus 56 KB per distinct power.
+    Returned as ``(table, sub_maxima, block_maxima)``: the (2,
+    ``GRID_POINTS``) table, its maxima over each sub-block, (2,
+    ``GRID_POINTS // _SUB_POINTS``), and over each block, (2, ``_BLOCKS``).
+    Cached for the life of the process: 1.6 MB plus 68 KB per distinct power.
     """
-    table = np.full((2, _PADDED), np.log(LIKELIHOOD_FLOOR))
-    _log_terms((2 * power + 1) * _grid()[None, :], table[:, :GRID_POINTS])
+    table = np.empty((2, GRID_POINTS))
+    _log_terms((2 * power + 1) * _grid()[None, :], table)
     sub_maxima = table.reshape(2, -1, _SUB_POINTS).max(axis=2)
     block_maxima = sub_maxima.reshape(2, _BLOCKS, -1).max(axis=2)
     for part in (table, sub_maxima, block_maxima):
@@ -217,7 +183,7 @@ def _scores(weights: np.ndarray, rows, width: int, sets, nodes) -> np.ndarray:
     for bit ``verify.reference_log_likelihood``'s: ``np.add.reduce`` over
     the first axis adds row after row in order when a row has more than one
     element (over one column it would sum pairwise), and every width here
-    is at least 8.
+    is at least 16.
     """
     parts = np.empty((len(weights), len(nodes), width))
     # each take gathers straight into its rows of ``parts``: mode="clip" skips
@@ -324,7 +290,7 @@ def maximize_likelihoods(record_sets) -> list[tuple[float, float]]:
 
     The grid's log sin^2 and log cos^2 tables and their block and sub-block
     maxima are built once per power and cached for the life of the process:
-    1.6 MB plus 56 KB per distinct power at 100,000 points.
+    1.6 MB plus 68 KB per distinct power at 100,000 points.
     """
     if not all(record_sets):
         raise ValueError("need at least one measurement record")
@@ -377,17 +343,17 @@ def run_mlqae_cell(
     schedule order, as one run after another would draw them; then
     :func:`maximize_likelihoods` maximizes all of them at once.
     """
-    schedule = make_schedule(kind, depth)
+    powers = make_schedule(kind, depth)
     if backend is None:
         backend = AnalyticBackend()
     record_sets = [
         tuple(
             MeasurementRecord(power, shots, measure_flag(backend, oracle, power, shots, rng))
-            for power in schedule.powers
+            for power in powers
         )
         for rng in rngs
     ]
-    calls = oracle_call_count(schedule, shots)
+    calls = oracle_call_count(powers, shots)
     return [
         MlqaeReport(
             theta_hat=theta_hat,

@@ -22,9 +22,9 @@ from .bench import derive_rng, derive_rngs, table_configs
 from .core import OracleSpec, Statevector, apply_q, apply_q_power, apply_s_chi, \
     analytic_flag_probability, flag_probability, make_backend, prepare_a
 from .iqae import ConfidenceInterval, binomial_confidence, find_next_k
-from .mlqae import GRID_POINTS, LIKELIHOOD_FLOOR, MeasurementRecord, _INV_PHI, _PADDED, \
-    _REFINE_TOL, _bounded_scan, _grid, _likelihood_columns, _log_tables, _scores, eis_schedule, \
-    lis_schedule, log_likelihood, maximize_likelihoods, run_mlqae_cell
+from .mlqae import GRID_POINTS, LIKELIHOOD_FLOOR, MeasurementRecord, _INV_PHI, _REFINE_TOL, \
+    _bounded_scan, _grid, _likelihood_columns, _log_tables, _scores, log_likelihood, \
+    make_schedule, maximize_likelihoods, run_mlqae_cell
 
 __all__ = [
     "CheckResult",
@@ -395,20 +395,23 @@ def _table_scores(records) -> np.ndarray:
     powers, _, weights = _likelihood_columns([records])
     node = np.zeros(1, dtype=np.intp)
     tables = [_log_tables(power)[0] for power in powers]
-    return _scores(weights, tables, _PADDED, node, node)[0, :GRID_POINTS]
+    return _scores(weights, tables, GRID_POINTS, node, node)[0]
+
+
+def _edge_records(powers, shots: int, rng) -> list[MeasurementRecord]:
+    """Records of ``powers`` with hits of 0 and of N on alternating records,
+    random in between: one draw from ``rng`` per record."""
+    return [MeasurementRecord(power, shots, (0, shots, int(rng.integers(0, shots + 1)))[i % 3])
+            for i, power in enumerate(powers)]
 
 
 def _check_log_likelihood() -> CheckResult:
     rng = _rng()
     angles = [0.0, math.pi / 2] + [float(t) for t in rng.uniform(0.0, math.pi / 2, 64)]
     grid_bad = argmax_bad = scalar_bad = 0
-    for schedule in (eis_schedule(18), lis_schedule(18), eis_schedule(4), lis_schedule(4)):
+    for schedule in [make_schedule(kind, depth) for depth in (18, 4) for kind in ("eis", "lis")]:
         for shots in (1, 3, 1024):
-            records = []
-            for i, power in enumerate(schedule.powers):
-                # hits of 0 and of N on alternating records, random in between
-                hits = (0, shots, int(rng.integers(0, shots + 1)))[i % 3]
-                records.append(MeasurementRecord(power, shots, hits))
+            records = _edge_records(schedule, shots, rng)
             # each record alone too: in a long sum a last-bit slip can round away
             for subset in [records] + [[rec] for rec in records]:
                 want = reference_grid_log_likelihood(subset)
@@ -443,15 +446,9 @@ def _check_lockstep_maximizer() -> CheckResult:
                                                  rngs=rngs)
                 ]
     rng = _rng()
-    for schedule in (eis_schedule(18), lis_schedule(18)):
-        batch = []
-        for shots in (1, 3, 1024):
-            for _ in range(3):
-                # hits of 0 and of N on alternating records, random in between
-                hits = [(0, shots, int(rng.integers(0, shots + 1)))[i % 3]
-                        for i in range(len(schedule.powers))]
-                batch.append([MeasurementRecord(power, shots, h)
-                              for power, h in zip(schedule.powers, hits)])
+    for kind in ("eis", "lis"):
+        schedule = make_schedule(kind, 18)
+        batch = [_edge_records(schedule, shots, rng) for shots in (1, 3, 1024) for _ in range(3)]
         results += zip(batch, maximize_likelihoods(batch))
     differ = sum(got != reference_maximize_likelihood(records) for records, got in results)
     return CheckResult(

@@ -23,7 +23,7 @@ from qaelab import (
     run_mlqae,
 )
 from qaelab.bench import DEFAULT_SEED_BASE, derive_rng
-from qaelab.mlqae import MeasurementRecord, eis_schedule, maximize_likelihood
+from qaelab.mlqae import MeasurementRecord, make_schedule, maximize_likelihood
 from qaelab.verify import probe_iterate
 
 A_TRUE = 0.125
@@ -306,7 +306,7 @@ def test_09_likelihood_estimator_consistency():
     """With exact-expectation hit counts the likelihood maximizer recovers
     50 random amplitudes to within 1e-3."""
     rng = np.random.default_rng(2718)
-    powers = eis_schedule(4).powers
+    powers = make_schedule("eis", 4)
     shots = 10_000
     worst = 0.0
     for _ in range(50):

@@ -64,6 +64,32 @@ class TestMlqaeCommand:
         assert rc == 0
         assert out == want
 
+    @pytest.mark.parametrize("argv,digest", [
+        (ARGS, "2644623ccd97f9e2bc249e7c1753a693f3b37be6e6fab2e986c3a0534b08c3a5"),
+        (("mlqae", "--qubits", "6", "--a", "0.125", "--m", "4", "--shots", "100",
+          "--seed", "7", "--schedule", "lis"),
+         "d1f04f4863b1c30bfad9bea3c2f7b5874174c1416715372134440f4dab320add"),
+        (("mlqae", "--qubits", "6", "--a", "0.375", "--m", "3", "--shots", "64",
+          "--seed", "3", "--backend", "sv"),
+         "1796189503c86590ed055800d5c892494a2587cfff810cbb55bc0fd7a0edfa08"),
+        (("mlqae", "--qubits", "5", "--a", "0.25", "--m", "6", "--shots", "32",
+          "--seed", "11", "--schedule", "lis", "--backend", "sv"),
+         "21ebcfc9fa26f8601e91ca987afa32198e8910398c9bf636bb1fd18fc5962603"),
+        (("mlqae", "--qubits", "8", "--a", "0", "--m", "4", "--shots", "128", "--seed", "1"),
+         "773ee5643ef16c7a433018e546727d6480d5ba694b413fa42fb2abbc9b09325c"),
+        (("mlqae", "--qubits", "8", "--a", "1", "--m", "4", "--shots", "128", "--seed", "2",
+          "--schedule", "lis"),
+         "2649552fc76dfa875d044b70b21667bfb0ac191ffd5be15fcbe39a7f852af27d"),
+        (("mlqae", "--qubits", "20", "--a", "0.125", "--m", "10", "--shots", "16",
+          "--seed", "4"),
+         "e81f19c27c2f44384075f7699d348ec8382c0324eac75682445339e098993356"),
+    ], ids=["args", "lis", "sv", "lis-sv", "a0", "a1-lis", "n20-m10"])
+    def test_stdout_is_pinned(self, capsys, argv, digest):
+        """The printed estimate, calls and log-likelihood, to 10 digits."""
+        rc, out, _ = run_cli(capsys, *argv)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_unrepresentable_amplitude(self, capsys):
         rc, out, err = run_cli(
             capsys, "mlqae", "--qubits", "4", "--a", "0.1",

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from qaelab.core import AnalyticBackend, OracleSpec, StatevectorBackend
 from qaelab.mlqae import (
     GRID_POINTS,
-    LIKELIHOOD_FLOOR,
     MeasurementRecord,
-    Schedule,
     _BLOCK_POINTS,
     _BLOCKS,
     _SUB_POINTS,
@@ -22,8 +20,6 @@ from qaelab.mlqae import (
     _likelihood_columns,
     _log_likelihoods,
     _log_tables,
-    eis_schedule,
-    lis_schedule,
     log_likelihood,
     make_schedule,
     maximize_likelihood,
@@ -49,41 +45,46 @@ def exact_records(theta_star, depth, shots):
     """Records whose hit counts equal their exact expectations (floats)."""
     return [
         MeasurementRecord(p, shots, shots * math.sin((2 * p + 1) * theta_star) ** 2)
-        for p in eis_schedule(depth).powers
+        for p in make_schedule("eis", depth)
     ]
 
 
 class TestSchedules:
     def test_exponential_ladder(self):
-        assert eis_schedule(0).powers == (0,)
-        assert eis_schedule(1).powers == (0, 1)
-        assert eis_schedule(3).powers == (0, 1, 2, 4)
-        assert eis_schedule(4).powers == (0, 1, 2, 4, 8)
+        assert make_schedule("eis", 0) == (0,)
+        assert make_schedule("eis", 1) == (0, 1)
+        assert make_schedule("eis", 3) == (0, 1, 2, 4)
+        assert make_schedule("eis", 4) == (0, 1, 2, 4, 8)
 
     def test_linear_ladder(self):
-        assert lis_schedule(0).powers == (0,)
-        assert lis_schedule(4).powers == (0, 1, 2, 3, 4)
+        assert make_schedule("lis", 0) == (0,)
+        assert make_schedule("lis", 4) == (0, 1, 2, 3, 4)
 
     def test_depth_validation(self):
-        with pytest.raises(ValueError):
-            eis_schedule(-1)
-        with pytest.raises(ValueError):
-            lis_schedule(-2)
+        with pytest.raises(ValueError, match=r"^depth must be non-negative, got -1$"):
+            make_schedule("eis", -1)
+        with pytest.raises(ValueError, match=r"^depth must be non-negative, got -2$"):
+            make_schedule("lis", -2)
 
-    def test_schedule_shape_validation(self):
-        with pytest.raises(ValueError):
-            Schedule("eis", 2, (1, 2))  # must start at zero
-        with pytest.raises(ValueError):
-            Schedule("eis", 2, (0, 2, 2))  # strictly increasing
-        with pytest.raises(ValueError):
-            Schedule("geometric", 2, (0, 1, 2))  # unknown kind
+    def test_every_schedule_is_well_formed(self):
+        for depth in range(65):
+            eis, lis = make_schedule("eis", depth), make_schedule("lis", depth)
+            for powers in (eis, lis):
+                assert type(powers) is tuple and len(powers) == depth + 1
+                assert powers[0] == 0
+                assert all(prev < cur for prev, cur in zip(powers, powers[1:]))
+            assert eis == (0,) + tuple(2**j for j in range(depth))
+            assert lis == tuple(range(depth + 1))
+        # the kind is checked first
+        with pytest.raises(ValueError, match=r"^unknown schedule kind 'cubic'$"):
+            make_schedule("cubic", -1)
 
     def test_call_count(self):
-        assert oracle_call_count(eis_schedule(3), 1) == 18
-        assert oracle_call_count(eis_schedule(3), 1024) == 18432
-        assert oracle_call_count(eis_schedule(4), 1) == 35
-        assert oracle_call_count(eis_schedule(4), 1024) == 35840
-        assert oracle_call_count(lis_schedule(2), 100) == 900
+        assert oracle_call_count(make_schedule("eis", 3), 1) == 18
+        assert oracle_call_count(make_schedule("eis", 3), 1024) == 18432
+        assert oracle_call_count(make_schedule("eis", 4), 1) == 35
+        assert oracle_call_count(make_schedule("eis", 4), 1024) == 35840
+        assert oracle_call_count(make_schedule("lis", 2), 100) == 900
 
 
 class TestMeasurementRecord:
@@ -125,9 +126,9 @@ def schedule_records(draw):
     as are hits of 0 and of N, which hit the likelihood floor, and tiny shot
     counts, whose sums keep a last-bit slip from rounding away."""
     depth = draw(st.one_of(st.just(18), st.integers(0, 18)))
-    schedule = draw(st.sampled_from((eis_schedule, lis_schedule)))(depth)
+    kind = draw(st.sampled_from(("eis", "lis")))
     records = []
-    for power in schedule.powers:
+    for power in make_schedule(kind, depth):
         shots = draw(st.one_of(st.integers(1, 3), st.integers(1, 4096)))
         hits = draw(st.one_of(st.just(0), st.just(shots), st.integers(0, shots)))
         records.append(MeasurementRecord(power, shots, hits))
@@ -168,11 +169,12 @@ class TestLogLikelihoodBitwise:
 
     @pytest.mark.parametrize("power", [0, 3, 2**17])
     def test_table_padding_and_maxima(self, power):
+        # whole blocks of whole sub-blocks cover the grid: no pad points
+        assert _BLOCKS * _BLOCK_POINTS == GRID_POINTS
+        assert _BLOCK_POINTS % _SUB_POINTS == 0
         table, sub_maxima, block_maxima = _log_tables(power)
-        assert table.shape == (2, _BLOCKS * _BLOCK_POINTS)
-        # padding scores no higher than any grid angle
-        assert np.all(table[:, GRID_POINTS:] == np.log(LIKELIHOOD_FLOOR))
-        assert np.all(table[:, GRID_POINTS:] <= table[:, :GRID_POINTS].min(axis=1, keepdims=True))
+        assert table.shape == (2, GRID_POINTS)
+        assert np.array_equal(table, np.stack(_reference_logs(power, _grid())))
         assert np.array_equal(sub_maxima, table.reshape(2, -1, _SUB_POINTS).max(axis=2))
         assert np.array_equal(block_maxima, table.reshape(2, _BLOCKS, _BLOCK_POINTS).max(axis=2))
         assert not any(part.flags.writeable for part in (table, sub_maxima, block_maxima))
@@ -231,9 +233,10 @@ class TestKernelArithmetic:
                 value = value + term
             assert got[b] == value
 
-    @pytest.mark.parametrize("inner", [(1, 8), (1, 32), (2, 8), (3, 32), (30, 256), (30, 391)])
+    @pytest.mark.parametrize("inner", [(1, 16), (1, 25), (2, 250), (3, 16), (30, 400), (30, 25)])
     def test_reduce_adds_rows_in_order(self, inner):
-        # the bounded scan's sums: (2R, B, k) arrays with k >= 8
+        # the bounded scan's sums: (2R, B, k) arrays with k the blocks (250),
+        # a block's points (400) or sub-blocks (16), or a sub-block's points (25)
         rng = np.random.default_rng(sum(inner))
         for rows in range(1, 39):
             shape = (rows,) + inner
@@ -270,12 +273,11 @@ def record_batches(draw):
     """1-40 record sets of one powers tuple of length 1-9, EIS, LIS or other
     increasing powers; each set draws one shot count, or in about half the
     sets one per record, and hits at random with 0 and N drawn often, all
-    misses, all hits, or around a peak drawn often from the short last grid
-    block."""
+    misses, all hits, or around a peak drawn often from the last grid block."""
     length = draw(st.integers(1, 9))
     powers = draw(st.one_of(
-        st.just(eis_schedule(length - 1).powers),
-        st.just(lis_schedule(length - 1).powers),
+        st.just(make_schedule("eis", length - 1)),
+        st.just(make_schedule("lis", length - 1)),
         # few distinct powers: each one's grid tables stay cached (1.6 MB)
         st.lists(st.integers(1, 20), min_size=length - 1, max_size=length - 1,
                  unique=True).map(lambda ps: (0,) + tuple(sorted(ps))),
@@ -393,8 +395,8 @@ class TestMaximize:
         assert [grid_argmaxes([records])[0] for records in batch] == want
 
     def test_batched_scan_edges(self):
-        # all misses, all hits, peaks inside the short last block (grid
-        # indices 99840-99999) and elsewhere, in one batch per schedule of 5
+        # all misses, all hits, peaks inside the last block (grid indices
+        # 99600-99999) and elsewhere, in one batch per schedule of 5
         schedules = [(0, 1, 2, 4, 8), (0, 1, 2, 3, 4), (0, 2, 3, 7, 11)]
         targets = [99_840, 99_871, 99_950, 99_998, 12_345, 50_000, 0, GRID_POINTS - 1]
         last_block = []
@@ -444,7 +446,7 @@ class TestMaximize:
 
     def test_deep_schedule_tables_stay_cached(self):
         # LIS depth 40 uses 41 powers, more than a 32-entry cache holds
-        recs = [MeasurementRecord(p, 100, 12) for p in lis_schedule(40).powers]
+        recs = [MeasurementRecord(p, 100, 12) for p in make_schedule("lis", 40)]
         maximize_likelihood(recs)
         misses = _log_tables.cache_info().misses
         maximize_likelihood(recs)
@@ -467,7 +469,7 @@ class TestRunMlqaeCell:
                        rngs=[np.random.default_rng(r) for r in range(4)])
         for r in range(4):
             run_mlqae(oracle, 3, 16, backend=runs, rng=np.random.default_rng(r))
-        assert cell.calls == runs.calls == list(make_schedule("eis", 3).powers) * 4
+        assert cell.calls == runs.calls == list(make_schedule("eis", 3)) * 4
 
 
 class TestRunMlqae:
