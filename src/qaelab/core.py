@@ -26,9 +26,10 @@ build that checks this form independently lives in :mod:`qaelab.verify`.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,6 +54,9 @@ __all__ = [
 #: amplitudes per slice of the iterate's axpy: its temporary stays at 64 KiB
 #: of float64, which the allocator serves from memory it already holds
 _AXPY_SLICE = 1 << 13
+#: statevectors a ``StatevectorBackend`` holds at its peak: the cached
+#: prepared state, the last evolved state and the copy being evolved
+_LIVE_STATES = 3
 #: byte boundary every evolved amplitude array starts on: a cache line.  The
 #: allocator's 16-byte alignment makes the iterate's wide vector stores
 #: straddle two lines, which at n = 16 on an AVX-512 core takes about 1.7
@@ -115,9 +119,11 @@ class OracleSpec:
         """Flag-1 probability right after state preparation."""
         return self.good_count / self.domain_size
 
-    @property
+    @cached_property
     def theta(self) -> float:
-        """Rotation angle ``arcsin(sqrt(a))`` in ``[0, pi/2]``."""
+        """Rotation angle ``arcsin(sqrt(a))`` in ``[0, pi/2]``, computed on
+        the first read and kept in the instance: every draw reads it.  Only
+        the fields take part in equality and hashing."""
         return math.asin(min(1.0, math.sqrt(self.a)))
 
 
@@ -169,6 +175,14 @@ def _aligned_copy(amps: np.ndarray) -> np.ndarray:
     copy = _aligned_empty(amps.size, amps.dtype)
     copy[...] = amps
     return copy
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _check_state_size(n: int) -> None:
@@ -292,8 +306,18 @@ class StatevectorBackend(Backend):
         self._last: tuple[OracleSpec, int, np.ndarray] | None = None
 
     def check_oracle(self, oracle: OracleSpec) -> None:
-        """Reject an oracle whose statevector numpy cannot index."""
+        """Reject an oracle whose statevector numpy cannot index, or whose
+        ``_LIVE_STATES`` states need more bytes than the machine's physical
+        memory.  Allocates nothing."""
         _check_state_size(oracle.n)
+        need = _LIVE_STATES << (oracle.n + 4)
+        physical = _physical_memory()
+        if physical is not None and need > physical:
+            raise ValueError(
+                f"n={oracle.n} needs {_LIVE_STATES} statevectors of 2**{oracle.n + 4} "
+                f"bytes ({need / 2**30:.3g} GiB), more than the "
+                f"{physical / 2**30:.3g} GiB of physical memory"
+            )
 
     def flag_probability(self, oracle: OracleSpec, m: int) -> float:
         p = self._probabilities.get((oracle, m))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +41,9 @@ CAP_MULTIPLIER = 10
 #: ``scipy.special.betaincinv``, bound on the first :func:`binomial_confidence`
 #: call, so that a command computing no interval skips scipy's 0.4 s import
 betaincinv = None
+#: intervals :func:`binomial_confidence` keeps; a pass over tables 5-8 asks
+#: for 1038 distinct ones
+_INTERVAL_MEMO_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,7 @@ class ConfidenceBoundError(ValueError):
     """The Clopper-Pearson inverse gave up: alpha is too small for these counts."""
 
 
+@lru_cache(maxsize=_INTERVAL_MEMO_SIZE)
 def binomial_confidence(hits: int, shots: int, alpha: float) -> tuple[float, float]:
     """Exact two-sided binomial confidence interval (Clopper-Pearson).
 
@@ -135,6 +140,12 @@ def binomial_confidence(hits: int, shots: int, alpha: float) -> tuple[float, flo
     alpha/2 quantile of Beta(hits, shots - hits + 1) (0 when hits == 0),
     the upper the 1 - alpha/2 quantile of Beta(hits + 1, shots - hits)
     (1 when hits == shots).  Always contains hits/shots.
+
+    Memoized on ``(hits, shots, alpha)``, least recently used first out past
+    ``_INTERVAL_MEMO_SIZE`` entries: IQAE's first round is always k = 0 at
+    the cell's shot count, so in a fresh pass over one of tables 5-8 about
+    two calls in three repeat an earlier key.  A call that raises stores
+    nothing.  ``binomial_confidence.cache_clear()`` empties the memo.
 
     Raises:
         ValueError: on bad arguments.

@@ -328,6 +328,27 @@ class TestEmitCsv:
         assert a.getvalue() == b.getvalue()
 
 
+class TestIntervalMemo:
+    def test_cold_and_warm_memo_give_the_same_bytes(self):
+        """Table 5's sweep emits the same CSV whether its Clopper-Pearson
+        intervals are computed or served from the memo, and the second
+        pass computes none."""
+        [(_, config)] = table_configs(5)
+        memo = iqae_mod.binomial_confidence
+        memo.cache_clear()
+        texts, infos = [], []
+        for _ in range(2):
+            buf = io.StringIO()
+            emit_csv(run_sweep(config), buf)
+            texts.append(buf.getvalue())
+            infos.append(memo.cache_info())
+        memo.cache_clear()
+        cold, warm = infos
+        assert texts[0] == texts[1]
+        assert cold.misses == warm.misses and warm.hits > cold.hits > 0
+        assert all(info.currsize <= info.maxsize for info in infos)
+
+
 class TestTableConfigs:
     def test_baseline_table(self):
         ((name, cfg),) = table_configs(1)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import qaelab.core as core_mod
 import qaelab.iqae as iqae_mod
 from qaelab import cli
 from qaelab.bench import CSV_HEADER
@@ -128,6 +129,23 @@ class TestMlqaeCommand:
         assert rc == 1 and out == ""
         assert ("--qubits: n=200 needs a statevector of 2**201 float64 amplitudes "
                 "(2**204 bytes), more than numpy can index") in err
+
+    def test_statevector_beyond_physical_memory_blames_qubits(self, capsys, monkeypatch):
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        n = next(n for n in range(1, 59) if 3 << (n + 4) > physical)
+
+        def no_allocation(*args):  # fail here, not by exhausting memory
+            raise AssertionError("the refused oracle reached an allocation")
+
+        monkeypatch.setattr(core_mod, "_aligned_empty", no_allocation)
+        rc, out, err = run_cli(
+            capsys, "iqae", "--epsilon", "0.01", "--alpha", "0.05",
+            "--qubits", str(n), "--a", "0.125", "--shots", "16", "--seed", "0",
+            "--backend", "sv",
+        )
+        assert rc == 1 and out == ""
+        assert f"--qubits: n={n} needs 3 statevectors of 2**{n + 4} bytes" in err
+        assert "physical memory" in err
 
 
 # ---------------------------------------------------------------------------

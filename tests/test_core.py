@@ -1,9 +1,13 @@
 """Core statevector kernel: preparation, reflections, the iterate, backends."""
 
+import dataclasses
 import math
+import os
+import random
 import re
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
+import qaelab.core as core_mod
 from qaelab.core import (
     AnalyticBackend,
     OracleSpec,
@@ -54,6 +59,53 @@ class TestOracleSpec:
         assert time.perf_counter() - start < 0.01
         assert oracle.a == 0.125
         assert oracle.theta == OracleSpec(10, 128).theta
+
+
+class TestCachedTheta:
+    @staticmethod
+    def specs():
+        """Every n <= 64 with the edge marked counts and 8 random ones."""
+        for n in range(1, 65):
+            size = 1 << n
+            rng = random.Random(n)
+            counts = {0, 1, size // 2, size - 1, size}
+            counts.update(rng.randrange(size + 1) for _ in range(8))
+            for good in sorted(counts):
+                yield OracleSpec(n, good)
+
+    def test_bit_equal_to_the_formula(self):
+        for spec in self.specs():
+            want = math.asin(min(1.0, math.sqrt(spec.a))).hex()
+            assert spec.theta.hex() == want, spec
+            assert vars(spec)["theta"].hex() == want, spec
+
+    def test_cannot_be_assigned(self):
+        spec = OracleSpec(10, 128)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.theta = 0.5
+        spec.theta
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.theta = 0.5
+
+    def test_reading_it_leaves_equality_and_hash_alone(self):
+        read, unread = OracleSpec(14, 2048), OracleSpec(14, 2048)
+        read.theta
+        assert "theta" in vars(read) and "theta" not in vars(unread)
+        assert read == unread and hash(read) == hash(unread)
+        assert {read: "read"}[unread] == "read"
+        assert read != OracleSpec(14, 2049)
+
+    def test_prepared_amps_keys_on_the_spec(self):
+        core_mod._prepared_amps.cache_clear()
+        unread = OracleSpec(6, 5)
+        first = core_mod._prepared_amps(unread)
+        read = OracleSpec(6, 5)
+        read.theta
+        assert core_mod._prepared_amps(read) is first
+        assert core_mod._prepared_amps(OracleSpec(6, 6)) is not first
+        info = core_mod._prepared_amps.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+        core_mod._prepared_amps.cache_clear()
 
 
 class TestFromAmplitude:
@@ -304,6 +356,31 @@ class TestBackends:
             StatevectorBackend().flag_probability(oracle, 1)
         AnalyticBackend().check_oracle(oracle)
         StatevectorBackend().check_oracle(OracleSpec(16, 1))
+
+    def test_statevector_beyond_physical_memory_is_rejected(self, monkeypatch):
+        """Three live states of 2**(n+4) bytes each must fit in physical
+        memory; the check refuses the first n past it without allocating."""
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        n = next(n for n in range(1, 59) if 3 << (n + 4) > physical)
+
+        def no_allocation(*args):
+            raise AssertionError("check_oracle allocated a statevector")
+
+        monkeypatch.setattr(core_mod, "_aligned_empty", no_allocation)
+        backend = StatevectorBackend()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=(
+                rf"^n={n} needs 3 statevectors of 2\*\*{n + 4} bytes \(.* GiB\), "
+                r"more than the .* GiB of physical memory$"
+            )):
+                backend.check_oracle(OracleSpec(n, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        backend.check_oracle(OracleSpec(n - 1, 1))
+        AnalyticBackend().check_oracle(OracleSpec(n, 1))
 
     def test_probabilities_agree(self):
         oracle = OracleSpec(5, 7)

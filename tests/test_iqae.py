@@ -200,6 +200,15 @@ class TestFindNextK:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture
+def empty_memo():
+    """The interval memo, empty before the test and emptied again after it,
+    so that no test sees another's intervals."""
+    binomial_confidence.cache_clear()
+    yield
+    binomial_confidence.cache_clear()
+
+
 class TestBinomialConfidence:
     def test_frozen_midpoint_case(self):
         lo, hi = binomial_confidence(5, 10, 0.05)
@@ -259,13 +268,32 @@ class TestBinomialConfidence:
         lo2, hi2 = binomial_confidence(30, 100, 0.01)
         assert lo2 < lo1 and hi1 < hi2
 
-    def test_unconverged_inverse_raises(self, monkeypatch):
+    def test_unconverged_inverse_raises(self, empty_memo, monkeypatch):
         monkeypatch.setattr(iqae_mod, "betaincinv", lambda a, b, q: math.nan)
         # typed, so that the CLI can blame alpha; still a ValueError
         assert issubclass(iqae_mod.ConfidenceBoundError, ValueError)
         with pytest.raises(iqae_mod.ConfidenceBoundError,
                            match="no lower bound for hits=2, shots=5"):
             binomial_confidence(2, 5, 0.05)
+
+    def test_a_call_that_raised_caches_nothing(self, empty_memo, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(iqae_mod, "betaincinv", lambda a, b, q: math.nan)
+            with pytest.raises(iqae_mod.ConfidenceBoundError):
+                binomial_confidence(2, 5, 0.05)
+            assert binomial_confidence.cache_info().currsize == 0
+        got = binomial_confidence(2, 5, 0.05)
+        want = reference_binomial_confidence(2, 5, 0.05)
+        assert got[0] == pytest.approx(want[0], abs=1e-9)
+        assert got[1] == pytest.approx(want[1], abs=1e-9)
+        assert binomial_confidence.cache_info().currsize == 1
+
+    def test_a_repeated_key_is_served_from_the_memo(self, empty_memo, monkeypatch):
+        first = binomial_confidence(37, 158, 0.05)
+        monkeypatch.setattr(iqae_mod, "betaincinv", lambda a, b, q: math.nan)
+        assert binomial_confidence(37, 158, 0.05) is first
+        info = binomial_confidence.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
