@@ -275,17 +275,17 @@ def _run_iqae(
     backend: Backend,
     shots: int,
     rng: np.random.Generator,
-) -> tuple[float, float, bool]:
+) -> tuple[float, int, bool]:
     """One IQAE repetition: returns (a_hat, oracle_calls, capped)."""
     try:
         report = run_iqae(
             oracle, config.epsilon, config.alpha, shots,
             backend=backend, rng=rng, ratio=config.ratio,
         )
-        return report.a_hat, float(report.oracle_calls), False
+        return report.a_hat, report.oracle_calls, False
     except IterationCapError as exc:
         partial = exc.report
-        return partial.a_hat, float(partial.oracle_calls), True
+        return partial.a_hat, partial.oracle_calls, True
 
 
 def _run_cell(
@@ -293,23 +293,29 @@ def _run_cell(
     oracle: OracleSpec | None,
     backend: Backend | None,
     shots: int,
-) -> list[tuple[float, float, bool]]:
-    """Every repetition of one cell, in order: (a_hat, oracle_calls, capped).
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """One cell as columns over its repetitions, in order: the estimates,
+    the oracle calls (as floats), and how many repetitions hit the cap.
 
     ``oracle`` and ``backend`` are the sweep's, unused (None) for MCI.  An
-    MLQAE cell draws every repetition's records, then maximizes their
+    MCI cell is one ``run_mci`` call over the cell's generators; an MLQAE
+    cell draws every repetition's records, then maximizes their
     likelihoods together.
     """
-    rngs = derive_rngs(config.base_seed, config.algorithm, shots, config.repetitions)
+    reps = config.repetitions
+    rngs = derive_rngs(config.base_seed, config.algorithm, shots, reps)
     if config.algorithm == "mci":
-        mci = MciConfig(config.a_true, shots, 1)
-        return [(float(run_mci(mci, rng=rng)[0]), float(shots), False) for rng in rngs]
+        estimates = run_mci(MciConfig(config.a_true, shots, reps), rng=rngs)
+        return estimates, np.full(reps, float(shots)), 0
     if config.algorithm == "mlqae":
         reports = run_mlqae_cell(
             oracle, config.depth, shots, kind=config.schedule, backend=backend, rngs=rngs
         )
-        return [(report.a_hat, float(report.oracle_calls), False) for report in reports]
-    return [_run_iqae(config, oracle, backend, shots, rng) for rng in rngs]
+        runs = [(report.a_hat, report.oracle_calls, False) for report in reports]
+    else:
+        runs = [_run_iqae(config, oracle, backend, shots, rng) for rng in rngs]
+    estimates, calls, capped = zip(*runs)
+    return np.array(estimates), np.array(calls, dtype=float), sum(capped)
 
 
 def run_sweep(config: ExperimentConfig) -> list[SummaryRow]:
@@ -323,15 +329,15 @@ def run_sweep(config: ExperimentConfig) -> list[SummaryRow]:
         backend = make_backend(config.backend)
     rows: list[SummaryRow] = []
     for shots in config.shots_list:
-        estimates, calls, capped = zip(*_run_cell(config, oracle, backend, shots))
-        errors = [100.0 * abs(est - config.a_true) / config.a_true for est in estimates]
+        estimates, calls, capped = _run_cell(config, oracle, backend, shots)
+        errors = 100.0 * np.abs(estimates - config.a_true) / config.a_true
         rows.append(
             SummaryRow(
                 shots,
                 *summarize(estimates),
                 *summarize(errors),
                 *summarize(calls),
-                capped=sum(capped),
+                capped=capped,
             )
         )
     return rows

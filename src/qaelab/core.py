@@ -293,7 +293,8 @@ class StatevectorBackend(Backend):
 
     Each instance memoizes the probability per ``(oracle, m)`` and keeps the
     most recent ``(oracle, m, amps)`` state: a higher power of the same
-    oracle advances from it, anything else restarts from the prepared state.
+    oracle advances from it, anything else restarts from the prepared state
+    once :meth:`check_oracle` accepts the oracle.
     Both paths apply the same sequence of iterates to the same start, so the
     memo returns exactly what a fresh simulation would.  Stored arrays are
     read-only.
@@ -327,6 +328,7 @@ class StatevectorBackend(Backend):
         if last is not None and last[0] == oracle and last[1] <= m:
             done, amps = last[1], last[2]
         else:
+            self.check_oracle(oracle)
             done, amps = 0, _prepared_amps(oracle)
         state = apply_q_power(Statevector(oracle.n, _aligned_copy(amps)), oracle, m - done)
         state.amps.flags.writeable = False

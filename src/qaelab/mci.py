@@ -7,6 +7,7 @@ the method on the same cost axis as the amplitude estimators.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +32,25 @@ class MciConfig:
             raise ValueError(f"repetitions must be positive, got {self.repetitions}")
 
 
-def run_mci(config: MciConfig, *, rng: np.random.Generator) -> np.ndarray:
+def run_mci(
+    config: MciConfig, *, rng: np.random.Generator | Iterable[np.random.Generator]
+) -> np.ndarray:
     """Hit-or-miss estimates of ``a_true``, one per repetition.
 
     Of ``config.samples`` uniform points on [0, 1]^2, the number with
     ``y < a_true`` is exactly Binomial(samples, a_true), so each estimate is
-    one draw from ``rng`` divided by ``samples``.  Cost per estimate is
+    one draw divided by ``samples``.  ``rng`` is one ``Generator``, which
+    draws every repetition's count from its one stream, or an iterable of
+    ``config.repetitions`` generators, one per repetition, each drawing its
+    repetition's count as ``run_mci(MciConfig(a_true, samples, 1), rng=g)``
+    would; a shorter iterable raises ``ValueError``.  Cost per estimate is
     ``config.samples`` oracle queries.
     """
-    hits = rng.binomial(config.samples, config.a_true, size=config.repetitions)
-    return hits / config.samples
+    n, p = config.samples, config.a_true
+    if isinstance(rng, np.random.Generator):
+        hits = rng.binomial(n, p, size=config.repetitions)
+    else:
+        hits = np.fromiter(
+            (g.binomial(n, p) for g in rng), np.int64, count=config.repetitions
+        )
+    return hits / n

@@ -1,6 +1,7 @@
 """Tests for the benchmark harness: seed derivation, sweeps, serialization,
 and the table runner."""
 
+import dataclasses
 import hashlib
 import io
 
@@ -27,6 +28,8 @@ from qaelab.bench import (
     table_configs,
 )
 from qaelab.core import make_backend
+from qaelab.iqae import run_iqae
+from qaelab.mci import MciConfig, run_mci
 from qaelab.mlqae import run_mlqae
 
 
@@ -230,11 +233,14 @@ class TestRunSweep:
                                depth=4, schedule="lis", base_seed=12)
         oracle, backend = cfg.oracle(), make_backend(cfg.backend)
         for shots in cfg.shots_list:
-            want = []
-            for rng in derive_rngs(cfg.base_seed, "mlqae", shots, cfg.repetitions):
-                report = run_mlqae(oracle, cfg.depth, shots, kind=cfg.schedule, rng=rng)
-                want.append((report.a_hat, float(report.oracle_calls), False))
-            assert bench_mod._run_cell(cfg, oracle, backend, shots) == want
+            want = [
+                run_mlqae(oracle, cfg.depth, shots, kind=cfg.schedule, rng=rng)
+                for rng in derive_rngs(cfg.base_seed, "mlqae", shots, cfg.repetitions)
+            ]
+            estimates, calls, capped = bench_mod._run_cell(cfg, oracle, backend, shots)
+            assert estimates.tolist() == [report.a_hat for report in want]
+            assert calls.tolist() == [float(report.oracle_calls) for report in want]
+            assert capped == 0
 
     def test_iqae_calls_vary_and_never_cap(self):
         cfg = ExperimentConfig(
@@ -285,6 +291,90 @@ class TestRunSweep:
         assert row.std_a == 0.0
         assert row.max_err_pct == row.avg_err_pct == row.min_err_pct
         assert row.std_err_pct == 0.0
+
+
+def reference_rows(config):
+    """``run_sweep``'s rows, computed a repetition at a time: each
+    repetition's estimator on ``derive_rng``'s generator, each error from
+    the scalar formula ``100 * |a_hat - a| / a`` on Python floats."""
+    oracle = backend = None
+    if config.algorithm != "mci":
+        oracle, backend = config.oracle(), make_backend(config.backend)
+    rows = []
+    for shots in config.shots_list:
+        runs = []
+        for rep in range(config.repetitions):
+            rng = derive_rng(config.base_seed, config.algorithm, shots, rep)
+            if config.algorithm == "mci":
+                a_hat = float(run_mci(MciConfig(config.a_true, shots, 1), rng=rng)[0])
+                runs.append((a_hat, float(shots), False))
+            elif config.algorithm == "mlqae":
+                report = run_mlqae(oracle, config.depth, shots, kind=config.schedule,
+                                   backend=backend, rng=rng)
+                runs.append((report.a_hat, float(report.oracle_calls), False))
+            else:
+                try:
+                    report = run_iqae(oracle, config.epsilon, config.alpha, shots,
+                                      backend=backend, rng=rng, ratio=config.ratio)
+                    capped = False
+                except iqae_mod.IterationCapError as exc:
+                    report, capped = exc.report, True
+                runs.append((report.a_hat, float(report.oracle_calls), capped))
+        estimates, calls, capped = zip(*runs)
+        errors = [100.0 * abs(est - config.a_true) / config.a_true for est in estimates]
+        rows.append(SummaryRow(shots, *summarize(estimates), *summarize(errors),
+                               *summarize(calls), capped=sum(capped)))
+    return rows
+
+
+def row_bits(row):
+    """A summary row's fields, every float as its exact ``float.hex``."""
+    return [value.hex() if isinstance(value, float) else value
+            for value in dataclasses.astuple(row)]
+
+
+class TestColumnReduction:
+    """A sweep reduces each cell as columns; its rows must be bit for bit
+    the per-repetition reduction's, which six-digit CSVs would not show."""
+
+    @pytest.mark.parametrize("config", [
+        table_configs(1)[0][1],
+        ExperimentConfig("mci", a_true=0.3, shots_list=(1, 10, 37), repetitions=50,
+                         base_seed=5),
+        table_configs(2)[0][1],
+        ExperimentConfig("mlqae", qubits=6, a_true=19 / 64, shots_list=(16, 100),
+                         repetitions=9, depth=5, schedule="lis", base_seed=12),
+        table_configs(5)[0][1],
+        ExperimentConfig("iqae", qubits=6, a_true=19 / 64, shots_list=(16, 100),
+                         repetitions=9, epsilon=0.005, ratio=3, base_seed=12),
+    ], ids=["table1", "mci", "table2", "mlqae", "table5", "iqae"])
+    def test_rows_match_the_scalar_reduction(self, config):
+        got, want = run_sweep(config), reference_rows(config)
+        assert [row_bits(row) for row in got] == [row_bits(row) for row in want]
+
+    def test_capped_repetitions_are_counted(self, monkeypatch):
+        monkeypatch.setattr(iqae_mod, "CAP_MULTIPLIER", 0)
+        config = ExperimentConfig("iqae", qubits=6, shots_list=(16, 32), repetitions=4,
+                                  base_seed=3)
+        got = run_sweep(config)
+        assert [row.capped for row in got] == [4, 4]
+        want = reference_rows(config)
+        assert [row_bits(row) for row in got] == [row_bits(row) for row in want]
+
+    def test_an_mci_cell_is_one_run_mci_call(self, monkeypatch):
+        # perfbench times the baseline by rebinding bench.run_mci, and a
+        # cell that called it once per repetition would be 10^4 calls
+        seen = []
+        original = bench_mod.run_mci
+
+        def counting(config, *, rng):
+            seen.append((config.samples, config.repetitions))
+            return original(config, rng=rng)
+
+        monkeypatch.setattr(bench_mod, "run_mci", counting)
+        config = table_configs(1)[0][1]
+        run_sweep(config)
+        assert seen == [(1024, 10_000), (16384, 10_000)]
 
 
 ROWS = [

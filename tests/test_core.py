@@ -31,6 +31,7 @@ from qaelab.core import (
     measure_flag,
     prepare_a,
 )
+from qaelab.iqae import run_iqae
 from qaelab.verify import dense_iterate, dense_preparation, probe_iterate
 
 
@@ -338,6 +339,34 @@ class TestAnalytic:
             analytic_flag_probability(OracleSpec(2, 1), -2)
 
 
+def beyond_physical_memory(monkeypatch):
+    """The first n whose three live states of 2**(n+4) bytes exceed
+    physical memory, and the message refusing it; with every statevector
+    allocation patched to fail, so a missed check fails instead of
+    allocating gigabytes."""
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    n = next(n for n in range(1, 59) if 3 << (n + 4) > physical)
+
+    def no_allocation(*args):
+        raise AssertionError("allocated a statevector")
+
+    monkeypatch.setattr(core_mod, "_aligned_empty", no_allocation)
+    message = (rf"^n={n} needs 3 statevectors of 2\*\*{n + 4} bytes \(.* GiB\), "
+               r"more than the .* GiB of physical memory$")
+    return n, message
+
+
+def assert_refused_without_allocating(message, call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 class TestBackends:
     def test_factory(self):
         assert isinstance(make_backend("sv"), StatevectorBackend)
@@ -360,27 +389,34 @@ class TestBackends:
     def test_statevector_beyond_physical_memory_is_rejected(self, monkeypatch):
         """Three live states of 2**(n+4) bytes each must fit in physical
         memory; the check refuses the first n past it without allocating."""
-        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        n = next(n for n in range(1, 59) if 3 << (n + 4) > physical)
-
-        def no_allocation(*args):
-            raise AssertionError("check_oracle allocated a statevector")
-
-        monkeypatch.setattr(core_mod, "_aligned_empty", no_allocation)
+        n, message = beyond_physical_memory(monkeypatch)
         backend = StatevectorBackend()
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=(
-                rf"^n={n} needs 3 statevectors of 2\*\*{n + 4} bytes \(.* GiB\), "
-                r"more than the .* GiB of physical memory$"
-            )):
-                backend.check_oracle(OracleSpec(n, 1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 16
+        assert_refused_without_allocating(
+            message, lambda: backend.check_oracle(OracleSpec(n, 1)))
         backend.check_oracle(OracleSpec(n - 1, 1))
         AnalyticBackend().check_oracle(OracleSpec(n, 1))
+
+    @pytest.mark.parametrize("run", [
+        lambda oracle: StatevectorBackend().flag_probability(oracle, 0),
+        lambda oracle: run_iqae(oracle, 0.01, 0.05, 16, backend=StatevectorBackend(),
+                                rng=np.random.default_rng(0)),
+    ], ids=["flag_probability", "run_iqae"])
+    def test_statevector_run_beyond_physical_memory_is_rejected(self, monkeypatch, run):
+        """A library call that skips ``check_oracle`` still meets it before
+        the backend prepares a state."""
+        n, message = beyond_physical_memory(monkeypatch)
+        oracle = OracleSpec(n, 1 << (n - 3))
+        assert_refused_without_allocating(message, lambda: run(oracle))
+
+    def test_statevector_checks_the_oracle_on_each_restart_only(self, monkeypatch):
+        backend = StatevectorBackend()
+        checked = []
+        monkeypatch.setattr(backend, "check_oracle", checked.append)
+        oracle = OracleSpec(5, 7)
+        # 0 restarts, 1, 2 and 4 advance, a repeat is a memo hit, 3 restarts
+        for m in (0, 1, 2, 0, 4, 3, 3):
+            backend.flag_probability(oracle, m)
+        assert checked == [oracle, oracle]
 
     def test_probabilities_agree(self):
         oracle = OracleSpec(5, 7)

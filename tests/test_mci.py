@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qaelab import MciConfig, run_mci
+from qaelab.bench import derive_rngs
 
 
 class TestConfig:
@@ -71,3 +74,37 @@ class TestRun:
         rel_err = np.abs(est - 0.125) / 0.125
         want = sigma * math.sqrt(2.0 / math.pi) / 0.125
         assert rel_err.mean() == pytest.approx(want, rel=0.05)
+
+
+class TestPerRepetitionGenerators:
+    """``rng`` as one generator per repetition, as a sweep's cell passes it."""
+
+    @given(
+        a_true=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        samples=st.integers(1, 2**20),
+        repetitions=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    @example(0.125, 16384, 64, 1730)
+    @example(0.0, 1, 1, 0)
+    @example(1.0, 2**20, 3, 0)
+    def test_each_estimate_is_its_generators_single_draw(
+        self, a_true, samples, repetitions, seed
+    ):
+        config = MciConfig(a_true, samples, repetitions)
+        got = run_mci(config, rng=derive_rngs(seed, "mci", samples, repetitions))
+        assert got.shape == (repetitions,)
+        single = MciConfig(a_true, samples, 1)
+        want = [
+            float(run_mci(single, rng=rng)[0]).hex()
+            for rng in derive_rngs(seed, "mci", samples, repetitions)
+        ]
+        assert [float(est).hex() for est in got] == want
+
+    def test_too_few_generators_raise(self):
+        config = MciConfig(0.125, 1024, 5)
+        with pytest.raises(ValueError, match="Expected 5 but iterator had only 4"):
+            run_mci(config, rng=derive_rngs(0, "mci", 1024, 4))
+        with pytest.raises(ValueError):
+            run_mci(config, rng=[])
