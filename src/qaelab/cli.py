@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +57,10 @@ def _oracle(args) -> OracleSpec:
 
 
 def _checked(flag: str, check, *args, **kwargs):
-    """Call an estimator's own argument check; its ValueError names ``flag``."""
+    """Call an argument check or open a file; its ValueError or OSError names ``flag``."""
     try:
         return check(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise UsageError(f"{flag}: {exc}") from None
 
 
@@ -225,16 +226,16 @@ def parse_config_file(path) -> ExperimentConfig:
 
 def _cmd_sweep(args) -> int:
     config = parse_config_file(args.config)
-    try:
-        rows = run_sweep(config)
-    except ConfidenceBoundError as exc:
-        raise UsageError(f"{args.config}: alpha: {exc}") from None
+    # open --out first, so a path that cannot be written fails before the sweep runs
+    with (_checked("--out", open, args.out, "w", encoding="utf-8", newline="\n")
+          if args.out else nullcontext(sys.stdout)) as fh:
+        try:
+            rows = run_sweep(config)
+        except ConfidenceBoundError as exc:
+            raise UsageError(f"{args.config}: alpha: {exc}") from None
+        emit_csv(rows, fh)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            emit_csv(rows, fh)
         print(f"wrote {args.out}")
-    else:
-        emit_csv(rows, sys.stdout)
     capped = sum(row.capped for row in rows)
     if capped:
         print(
@@ -267,6 +268,8 @@ def _cmd_reproduce(args) -> int:
     except ReproduceCapError as exc:
         print(f"reproduce: {exc}", file=sys.stderr)
         return EXIT_ITERATION_CAP
+    except OSError as exc:
+        raise UsageError(f"--out: {exc}") from None
     for path in paths:
         print(f"wrote {path}")
     return EXIT_OK

@@ -54,9 +54,8 @@ __all__ = [
 #: amplitudes per slice of the iterate's axpy: its temporary stays at 64 KiB
 #: of float64, which the allocator serves from memory it already holds
 _AXPY_SLICE = 1 << 13
-#: statevectors a ``StatevectorBackend`` holds at its peak: the cached
-#: prepared state, the last evolved state and the copy being evolved
-_LIVE_STATES = 3
+#: statevectors a ``StatevectorBackend`` holds at its peak: the prepared and the live state
+_LIVE_STATES = 2
 #: byte boundary every evolved amplitude array starts on: a cache line.  The
 #: allocator's 16-byte alignment makes the iterate's wide vector stores
 #: straddle two lines, which at n = 16 on an AVX-512 core takes about 1.7
@@ -215,12 +214,12 @@ def prepare_a(oracle: OracleSpec) -> Statevector:
     return Statevector(oracle.n, amps)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _prepared_amps(oracle: OracleSpec) -> np.ndarray:
     """Read-only amplitudes of ``prepare_a(oracle)``: the iterate's reflection axis.
 
-    A handful of oracles at most are live at once; each entry holds
-    ``2**(n+1)`` float64 amplitudes (1 MiB at n = 16, 16 MiB at n = 20).
+    Kept for one oracle, as every sweep, CLI command and ``verify`` loop runs
+    one at a time; it holds ``2**(n+1)`` float64 amplitudes (1 MiB at n = 16).
     """
     amps = prepare_a(oracle).amps
     amps.flags.writeable = False
@@ -291,20 +290,20 @@ class Backend:
 class StatevectorBackend(Backend):
     """Runs the full register simulation and reads the probability off the state.
 
-    Each instance memoizes the probability per ``(oracle, m)`` and keeps the
-    most recent ``(oracle, m, amps)`` state: a higher power of the same
-    oracle advances from it, anything else restarts from the prepared state
-    once :meth:`check_oracle` accepts the oracle.
-    Both paths apply the same sequence of iterates to the same start, so the
-    memo returns exactly what a fresh simulation would.  Stored arrays are
-    read-only.
+    Each instance memoizes the probability per ``(oracle, m)`` and evolves one
+    live ``(oracle, m, state)`` in place: a higher power of the same oracle
+    advances it; anything else drops it and restarts from a copy of the
+    prepared state once :meth:`check_oracle` accepts the oracle.  Both paths
+    apply the same iterates to the same start, so the memo returns exactly what
+    a fresh simulation would.  A backend serves one caller at a time, holding
+    ``_LIVE_STATES`` statevectors at most.
     """
 
     name = "sv"
 
     def __init__(self) -> None:
         self._probabilities: dict[tuple[OracleSpec, int], float] = {}
-        self._last: tuple[OracleSpec, int, np.ndarray] | None = None
+        self._live: tuple[OracleSpec, int, Statevector] | None = None
 
     def check_oracle(self, oracle: OracleSpec) -> None:
         """Reject an oracle whose statevector numpy cannot index, or whose
@@ -324,17 +323,15 @@ class StatevectorBackend(Backend):
         p = self._probabilities.get((oracle, m))
         if p is not None:
             return p
-        last = self._last
-        if last is not None and last[0] == oracle and last[1] <= m:
-            done, amps = last[1], last[2]
-        else:
+        # held by this call alone until read, so no half-evolved state is reused
+        live, self._live = self._live, None
+        if live is None or live[0] != oracle or live[1] > m:
+            live = None  # free the old state before its successor is allocated
             self.check_oracle(oracle)
-            done, amps = 0, _prepared_amps(oracle)
-        state = apply_q_power(Statevector(oracle.n, _aligned_copy(amps)), oracle, m - done)
-        state.amps.flags.writeable = False
-        self._last = (oracle, m, state.amps)
-        p = flag_probability(state)
-        self._probabilities[(oracle, m)] = p
+            live = (oracle, 0, Statevector(oracle.n, _aligned_copy(_prepared_amps(oracle))))
+        state = apply_q_power(live[2], oracle, m - live[1])
+        p = self._probabilities[(oracle, m)] = flag_probability(state)
+        self._live = (oracle, m, state)
         return p
 
 

@@ -132,7 +132,8 @@ class TestMlqaeCommand:
 
     def test_statevector_beyond_physical_memory_blames_qubits(self, capsys, monkeypatch):
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        n = next(n for n in range(1, 59) if 3 << (n + 4) > physical)
+        states = core_mod._LIVE_STATES
+        n = next(n for n in range(1, 59) if states << (n + 4) > physical)
 
         def no_allocation(*args):  # fail here, not by exhausting memory
             raise AssertionError("the refused oracle reached an allocation")
@@ -144,7 +145,7 @@ class TestMlqaeCommand:
             "--backend", "sv",
         )
         assert rc == 1 and out == ""
-        assert f"--qubits: n={n} needs 3 statevectors of 2**{n + 4} bytes" in err
+        assert f"--qubits: n={n} needs {states} statevectors of 2**{n + 4} bytes" in err
         assert "physical memory" in err
 
 
@@ -385,6 +386,23 @@ class TestSweepCommand:
         assert f"wrote {out_path}" in out
         assert out_path.read_text().splitlines()[0] == CSV_HEADER
 
+    def test_unwritable_out_names_the_flag_before_the_sweep_runs(
+            self, capsys, tmp_path, monkeypatch):
+        def no_sweep(config):
+            raise AssertionError("the sweep ran before --out was opened")
+
+        monkeypatch.setattr(cli, "run_sweep", no_sweep)
+        out_path = tmp_path / "missing" / "x.csv"
+        rc, out, err = run_cli(
+            capsys, "sweep", "--config", self.write(tmp_path, GOOD_CONFIG),
+            "--out", str(out_path),
+        )
+        assert rc == 1 and out == ""
+        assert err.splitlines() == [
+            f"qaelab: error: --out: [Errno 2] No such file or directory: '{out_path}'",
+            "try 'qaelab --help' or 'qaelab COMMAND --help'",
+        ]
+
     @pytest.mark.parametrize("qubits", [64, 1100])
     def test_large_domain_gives_the_small_csv(self, capsys, tmp_path, qubits):
         _, want, _ = run_cli(capsys, "sweep", "--config", self.write(tmp_path, GOOD_CONFIG))
@@ -455,6 +473,19 @@ class TestReproduceCommand:
         assert rc == 0
         assert "wrote" in out
         assert (tmp_path / "table5.csv").exists()
+
+    def test_out_that_is_a_file_names_the_flag(self, capsys, tmp_path):
+        out_path = tmp_path / "table.csv"
+        out_path.write_text("kept\n", encoding="utf-8")
+        rc, out, err = run_cli(
+            capsys, "reproduce", "--table", "5", "--out", str(out_path),
+        )
+        assert rc == 1 and out == ""
+        assert err.splitlines() == [
+            f"qaelab: error: --out: [Errno 17] File exists: '{out_path}'",
+            "try 'qaelab --help' or 'qaelab COMMAND --help'",
+        ]
+        assert out_path.read_text(encoding="utf-8") == "kept\n"
 
     def test_invalid_table_number(self, capsys, tmp_path):
         rc, _, err = run_cli(

@@ -190,7 +190,7 @@ class TestDtype:
         assert Statevector.basis(5, 3).amps.dtype == np.float64
         backend = StatevectorBackend()
         backend.flag_probability(oracle, 3)
-        assert backend._last[2].dtype == np.float64
+        assert backend._live[2].amps.dtype == np.float64
 
     def test_complex_state_stays_complex(self):
         oracle = OracleSpec(4, 5)
@@ -340,18 +340,19 @@ class TestAnalytic:
 
 
 def beyond_physical_memory(monkeypatch):
-    """The first n whose three live states of 2**(n+4) bytes exceed
-    physical memory, and the message refusing it; with every statevector
-    allocation patched to fail, so a missed check fails instead of
-    allocating gigabytes."""
+    """The first n whose ``core._LIVE_STATES`` live states of 2**(n+4) bytes
+    exceed physical memory, and the message refusing it; with every
+    statevector allocation patched to fail, so a missed check fails instead
+    of allocating gigabytes."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    n = next(n for n in range(1, 59) if 3 << (n + 4) > physical)
+    states = core_mod._LIVE_STATES
+    n = next(n for n in range(1, 59) if states << (n + 4) > physical)
 
     def no_allocation(*args):
         raise AssertionError("allocated a statevector")
 
     monkeypatch.setattr(core_mod, "_aligned_empty", no_allocation)
-    message = (rf"^n={n} needs 3 statevectors of 2\*\*{n + 4} bytes \(.* GiB\), "
+    message = (rf"^n={n} needs {states} statevectors of 2\*\*{n + 4} bytes \(.* GiB\), "
                r"more than the .* GiB of physical memory$")
     return n, message
 
@@ -387,7 +388,7 @@ class TestBackends:
         StatevectorBackend().check_oracle(OracleSpec(16, 1))
 
     def test_statevector_beyond_physical_memory_is_rejected(self, monkeypatch):
-        """Three live states of 2**(n+4) bytes each must fit in physical
+        """The live states of 2**(n+4) bytes each must fit in physical
         memory; the check refuses the first n past it without allocating."""
         n, message = beyond_physical_memory(monkeypatch)
         backend = StatevectorBackend()
@@ -514,6 +515,68 @@ class TestStatevectorMemo:
             backend.flag_probability(oracle, -1)
 
 
+class TestLiveState:
+    @staticmethod
+    def peak_states(n, calls):
+        """Peak bytes traced over ``calls()``, in statevectors of 2**(n+4)
+        bytes.  scipy is loaded at import, so tracing starts at the first
+        allocation of ``calls()``, with the prepared-state cache empty."""
+        core_mod._prepared_amps.cache_clear()
+        tracemalloc.start()
+        try:
+            calls()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            core_mod._prepared_amps.cache_clear()
+        return peak / (1 << (n + 4))
+
+    # at n = 14 the iterate's 64 KiB axpy slice is a quarter of a state
+    N = 14
+    A, B = OracleSpec(N, 3 << (N - 4)), OracleSpec(N, 7 << (N - 5))
+
+    def test_one_backend_switching_oracles_holds_its_live_states(self):
+        def calls():
+            backend = StatevectorBackend()
+            # advances, switches and a fall to a power the memo misses
+            for oracle, m in ((self.A, 3), (self.B, 2), (self.A, 5), (self.A, 4),
+                              (self.B, 6), (self.A, 1), (self.B, 3)):
+                backend.flag_probability(oracle, m)
+
+        assert self.peak_states(self.N, calls) < core_mod._LIVE_STATES + 0.5
+
+    def test_a_fresh_backend_after_other_oracles_holds_its_live_states(self):
+        def calls():
+            for k in (1, 2, 4, 5):
+                StatevectorBackend().flag_probability(OracleSpec(self.N, k << (self.N - 4)), 2)
+            backend = StatevectorBackend()
+            for m in (0, 3, 5):
+                backend.flag_probability(self.A, m)
+
+        assert self.peak_states(self.N, calls) < core_mod._LIVE_STATES + 0.5
+
+    def test_a_state_an_exception_interrupts_is_not_reused(self, monkeypatch):
+        oracle = OracleSpec(9, 37)
+        backend = StatevectorBackend()
+        backend.flag_probability(oracle, 2)
+        calls = []
+
+        def interrupted(state, oracle):
+            calls.append(oracle)
+            if len(calls) == 3:
+                raise RuntimeError("interrupted")
+            return apply_q(state, oracle)
+
+        monkeypatch.setattr(core_mod, "apply_q", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            backend.flag_probability(oracle, 8)
+        monkeypatch.undo()
+        fresh = StatevectorBackend()
+        for m in (8, 9):
+            assert backend.flag_probability(oracle, m).hex() == \
+                fresh.flag_probability(oracle, m).hex()
+
+
 class TestMeasure:
     def test_empty_oracle_never_hits(self):
         rng = np.random.default_rng(1)
@@ -568,7 +631,7 @@ class TestStatevector:
         backend.flag_probability(oracle, 1)
         backend.flag_probability(oracle, 3)
         for amps in (state.amps, state.copy().amps, complex_state.copy().amps,
-                     backend._last[2]):
+                     backend._live[2].amps):
             assert amps.ctypes.data % 64 == 0
         np.testing.assert_array_equal(complex_state.copy().amps, complex_state.amps)
 
