@@ -15,18 +15,22 @@ each amplification iterate advances the flag-1 probability along the rotation
 
 The iterate ``Q = A S_0 A^dagger S_chi`` is applied through the identity
 ``A S_0 A^dagger = I - 2|psi><psi|`` with ``psi = A|0>``, the prepared
-state: a flag-phase flip, one overlap with ``psi`` and one axpy, each an
-O(2**(n+1)) pass over the amplitude array.  Every one of these operators
-is real, so the prepared state and everything evolved from it stay real
-float64; the same functions act on a complex state unchanged.  No gate
-matrices are ever materialized here; the dense Hadamard-and-permutation
-build that checks this form independently lives in :mod:`qaelab.verify`.
+state: one overlap with ``psi``, and in place around it the flag-phase
+flip and the update of ``psi``'s support, the amplitudes where ``psi`` is
+nonzero.  An iterate writes only the flag-1 signs and that support, and
+allocates no temporary.  Every one of these operators is real, so the
+prepared state and everything evolved from it stay real float64; the same
+functions act on a complex state unchanged.  No gate matrices are ever
+materialized here; the dense Hadamard-and-permutation build that checks
+this form independently, and the whole-array update that checks the
+iterate bit for bit, live in :mod:`qaelab.verify`.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -51,16 +55,8 @@ __all__ = [
     "measure_flag",
 ]
 
-#: amplitudes per slice of the iterate's axpy: its temporary stays at 64 KiB
-#: of float64, which the allocator serves from memory it already holds
-_AXPY_SLICE = 1 << 13
 #: statevectors a ``StatevectorBackend`` holds at its peak: the prepared and the live state
 _LIVE_STATES = 2
-#: byte boundary every evolved amplitude array starts on: a cache line.  The
-#: allocator's 16-byte alignment makes the iterate's wide vector stores
-#: straddle two lines, which at n = 16 on an AVX-512 core takes about 1.7
-#: times as long, so a run's speed would hang on where its copy landed
-_ALIGN = 64
 
 
 @dataclass(frozen=True)
@@ -122,8 +118,32 @@ class OracleSpec:
     def theta(self) -> float:
         """Rotation angle ``arcsin(sqrt(a))`` in ``[0, pi/2]``, computed on
         the first read and kept in the instance: every draw reads it.  Only
-        the fields take part in equality and hashing."""
-        return math.asin(min(1.0, math.sqrt(self.a)))
+        the fields take part in equality and hashing.
+
+        It is taken from the integers, so it keeps its precision at any
+        ``n`` and near both ends: above ``a = 1/2`` as ``pi/2`` less the
+        angle of the unmarked count, whose fraction of the domain stays
+        exact where ``1 - a`` would round."""
+        size = self.domain_size
+        if 2 * self.good_count > size:
+            return math.pi / 2 - _asin_sqrt_fraction(size - self.good_count, self.n)
+        return _asin_sqrt_fraction(self.good_count, self.n)
+
+
+def _asin_sqrt_fraction(count: int, n: int) -> float:
+    """``arcsin(sqrt(count / 2**n))`` for ``count <= 2**(n-1)``.
+
+    Where the fraction is a normal float this is ``asin(sqrt(fraction))``.
+    Below that, ``arcsin(x) = x`` to double precision, and
+    ``x = sqrt(count * 2**r) * 2**(-(n + r)/2)`` with ``r = n % 2`` makes the
+    power of two exact; an even shift keeps ``count`` within float range.
+    """
+    fraction = count / (1 << n)
+    if fraction >= sys.float_info.min:
+        return math.asin(math.sqrt(fraction))
+    scaled = count << (n & 1)
+    shift = max(0, scaled.bit_length() - 1000) & ~1
+    return math.ldexp(math.sqrt(scaled >> shift), (shift - n - (n & 1)) // 2)
 
 
 @dataclass
@@ -154,26 +174,10 @@ class Statevector:
         return cls(n, amps)
 
     def copy(self) -> "Statevector":
-        return Statevector(self.n, _aligned_copy(self.amps))
+        return Statevector(self.n, self.amps.copy())
 
     def norm_sq(self) -> float:
         return float(np.real(np.vdot(self.amps, self.amps)))
-
-
-def _aligned_empty(size: int, dtype) -> np.ndarray:
-    """An uninitialized 1-D array of ``size`` items that starts on an
-    ``_ALIGN``-byte boundary."""
-    nbytes = size * np.dtype(dtype).itemsize
-    raw = np.empty(nbytes + _ALIGN, dtype=np.uint8)
-    start = -raw.ctypes.data % _ALIGN
-    return raw[start:start + nbytes].view(dtype)
-
-
-def _aligned_copy(amps: np.ndarray) -> np.ndarray:
-    """A copy of the 1-D array ``amps`` that starts on an ``_ALIGN``-byte boundary."""
-    copy = _aligned_empty(amps.size, amps.dtype)
-    copy[...] = amps
-    return copy
 
 
 def _physical_memory() -> int | None:
@@ -185,13 +189,18 @@ def _physical_memory() -> int | None:
 
 
 def _check_state_size(n: int) -> None:
-    """Reject ``n`` domain qubits whose ``2**(n+1)`` float64 amplitudes, with
-    the alignment slack, are more bytes than a numpy array can index."""
-    if (2 << n) * 8 + _ALIGN > np.iinfo(np.intp).max:
+    """Reject ``n`` domain qubits whose ``2**(n+1)`` float64 amplitudes are
+    more bytes than a numpy array can index."""
+    if (2 << n) * 8 > np.iinfo(np.intp).max:
         raise ValueError(
             f"n={n} needs a statevector of 2**{n + 1} float64 amplitudes "
             f"(2**{n + 4} bytes), more than numpy can index"
         )
+
+
+def _amplitude(n: int) -> float:
+    """``2**(-n/2)``: every nonzero amplitude of the prepared state on ``n`` domain qubits."""
+    return 1.0 / math.sqrt(1 << n)
 
 
 def prepare_a(oracle: OracleSpec) -> Statevector:
@@ -203,10 +212,8 @@ def prepare_a(oracle: OracleSpec) -> Statevector:
     numpy cannot index the state.
     """
     _check_state_size(oracle.n)
-    size = oracle.domain_size
-    amps = _aligned_empty(2 * size, np.float64)
-    amps.fill(0.0)
-    amplitude = 1.0 / math.sqrt(size)
+    amps = np.zeros(2 * oracle.domain_size)
+    amplitude = _amplitude(oracle.n)
     # row i holds domain index i's flag-0 and flag-1 amplitudes
     pairs = amps.reshape(-1, 2)
     pairs[:oracle.good_count, 1] = amplitude
@@ -235,20 +242,21 @@ def apply_s_chi(state: Statevector) -> Statevector:
 def apply_q(state: Statevector, oracle: OracleSpec) -> Statevector:
     """One amplification iterate ``Q = A S_0 A^dagger S_chi``, in place.
 
-    With ``psi = A|0>`` the prepared state, the reflection about it is
-    ``A S_0 A^dagger = I - 2|psi><psi|``.  So after the flag-phase flip the
-    iterate is one rank-one update: ``amps -= 2 <psi|amps> psi``.
+    With ``psi = A|0>`` the prepared state, ``A S_0 A^dagger = I - 2|psi><psi|``,
+    so after the flag-phase flip the iterate is ``amps -= 2 <psi|amps> psi``.
+    ``psi`` is ``2**(-n/2)`` on its support and zero elsewhere, so an iterate
+    writes only the flag-1 signs and that support, with no temporary.
     """
-    apply_s_chi(state)
-    psi = _prepared_amps(oracle)
-    coef = 2.0 * np.vdot(psi, state.amps)
-    # slice by slice: a state-sized temporary (1 MiB at n = 16) lands on fresh
-    # pages whenever the allocator has just trimmed its heap, one page fault
-    # per 4 KiB; the arithmetic per amplitude is the same either way
     amps = state.amps
-    for start in range(0, amps.size, _AXPY_SLICE):
-        stop = start + _AXPY_SLICE
-        amps[start:stop] -= coef * psi[start:stop]
+    # psi's support: the good indices' flag-1 and the others' flag-0 amplitudes
+    split = 2 * oracle.good_count
+    amps[1:split:2] *= -1.0
+    step = 2.0 * np.vdot(_prepared_amps(oracle), amps) * _amplitude(oracle.n)
+    amps[1:split:2] -= step
+    amps[split::2] -= step
+    # psi is zero on the other flag-1 amplitudes, so their flip can wait for
+    # the overlap and then follow the update over the same cache lines
+    amps[split + 1::2] *= -1.0
     return state
 
 
@@ -328,7 +336,7 @@ class StatevectorBackend(Backend):
         if live is None or live[0] != oracle or live[1] > m:
             live = None  # free the old state before its successor is allocated
             self.check_oracle(oracle)
-            live = (oracle, 0, Statevector(oracle.n, _aligned_copy(_prepared_amps(oracle))))
+            live = (oracle, 0, Statevector(oracle.n, _prepared_amps(oracle).copy()))
         state = apply_q_power(live[2], oracle, m - live[1])
         p = self._probabilities[(oracle, m)] = flag_probability(state)
         self._live = (oracle, m, state)

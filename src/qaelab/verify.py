@@ -1,11 +1,12 @@
 """Brute-force cross-checks for the matrix-free core and the interval math.
 
 Everything here is built the slow, obvious way — dense Kronecker products,
-explicit permutation matrices, direct binomial tail sums, power scans in
-exact rational arithmetic, one numpy SeedSequence per repetition, a
-golden section that evaluates the likelihood one point and one record at
-a time — precisely so it shares no code path with the implementations it
-checks.
+explicit permutation matrices, the iterate's update over the whole array,
+the oracle angle from an integer square root and the arcsine's series,
+direct binomial tail sums, power scans in exact rational arithmetic, one
+numpy SeedSequence per repetition, a golden section that evaluates the
+likelihood one point and one record at a time — precisely so it shares no
+code path with the implementations it checks.
 The CLI ``verify`` subcommand runs :func:`run_checks`.
 """
 
@@ -31,10 +32,12 @@ __all__ = [
     "dense_preparation",
     "dense_iterate",
     "probe_iterate",
+    "reference_iterate",
     "reference_grid_log_likelihood",
     "reference_log_likelihood",
     "reference_maximize_likelihood",
     "reference_scalar_log_likelihood",
+    "reference_theta",
     "run_checks",
 ]
 
@@ -90,6 +93,17 @@ def probe_iterate(oracle: OracleSpec) -> np.ndarray:
     return cols
 
 
+def reference_iterate(amps: np.ndarray, oracle: OracleSpec) -> np.ndarray:
+    """One iterate applied to a copy of ``amps`` by whole-array operations:
+    the flag-phase flip of every flag-1 amplitude, then the rank-one update
+    with the prepared state over every amplitude, zeros of ``psi`` included."""
+    amps = np.array(amps, dtype=np.result_type(amps, np.float64))
+    psi = prepare_a(oracle).amps
+    amps[1::2] *= -1.0
+    amps -= 2.0 * np.vdot(psi, amps) * psi
+    return amps
+
+
 def reference_binomial_confidence(
     hits: int, shots: int, alpha: float
 ) -> tuple[float, float]:
@@ -127,6 +141,27 @@ _PI = Fraction(
     "3.14159265358979323846264338327950288419716939937510"
     "582097494459230781640628620899"
 )
+
+
+def reference_theta(oracle: OracleSpec) -> float:
+    """``arcsin(sqrt(a))`` from the oracle's integers alone: ``sqrt(a)`` by
+    ``math.isqrt`` and the arcsine by its Taylor series in the exact ``a``,
+    both in fixed point with ``n + 64`` fractional bits, 64 bits more than
+    the smallest nonzero angle needs; above ``a = 1/2`` it is ``pi/2`` less
+    the unmarked count's angle."""
+    n, size = oracle.n, oracle.domain_size
+    flip = 2 * oracle.good_count > size
+    count = size - oracle.good_count if flip else oracle.good_count
+    # x * 2**(n + 64), for x = sqrt(count / 2**n)
+    term = math.isqrt(count << (n + 128))
+    total, k = 0, 0
+    # arcsin x = sum of t_k, t_k = t_(k-1) * x**2 * (2k - 1)**2 / (2k (2k + 1))
+    while term:
+        total += term
+        k += 1
+        term = term * count * (2 * k - 1) ** 2 // ((2 * k * (2 * k + 1)) << n)
+    angle = Fraction(total, 1 << (n + 64))
+    return float(_PI / 2 - angle if flip else angle)
 
 
 def _admissible_power(lo: Fraction, hi: Fraction, k: int) -> int | None:

@@ -138,7 +138,7 @@ class TestMlqaeCommand:
         def no_allocation(*args):  # fail here, not by exhausting memory
             raise AssertionError("the refused oracle reached an allocation")
 
-        monkeypatch.setattr(core_mod, "_aligned_empty", no_allocation)
+        monkeypatch.setattr(core_mod, "prepare_a", no_allocation)
         rc, out, err = run_cli(
             capsys, "iqae", "--epsilon", "0.01", "--alpha", "0.05",
             "--qubits", str(n), "--a", "0.125", "--shots", "16", "--seed", "0",

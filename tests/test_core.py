@@ -32,7 +32,13 @@ from qaelab.core import (
     prepare_a,
 )
 from qaelab.iqae import run_iqae
-from qaelab.verify import dense_iterate, dense_preparation, probe_iterate
+from qaelab.verify import (
+    dense_iterate,
+    dense_preparation,
+    probe_iterate,
+    reference_iterate,
+    reference_theta,
+)
 
 
 class TestOracleSpec:
@@ -75,10 +81,37 @@ class TestCachedTheta:
                 yield OracleSpec(n, good)
 
     def test_bit_equal_to_the_formula(self):
+        # asin(sqrt(a)) up to a = 1/2, every table oracle's value; above it
+        # pi/2 less the angle of the unmarked fraction, which stays exact
         for spec in self.specs():
-            want = math.asin(min(1.0, math.sqrt(spec.a))).hex()
+            if spec.a <= 0.5:
+                want = math.asin(math.sqrt(spec.a)).hex()
+            else:
+                unmarked = (spec.domain_size - spec.good_count) / spec.domain_size
+                want = (math.pi / 2 - math.asin(math.sqrt(unmarked))).hex()
             assert spec.theta.hex() == want, spec
             assert vars(spec)["theta"].hex() == want, spec
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 2100), data=st.data())
+    def test_within_two_ulps_of_the_integer_reference(self, n, data):
+        size = 1 << n
+        near_end = st.integers(0, n).flatmap(lambda bits: st.integers(0, 1 << bits))
+        good = data.draw(st.one_of(
+            st.integers(0, size), near_end, near_end.map(lambda low: size - low)))
+        got, want = OracleSpec(n, good).theta, reference_theta(OracleSpec(n, good))
+        assert abs(got - want) <= 2 * math.ulp(want), (got.hex(), want.hex())
+
+    def test_a_single_marked_index_past_float_range(self):
+        # a = 2**-1100 underflows to 0.0; theta = 2**-550 is a normal float
+        assert OracleSpec(1100, 1).theta == 2.0**-550
+        assert OracleSpec(1101, 1).theta == 2.0**-550.5
+
+    def test_one_unmarked_index_stays_below_a_right_angle(self):
+        # 1 - 2**-60 rounds to 1.0; the true theta is pi/2 - 2**-30 to double precision
+        theta = OracleSpec(60, 2**60 - 1).theta
+        assert theta < math.pi / 2
+        assert theta == math.pi / 2 - 2.0**-30
 
     def test_cannot_be_assigned(self):
         spec = OracleSpec(10, 128)
@@ -247,7 +280,9 @@ class TestIterate:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_sliced_update_equals_whole_array_update(self, dtype):
-        # 2**15 amplitudes: several slices of the axpy plus the flag flip
+        # 2**15 amplitudes, a fixed state at the top of the property test's
+        # range: the iterate against the flag flip and rank-one update written
+        # out over the whole array
         oracle = OracleSpec(14, 3000)
         rng = np.random.default_rng(5)
         amps = rng.standard_normal(2 << 14).astype(dtype)
@@ -258,6 +293,38 @@ class TestIterate:
         expected[1::2] *= -1.0
         expected -= (2.0 * np.vdot(psi, expected)) * psi
         assert np.array_equal(apply_q(Statevector(14, amps), oracle).amps, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 14),
+        data=st.data(),
+        dtype=st.sampled_from([np.float64, np.complex128]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_whole_array_reference(self, n, data, dtype, seed):
+        # random states, almost never in the span of psi
+        size = 1 << n
+        good = data.draw(st.one_of(st.just(0), st.just(size), st.integers(0, size)))
+        oracle = OracleSpec(n, good)
+        rng = np.random.default_rng(seed)
+        amps = rng.standard_normal(2 << n)
+        if dtype is np.complex128:
+            amps = amps + 1j * rng.standard_normal(2 << n)
+        want = reference_iterate(amps, oracle)
+        assert np.array_equal(apply_q(Statevector(n, amps), oracle).amps, want)
+
+    def test_allocates_no_temporary(self):
+        # the 2**17 amplitudes of n = 16 are 1 MiB; the iterate's own
+        # allocations are the few small array views of the state
+        oracle = OracleSpec(16, 3 << 12)
+        state = apply_q(prepare_a(oracle), oracle)  # caches psi
+        tracemalloc.start()
+        try:
+            apply_q(state, oracle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
 
     def test_probe_matrix_matches_dense(self):
         for n, good in [(1, 1), (2, 2), (3, 5), (4, 7)]:
@@ -341,9 +408,9 @@ class TestAnalytic:
 
 def beyond_physical_memory(monkeypatch):
     """The first n whose ``core._LIVE_STATES`` live states of 2**(n+4) bytes
-    exceed physical memory, and the message refusing it; with every
-    statevector allocation patched to fail, so a missed check fails instead
-    of allocating gigabytes."""
+    exceed physical memory, and the message refusing it; with state
+    preparation, where every state the backend holds starts, patched to
+    fail, so a missed check fails instead of allocating gigabytes."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     states = core_mod._LIVE_STATES
     n = next(n for n in range(1, 59) if states << (n + 4) > physical)
@@ -351,7 +418,7 @@ def beyond_physical_memory(monkeypatch):
     def no_allocation(*args):
         raise AssertionError("allocated a statevector")
 
-    monkeypatch.setattr(core_mod, "_aligned_empty", no_allocation)
+    monkeypatch.setattr(core_mod, "prepare_a", no_allocation)
     message = (rf"^n={n} needs {states} statevectors of 2\*\*{n + 4} bytes \(.* GiB\), "
                r"more than the .* GiB of physical memory$")
     return n, message
@@ -531,7 +598,6 @@ class TestLiveState:
             core_mod._prepared_amps.cache_clear()
         return peak / (1 << (n + 4))
 
-    # at n = 14 the iterate's 64 KiB axpy slice is a quarter of a state
     N = 14
     A, B = OracleSpec(N, 3 << (N - 4)), OracleSpec(N, 7 << (N - 5))
 
@@ -620,20 +686,6 @@ class TestStatevector:
         dup = state.copy()
         dup.amps[5] = 0.0
         assert state.amps[5] == 1.0
-
-    def test_evolved_states_start_on_a_cache_line(self):
-        # a state off a 64-byte boundary makes every iterate's wide stores
-        # straddle cache lines, so the iterate's speed would vary by process
-        oracle = OracleSpec(12, 500)
-        state = prepare_a(oracle)
-        complex_state = Statevector(12, state.amps.astype(np.complex128))
-        backend = StatevectorBackend()
-        backend.flag_probability(oracle, 1)
-        backend.flag_probability(oracle, 3)
-        for amps in (state.amps, state.copy().amps, complex_state.copy().amps,
-                     backend._live[2].amps):
-            assert amps.ctypes.data % 64 == 0
-        np.testing.assert_array_equal(complex_state.copy().amps, complex_state.amps)
 
     def test_normalization_through_random_sequences(self):
         rng = np.random.default_rng(23)
