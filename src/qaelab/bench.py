@@ -9,7 +9,7 @@ Summaries serialize to a fixed 13-column CSV.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -103,8 +103,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SummaryRow:
-    """Per-cell statistics; ``capped`` counts repetitions that hit the
-    iteration cap and is not part of the CSV schema."""
+    """Per-cell statistics.  ``capped`` counts repetitions that hit the
+    iteration cap and ``collapsed`` IQAE runs whose interval collapsed
+    (``IqaeReport.collapse_round``); neither is part of the CSV schema."""
 
     shots: int
     max_a: float
@@ -120,10 +121,15 @@ class SummaryRow:
     min_calls: float
     std_calls: float
     capped: int = 0
+    collapsed: int = 0
 
 
-#: the 12 statistics after ``shots``, in column order; ``capped`` is not a column
-_CSV_FIELDS = tuple(f.name for f in fields(SummaryRow))[1:-1]
+#: the 12 statistics after ``shots``, in column order
+_CSV_FIELDS = (
+    "max_a", "avg_a", "min_a", "std_a",
+    "max_err_pct", "avg_err_pct", "min_err_pct", "std_err_pct",
+    "max_calls", "avg_calls", "min_calls", "std_calls",
+)
 CSV_HEADER = ",".join(("shots",) + _CSV_FIELDS)
 
 
@@ -269,53 +275,49 @@ def summarize(values) -> tuple[float, float, float, float]:
     return float(arr.max()), float(arr.mean()), float(arr.min()), float(arr.std())
 
 
-def _run_iqae(
-    config: ExperimentConfig,
-    oracle: OracleSpec,
-    backend: Backend,
-    shots: int,
-    rng: np.random.Generator,
-) -> tuple[float, int, bool]:
-    """One IQAE repetition: returns (a_hat, oracle_calls, capped)."""
-    try:
-        report = run_iqae(
-            oracle, config.epsilon, config.alpha, shots,
-            backend=backend, rng=rng, ratio=config.ratio,
-        )
-        return report.a_hat, report.oracle_calls, False
-    except IterationCapError as exc:
-        partial = exc.report
-        return partial.a_hat, partial.oracle_calls, True
-
-
 def _run_cell(
     config: ExperimentConfig,
     oracle: OracleSpec | None,
     backend: Backend | None,
     shots: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """One cell as columns over its repetitions, in order: the estimates,
-    the oracle calls (as floats), and how many repetitions hit the cap.
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """One cell as columns over its repetitions, in order: the estimates and
+    the oracle calls (as floats); then how many repetitions hit the cap and
+    how many collapsed.
 
     ``oracle`` and ``backend`` are the sweep's, unused (None) for MCI.  An
-    MCI cell is one ``run_mci`` call over the cell's generators; an MLQAE
-    cell draws every repetition's records, then maximizes their
-    likelihoods together.
+    MCI cell is one ``run_mci`` call over the cell's generators.  Otherwise
+    the columns are read from one list of run reports: MLQAE draws every
+    repetition's records and maximizes their likelihoods together; IQAE
+    calls ``run_iqae`` once per repetition, and a capped run adds the
+    partial report its ``IterationCapError`` carries.
     """
     reps = config.repetitions
     rngs = derive_rngs(config.base_seed, config.algorithm, shots, reps)
     if config.algorithm == "mci":
         estimates = run_mci(MciConfig(config.a_true, shots, reps), rng=rngs)
-        return estimates, np.full(reps, float(shots)), 0
+        return estimates, np.full(reps, float(shots)), 0, 0
+    capped = collapsed = 0
     if config.algorithm == "mlqae":
         reports = run_mlqae_cell(
             oracle, config.depth, shots, kind=config.schedule, backend=backend, rngs=rngs
         )
-        runs = [(report.a_hat, report.oracle_calls, False) for report in reports]
     else:
-        runs = [_run_iqae(config, oracle, backend, shots, rng) for rng in rngs]
-    estimates, calls, capped = zip(*runs)
-    return np.array(estimates), np.array(calls, dtype=float), sum(capped)
+        reports = []
+        for rng in rngs:
+            try:
+                report = run_iqae(
+                    oracle, config.epsilon, config.alpha, shots,
+                    backend=backend, rng=rng, ratio=config.ratio,
+                )
+            except IterationCapError as exc:
+                report = exc.report
+                capped += 1
+            reports.append(report)
+        collapsed = sum(report.collapse_round is not None for report in reports)
+    estimates = np.array([report.a_hat for report in reports])
+    calls = np.array([report.oracle_calls for report in reports], dtype=float)
+    return estimates, calls, capped, collapsed
 
 
 def run_sweep(config: ExperimentConfig) -> list[SummaryRow]:
@@ -329,7 +331,7 @@ def run_sweep(config: ExperimentConfig) -> list[SummaryRow]:
         backend = make_backend(config.backend)
     rows: list[SummaryRow] = []
     for shots in config.shots_list:
-        estimates, calls, capped = _run_cell(config, oracle, backend, shots)
+        estimates, calls, capped, collapsed = _run_cell(config, oracle, backend, shots)
         errors = 100.0 * np.abs(estimates - config.a_true) / config.a_true
         rows.append(
             SummaryRow(
@@ -338,6 +340,7 @@ def run_sweep(config: ExperimentConfig) -> list[SummaryRow]:
                 *summarize(errors),
                 *summarize(calls),
                 capped=capped,
+                collapsed=collapsed,
             )
         )
     return rows

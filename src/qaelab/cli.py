@@ -137,6 +137,12 @@ def _cmd_iqae(args) -> int:
     except ConfidenceBoundError as exc:
         raise UsageError(f"--alpha: {exc}") from None
     _print_iqae(report, args)
+    if report.collapse_round is not None:
+        print(
+            f"iqae: round {report.collapse_round}'s interval was disjoint from the "
+            "running one, so the run stopped on a zero-width interval",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 
@@ -236,6 +242,13 @@ def _cmd_sweep(args) -> int:
         emit_csv(rows, fh)
     if args.out:
         print(f"wrote {args.out}")
+    collapsed = sum(row.collapsed for row in rows)
+    if collapsed:
+        print(
+            f"sweep: {collapsed} IQAE runs stopped on a zero-width interval "
+            "after a disjoint round; their estimates are included",
+            file=sys.stderr,
+        )
     capped = sum(row.capped for row in rows)
     if capped:
         print(

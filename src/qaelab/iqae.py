@@ -218,7 +218,13 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class IqaeReport:
-    """Outcome of one iterative estimation run."""
+    """Outcome of one iterative estimation run.
+
+    ``collapse_round`` is the 1-based round whose contribution was disjoint
+    from the running interval, or None.  ``intersect`` collapses such an
+    interval onto an edge, width 0, so the run stops there: the one sign
+    inside a run that its 1 - alpha guarantee has failed.
+    """
 
     a_hat: float
     a_lo: float
@@ -227,6 +233,7 @@ class IqaeReport:
     rounds: tuple[RoundRecord, ...]
     epsilon: float
     alpha: float
+    collapse_round: int | None = None
 
 
 class IterationCapError(RuntimeError):
@@ -253,6 +260,7 @@ def _report(
     rounds: list[RoundRecord],
     epsilon: float,
     alpha: float,
+    collapse_round: int | None,
 ) -> IqaeReport:
     return IqaeReport(
         a_hat=math.sin(interval.midpoint) ** 2,
@@ -262,6 +270,7 @@ def _report(
         rounds=tuple(rounds),
         epsilon=epsilon,
         alpha=alpha,
+        collapse_round=collapse_round,
     )
 
 
@@ -302,6 +311,7 @@ def run_iqae(
     pooled_hits = 0
     calls = 0
     rounds: list[RoundRecord] = []
+    collapse_round = None
     if backend is None:
         backend = AnalyticBackend()
     while True:
@@ -310,7 +320,9 @@ def run_iqae(
         if a_hi - a_lo <= 2.0 * epsilon:
             break
         if len(rounds) >= cap:
-            raise IterationCapError(_report(interval, calls, rounds, epsilon, alpha))
+            raise IterationCapError(
+                _report(interval, calls, rounds, epsilon, alpha, collapse_round)
+            )
         k_next, half_turn = find_next_k(interval, k, ratio)
         if k_next != k:
             pooled_shots = 0
@@ -322,6 +334,9 @@ def run_iqae(
         pooled_hits += hits
         p_lo, p_hi = binomial_confidence(pooled_hits, pooled_shots, alpha_round)
         contribution = invert_to_theta(p_lo, p_hi, k, half_turn)
+        if (contribution.theta_hi < interval.theta_lo
+                or contribution.theta_lo > interval.theta_hi):
+            collapse_round = len(rounds) + 1  # the width-0 interval ends the run
         interval = interval.intersect(contribution)
         rounds.append(RoundRecord(k, half_turn, pooled_shots, pooled_hits, interval))
-    return _report(interval, calls, rounds, epsilon, alpha)
+    return _report(interval, calls, rounds, epsilon, alpha, collapse_round)

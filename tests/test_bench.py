@@ -237,10 +237,12 @@ class TestRunSweep:
                 run_mlqae(oracle, cfg.depth, shots, kind=cfg.schedule, rng=rng)
                 for rng in derive_rngs(cfg.base_seed, "mlqae", shots, cfg.repetitions)
             ]
-            estimates, calls, capped = bench_mod._run_cell(cfg, oracle, backend, shots)
+            estimates, calls, capped, collapsed = bench_mod._run_cell(
+                cfg, oracle, backend, shots
+            )
             assert estimates.tolist() == [report.a_hat for report in want]
             assert calls.tolist() == [float(report.oracle_calls) for report in want]
-            assert capped == 0
+            assert capped == collapsed == 0
 
     def test_iqae_calls_vary_and_never_cap(self):
         cfg = ExperimentConfig(
@@ -296,13 +298,15 @@ class TestRunSweep:
 def reference_rows(config):
     """``run_sweep``'s rows, computed a repetition at a time: each
     repetition's estimator on ``derive_rng``'s generator, each error from
-    the scalar formula ``100 * |a_hat - a| / a`` on Python floats."""
+    the scalar formula ``100 * |a_hat - a| / a`` on Python floats, and each
+    IQAE run counted as collapsed when its report names a collapse round."""
     oracle = backend = None
     if config.algorithm != "mci":
         oracle, backend = config.oracle(), make_backend(config.backend)
     rows = []
     for shots in config.shots_list:
         runs = []
+        collapsed = 0
         for rep in range(config.repetitions):
             rng = derive_rng(config.base_seed, config.algorithm, shots, rep)
             if config.algorithm == "mci":
@@ -320,10 +324,12 @@ def reference_rows(config):
                 except iqae_mod.IterationCapError as exc:
                     report, capped = exc.report, True
                 runs.append((report.a_hat, float(report.oracle_calls), capped))
+                collapsed += report.collapse_round is not None
         estimates, calls, capped = zip(*runs)
         errors = [100.0 * abs(est - config.a_true) / config.a_true for est in estimates]
         rows.append(SummaryRow(shots, *summarize(estimates), *summarize(errors),
-                               *summarize(calls), capped=sum(capped)))
+                               *summarize(calls), capped=sum(capped),
+                               collapsed=collapsed))
     return rows
 
 
@@ -376,6 +382,44 @@ class TestColumnReduction:
         run_sweep(config)
         assert seen == [(1024, 10_000), (16384, 10_000)]
 
+    def test_an_iqae_cell_is_one_run_iqae_call_per_repetition(self, monkeypatch):
+        # perfbench checks every IQAE run's report by rebinding bench.run_iqae
+        # and re-raising its IterationCapError; a cell that bypassed that name
+        # would leave it no reports, and it would fail every IQAE run
+        seen = []
+        original = bench_mod.run_iqae
+
+        def logging(*args, **kwargs):
+            try:
+                report = original(*args, **kwargs)
+            except iqae_mod.IterationCapError:
+                seen.append("capped")
+                raise
+            seen.append("ran")
+            return report
+
+        monkeypatch.setattr(bench_mod, "run_iqae", logging)
+        config = ExperimentConfig("iqae", qubits=6, shots_list=(16, 32), repetitions=4,
+                                  base_seed=3)
+        assert [row.capped for row in run_sweep(config)] == [0, 0]
+        assert seen == ["ran"] * 8
+        seen.clear()
+        monkeypatch.setattr(iqae_mod, "CAP_MULTIPLIER", 0)
+        assert [row.capped for row in run_sweep(config)] == [4, 4]
+        assert seen == ["capped"] * 8
+
+    @pytest.mark.parametrize("table,collapsed", [
+        (5, [0, 0, 0, 0, 0, 0, 1]),
+        (6, [0] * 7),
+        (7, [0, 0, 1, 0, 0, 1, 0]),
+        (8, [0] * 7),
+    ])
+    def test_collapsed_runs_are_counted(self, table, collapsed):
+        # the runs tests/test_iqae.py pins: table 5 at 1024 shots, table 7
+        # at 64 and 512 shots
+        ((_, config),) = table_configs(table)
+        assert [row.collapsed for row in run_sweep(config)] == collapsed
+
 
 ROWS = [
     SummaryRow(16, 0.2, 0.125, 0.06, 0.03, 60.0, 12.3456789, 0.5, 9.0,
@@ -405,11 +449,12 @@ class TestEmitCsv:
         assert row16[9] == "288"
 
     def test_capped_not_serialized(self):
+        # nor is collapsed: both counts stay out of the 13 columns
         buf = io.StringIO()
-        emit_csv([SummaryRow(8, *([1.0] * 12), capped=3)], buf)
+        emit_csv([SummaryRow(8, *([1.0] * 12), capped=3, collapsed=2)], buf)
         out = buf.getvalue()
-        assert "capped" not in out
-        assert len(out.splitlines()[1].split(",")) == 13
+        assert "capped" not in out and "collapsed" not in out
+        assert out.splitlines()[1] == ",".join(["8"] + ["1"] * 12)
 
     def test_byte_determinism(self):
         a, b = io.StringIO(), io.StringIO()

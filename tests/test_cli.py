@@ -201,6 +201,20 @@ class TestIqaeCommand:
         assert "half_plane=lower" in out and "half_plane=upper" in out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_collapse_is_named_on_stderr(self, capsys):
+        rc, out, err = run_cli(capsys, "iqae", "--qubits", "10", "--a", "0.125",
+                               "--epsilon", "0.01", "--alpha", "0.05",
+                               "--shots", "1024", "--seed", "46")
+        assert rc == 0
+        a_hat, a_lo, a_hi, calls, rounds = out.splitlines()[1].split(",")
+        assert a_lo == a_hi and rounds == "2"
+        assert err == (
+            "iqae: round 2's interval was disjoint from the running one, "
+            "so the run stopped on a zero-width interval\n"
+        )
+        _, _, err = run_cli(capsys, *self.ARGS)
+        assert err == ""
+
     def test_cap_returns_partial_result_and_code_3(self, capsys, monkeypatch):
         monkeypatch.setattr(iqae_mod, "CAP_MULTIPLIER", 0)
         rc, out, err = run_cli(capsys, *self.ARGS)
@@ -376,6 +390,20 @@ class TestSweepCommand:
         assert lines[1].split(",")[0] == "16"
         assert lines[2].split(",")[0] == "32"
 
+    def test_collapsed_runs_are_counted_on_stderr(self, capsys, tmp_path):
+        # table 5's sweep at 1024 shots; its repetition 15 collapses
+        config = ("algorithm = iqae\nqubits = 10\na = 0.125\nshots = 1024\n"
+                  "reps = 16\nseed = 1734\nepsilon = 0.01\n")
+        rc, out, err = run_cli(capsys, "sweep", "--config", self.write(tmp_path, config))
+        assert rc == 0
+        assert len(out.splitlines()) == 2
+        assert err == (
+            "sweep: 1 IQAE runs stopped on a zero-width interval after a "
+            "disjoint round; their estimates are included\n"
+        )
+        _, _, err = run_cli(capsys, "sweep", "--config", self.write(tmp_path, GOOD_CONFIG))
+        assert err == ""
+
     def test_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "result.csv"
         rc, out, _ = run_cli(
@@ -467,12 +495,13 @@ class TestVerifyCommand:
 
 class TestReproduceCommand:
     def test_writes_table(self, capsys, tmp_path):
-        rc, out, _ = run_cli(
+        rc, out, err = run_cli(
             capsys, "reproduce", "--table", "5", "--out", str(tmp_path),
         )
         assert rc == 0
         assert "wrote" in out
         assert (tmp_path / "table5.csv").exists()
+        assert err == ""  # table 5's collapsed run is not reported here
 
     def test_out_that_is_a_file_names_the_flag(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"

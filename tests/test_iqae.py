@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta, binom
 
@@ -21,6 +21,7 @@ from qaelab import (
     max_rounds,
     run_iqae,
 )
+from qaelab.bench import derive_rng, table_configs
 from qaelab.verify import reference_binomial_confidence, reference_largest_power
 
 HALF_PI = 0.5 * math.pi
@@ -601,3 +602,67 @@ class TestRunIqae:
             run_iqae(ORACLE, 0.01, 0.05, 0, rng=rng)
         with pytest.raises(ValueError):
             run_iqae(ORACLE, 0.01, 0.05, 32, rng=rng, ratio=1)
+
+
+# ---------------------------------------------------------------------------
+# collapsed runs
+# ---------------------------------------------------------------------------
+
+
+def disjoint(interval, other):
+    """The two intervals share no angle, so ``interval.intersect(other)``
+    collapses onto an edge of ``interval``."""
+    return other.theta_hi < interval.theta_lo or other.theta_lo > interval.theta_hi
+
+
+class TestCollapse:
+    @pytest.mark.parametrize("table,shots,rep,collapse_round", [
+        (5, 1024, 15, 2),
+        (7, 64, 28, 4),
+        (7, 512, 21, 2),
+    ])
+    def test_reproduction_runs_that_collapse(self, table, shots, rep, collapse_round):
+        """The collapsed runs of tables 1-8: each stops in the round whose
+        interval was disjoint, on a zero-width interval."""
+        ((_, config),) = table_configs(table)
+        rng = derive_rng(config.base_seed, "iqae", shots, rep)
+        report = run_iqae(config.oracle(), config.epsilon, config.alpha, shots, rng=rng)
+        assert report.collapse_round == len(report.rounds) == collapse_round
+        assert report.a_lo == report.a_hi
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        oracle=st.integers(1, 16).flatmap(
+            lambda n: st.builds(OracleSpec, st.just(n), st.integers(0, 2**n))
+        ),
+        epsilon=st.floats(1e-4, 0.1),
+        alpha=st.floats(0.5, 0.95),
+        shots=st.integers(1, 100),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(oracle=ORACLE, epsilon=0.01, alpha=0.9, shots=100, seed=43)
+    def test_collapse_round_is_the_first_disjoint_intersect(
+        self, oracle, epsilon, alpha, shots, seed
+    ):
+        """At these loose budgets about one run in 40 collapses; the example
+        collapses in round 3."""
+        seen = []
+        intersect = ConfidenceInterval.intersect
+
+        def spy(interval, other):
+            seen.append(disjoint(interval, other))
+            return intersect(interval, other)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ConfidenceInterval, "intersect", spy)
+            try:
+                report = run_iqae(oracle, epsilon, alpha, shots,
+                                  rng=np.random.default_rng(seed))
+            except IterationCapError as exc:
+                report = exc.report
+        assert len(seen) == len(report.rounds)
+        if True in seen:
+            assert report.collapse_round == seen.index(True) + 1 == len(report.rounds)
+            assert report.a_lo == report.a_hi
+        else:
+            assert report.collapse_round is None
