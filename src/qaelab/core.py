@@ -1,10 +1,10 @@
 """Matrix-free statevector core for amplitude amplification.
 
 The register holds ``n`` domain qubits plus one flag qubit.  Amplitudes live
-in a flat array of length ``2**(n+1)`` indexed so that bit 0 is the flag and
-bits 1..n are the domain index ``d``::
+in a flat array of length ``2**(n+1)`` indexed so that bits 0..n-1 are the
+domain index ``d`` and bit n, the top one, is the flag::
 
-    index = (d << 1) | flag
+    index = (flag << n) | d
 
 State preparation ``A`` loads the uniform superposition over the domain and
 raises the flag exactly on a chosen "good" subset of indices, so the flag-1
@@ -15,15 +15,16 @@ each amplification iterate advances the flag-1 probability along the rotation
 
 The iterate ``Q = A S_0 A^dagger S_chi`` is applied through the identity
 ``A S_0 A^dagger = I - 2|psi><psi|`` with ``psi = A|0>``, the prepared
-state: one overlap with ``psi``, and in place around it the flag-phase
-flip and the update of ``psi``'s support, the amplitudes where ``psi`` is
-nonzero.  An iterate writes only the flag-1 signs and that support, and
-allocates no temporary.  Every one of these operators is real, so the
-prepared state and everything evolved from it stay real float64; the same
-functions act on a complex state unchanged.  No gate matrices are ever
-materialized here; the dense Hadamard-and-permutation build that checks
-this form independently, and the whole-array update that checks the
-iterate bit for bit, live in :mod:`qaelab.verify`.
+state.  The good indices come first, so ``psi``'s support, where it is
+nonzero, is one contiguous slice that ends inside the flag-1 upper half; an
+iterate flips the flag-1 signs, sums that slice for the overlap and updates
+it in place, reading nothing else and allocating no temporary.  Every one
+of these operators is real, so the prepared state and everything evolved
+from it stay real float64; the same functions act on a complex state
+unchanged.  No gate matrices are ever materialized here; the dense
+Hadamard-and-permutation build that checks this form independently, and
+the whole-array update that checks the iterate bit for bit, live in
+:mod:`qaelab.verify`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -55,8 +56,8 @@ __all__ = [
     "measure_flag",
 ]
 
-#: statevectors a ``StatevectorBackend`` holds at its peak: the prepared and the live state
-_LIVE_STATES = 2
+#: statevectors a ``StatevectorBackend`` holds at its peak: the live state
+_LIVE_STATES = 1
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ def _asin_sqrt_fraction(count: int, n: int) -> float:
 
 @dataclass
 class Statevector:
-    """Dense amplitudes over ``n`` domain qubits plus the flag (bit 0).
+    """Dense amplitudes over ``n`` domain qubits plus the flag (bit ``n``).
 
     The array is float64 unless complex amplitudes are passed in, in which
     case it is complex128.
@@ -213,29 +214,14 @@ def prepare_a(oracle: OracleSpec) -> Statevector:
     """
     _check_state_size(oracle.n)
     amps = np.zeros(2 * oracle.domain_size)
-    amplitude = _amplitude(oracle.n)
-    # row i holds domain index i's flag-0 and flag-1 amplitudes
-    pairs = amps.reshape(-1, 2)
-    pairs[:oracle.good_count, 1] = amplitude
-    pairs[oracle.good_count:, 0] = amplitude
+    # the good indices' flag-1 and the others' flag-0 amplitudes, in one slice
+    amps[oracle.good_count:oracle.domain_size + oracle.good_count] = _amplitude(oracle.n)
     return Statevector(oracle.n, amps)
-
-
-@lru_cache(maxsize=1)
-def _prepared_amps(oracle: OracleSpec) -> np.ndarray:
-    """Read-only amplitudes of ``prepare_a(oracle)``: the iterate's reflection axis.
-
-    Kept for one oracle, as every sweep, CLI command and ``verify`` loop runs
-    one at a time; it holds ``2**(n+1)`` float64 amplitudes (1 MiB at n = 16).
-    """
-    amps = prepare_a(oracle).amps
-    amps.flags.writeable = False
-    return amps
 
 
 def apply_s_chi(state: Statevector) -> Statevector:
     """Negate every flag-1 amplitude, in place."""
-    state.amps[1::2] *= -1.0
+    state.amps[1 << state.n:] *= -1.0
     return state
 
 
@@ -244,19 +230,23 @@ def apply_q(state: Statevector, oracle: OracleSpec) -> Statevector:
 
     With ``psi = A|0>`` the prepared state, ``A S_0 A^dagger = I - 2|psi><psi|``,
     so after the flag-phase flip the iterate is ``amps -= 2 <psi|amps> psi``.
-    ``psi`` is ``2**(-n/2)`` on its support and zero elsewhere, so an iterate
-    writes only the flag-1 signs and that support, with no temporary.
+    ``psi`` is ``2**(-n/2)`` on its support ``[good_count, 2**n + good_count)``
+    and zero elsewhere, so the overlap is that constant times the support's
+    sum, and an iterate reads and writes only the support and the flag-1
+    half, with no temporary.  Raises ``ValueError`` if the state and the
+    oracle differ in ``n``.
     """
+    if state.n != oracle.n:
+        raise ValueError(f"state has n={state.n} domain qubits, the oracle n={oracle.n}")
     amps = state.amps
-    # psi's support: the good indices' flag-1 and the others' flag-0 amplitudes
-    split = 2 * oracle.good_count
-    amps[1:split:2] *= -1.0
-    step = 2.0 * np.vdot(_prepared_amps(oracle), amps) * _amplitude(oracle.n)
-    amps[1:split:2] -= step
-    amps[split::2] -= step
-    # psi is zero on the other flag-1 amplitudes, so their flip can wait for
-    # the overlap and then follow the update over the same cache lines
-    amps[split + 1::2] *= -1.0
+    size, good = oracle.domain_size, oracle.good_count
+    amplitude = _amplitude(oracle.n)
+    support = amps[good:size + good]
+    amps[size:size + good] *= -1.0
+    step = 2.0 * (amplitude * np.add.reduce(support)) * amplitude
+    support -= step
+    # psi is zero on the other flag-1 amplitudes, so their flip can wait
+    amps[size + good:] *= -1.0
     return state
 
 
@@ -271,8 +261,8 @@ def apply_q_power(state: Statevector, oracle: OracleSpec, m: int) -> Statevector
 
 def flag_probability(state: Statevector) -> float:
     """Probability of reading 1 on the flag qubit."""
-    odd = state.amps[1::2]
-    return float(np.real(np.vdot(odd, odd)))
+    upper = state.amps[1 << state.n:]
+    return float(np.real(np.vdot(upper, upper)))
 
 
 def analytic_flag_probability(oracle: OracleSpec, m: int) -> float:
@@ -300,7 +290,7 @@ class StatevectorBackend(Backend):
 
     Each instance memoizes the probability per ``(oracle, m)`` and evolves one
     live ``(oracle, m, state)`` in place: a higher power of the same oracle
-    advances it; anything else drops it and restarts from a copy of the
+    advances it; anything else drops it and restarts from a newly
     prepared state once :meth:`check_oracle` accepts the oracle.  Both paths
     apply the same iterates to the same start, so the memo returns exactly what
     a fresh simulation would.  A backend serves one caller at a time, holding
@@ -336,7 +326,7 @@ class StatevectorBackend(Backend):
         if live is None or live[0] != oracle or live[1] > m:
             live = None  # free the old state before its successor is allocated
             self.check_oracle(oracle)
-            live = (oracle, 0, Statevector(oracle.n, _prepared_amps(oracle).copy()))
+            live = (oracle, 0, prepare_a(oracle))
         state = apply_q_power(live[2], oracle, m - live[1])
         p = self._probabilities[(oracle, m)] = flag_probability(state)
         self._live = (oracle, m, state)

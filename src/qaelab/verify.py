@@ -53,21 +53,20 @@ class CheckResult:
 
 def _mark_permutation(oracle: OracleSpec) -> np.ndarray:
     """Permutation flipping the flag bit on every good domain index."""
-    dim = 2 << oracle.n
+    dim, n = 2 << oracle.n, oracle.n
     perm = np.zeros((dim, dim), dtype=np.complex128)
     for d in range(oracle.domain_size):
         flip = 1 if d < oracle.good_count else 0
         for f in (0, 1):
-            perm[(d << 1) | (f ^ flip), (d << 1) | f] = 1.0
+            perm[((f ^ flip) << n) | d, (f << n) | d] = 1.0
     return perm
 
 
 def dense_preparation(oracle: OracleSpec) -> np.ndarray:
     """Preparation unitary as an explicit matrix: Hadamards then marking."""
-    had = np.eye(1, dtype=np.complex128)
+    had = np.eye(2, dtype=np.complex128)
     for _ in range(oracle.n):
         had = np.kron(had, _H)
-    had = np.kron(had, np.eye(2, dtype=np.complex128))
     return _mark_permutation(oracle) @ had
 
 
@@ -78,8 +77,8 @@ def dense_iterate(oracle: OracleSpec) -> np.ndarray:
     reflect0 = np.eye(dim, dtype=np.complex128)
     reflect0[0, 0] = -1.0
     flag_phase = np.kron(
-        np.eye(1 << oracle.n, dtype=np.complex128),
         np.diag([1.0, -1.0]).astype(np.complex128),
+        np.eye(1 << oracle.n, dtype=np.complex128),
     )
     return prep @ reflect0 @ prep.conj().T @ flag_phase
 
@@ -95,12 +94,15 @@ def probe_iterate(oracle: OracleSpec) -> np.ndarray:
 
 def reference_iterate(amps: np.ndarray, oracle: OracleSpec) -> np.ndarray:
     """One iterate applied to a copy of ``amps`` by whole-array operations:
-    the flag-phase flip of every flag-1 amplitude, then the rank-one update
-    with the prepared state over every amplitude, zeros of ``psi`` included."""
+    the flag-phase flip of the whole flag-1 half, then the rank-one update
+    with the prepared state over every amplitude, zeros of ``psi`` included.
+    The overlap is ``psi``'s one nonzero value times the sum of the
+    amplitudes where ``psi`` is nonzero, taken in index order."""
     amps = np.array(amps, dtype=np.result_type(amps, np.float64))
     psi = prepare_a(oracle).amps
-    amps[1::2] *= -1.0
-    amps -= 2.0 * np.vdot(psi, amps) * psi
+    amps[1 << oracle.n:] *= -1.0
+    overlap = psi.max() * np.add.reduce(amps[psi != 0])
+    amps -= 2.0 * overlap * psi
     return amps
 
 

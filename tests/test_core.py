@@ -44,7 +44,7 @@ from qaelab.verify import (
 class TestOracleSpec:
     def test_defaults_to_leading_indices(self):
         oracle = OracleSpec(3, 3)
-        assert list(np.flatnonzero(prepare_a(oracle).amps[1::2])) == [0, 1, 2]
+        assert list(np.flatnonzero(prepare_a(oracle).amps[8:])) == [0, 1, 2]
         assert oracle.domain_size == 8
         assert oracle.a == 0.375
 
@@ -129,18 +129,6 @@ class TestCachedTheta:
         assert {read: "read"}[unread] == "read"
         assert read != OracleSpec(14, 2049)
 
-    def test_prepared_amps_keys_on_the_spec(self):
-        core_mod._prepared_amps.cache_clear()
-        unread = OracleSpec(6, 5)
-        first = core_mod._prepared_amps(unread)
-        read = OracleSpec(6, 5)
-        read.theta
-        assert core_mod._prepared_amps(read) is first
-        assert core_mod._prepared_amps(OracleSpec(6, 6)) is not first
-        info = core_mod._prepared_amps.cache_info()
-        assert (info.hits, info.misses) == (1, 2)
-        core_mod._prepared_amps.cache_clear()
-
 
 class TestFromAmplitude:
     def test_scales_to_the_marked_count(self):
@@ -171,8 +159,8 @@ class TestPrepare:
     def test_quarter_amplitude(self):
         state = prepare_a(OracleSpec(2, 1))
         assert flag_probability(state) == pytest.approx(0.25, abs=1e-15)
-        # index (0 << 1) | 1 carries the single marked amplitude
-        assert state.amps[1] == pytest.approx(0.5)
+        # index (1 << 2) | 0 carries the single marked amplitude
+        assert state.amps[4] == pytest.approx(0.5)
         assert state.amps[0] == 0.0
 
     def test_empty_good_set(self):
@@ -184,6 +172,19 @@ class TestPrepare:
         state = prepare_a(OracleSpec(3, 3))
         assert flag_probability(state) == pytest.approx(0.375, abs=1e-15)
 
+    @pytest.mark.parametrize("n,good", [(1, 0), (3, 3), (4, 16), (14, 3000)])
+    def test_support_is_one_slice(self, n, good):
+        # the good indices' flag-1 amplitudes follow the others' flag-0 ones
+        size = 1 << n
+        amps = prepare_a(OracleSpec(n, good)).amps
+        np.testing.assert_array_equal(np.flatnonzero(amps), np.arange(good, size + good))
+        assert np.all(amps[good:size + good] == 1.0 / math.sqrt(size))
+
+    def test_flag_is_the_top_bit(self):
+        for d in (0, 5, 7):
+            assert flag_probability(Statevector.basis(3, (1 << 3) | d)) == 1.0
+            assert flag_probability(Statevector.basis(3, d)) == 0.0
+
     @pytest.mark.parametrize("n,good", [(1, 1), (2, 3), (3, 3), (3, 8), (4, 5)])
     def test_matches_dense_build(self, n, good):
         oracle = OracleSpec(n, good)
@@ -192,12 +193,12 @@ class TestPrepare:
 
 
 class TestReflections:
-    def test_flag_phase_flips_odd_only(self):
+    def test_flag_phase_flips_upper_half_only(self):
         amps = np.arange(8, dtype=complex)
         state = Statevector(2, amps.copy())
         apply_s_chi(state)
-        np.testing.assert_array_equal(state.amps[0::2], amps[0::2])
-        np.testing.assert_array_equal(state.amps[1::2], -amps[1::2])
+        np.testing.assert_array_equal(state.amps[:4], amps[:4])
+        np.testing.assert_array_equal(state.amps[4:], -amps[4:])
 
     @pytest.mark.parametrize("op", [apply_s_chi])
     def test_involution(self, op):
@@ -290,8 +291,9 @@ class TestIterate:
             amps = amps + 1j * rng.standard_normal(2 << 14)
         psi = prepare_a(oracle).amps
         expected = amps.copy()
-        expected[1::2] *= -1.0
-        expected -= (2.0 * np.vdot(psi, expected)) * psi
+        expected[1 << 14:] *= -1.0
+        overlap = psi[3000] * np.add.reduce(expected[psi != 0])
+        expected -= (2.0 * overlap) * psi
         assert np.array_equal(apply_q(Statevector(14, amps), oracle).amps, expected)
 
     @settings(max_examples=150, deadline=None)
@@ -313,18 +315,53 @@ class TestIterate:
         want = reference_iterate(amps, oracle)
         assert np.array_equal(apply_q(Statevector(n, amps), oracle).amps, want)
 
-    def test_allocates_no_temporary(self):
-        # the 2**17 amplitudes of n = 16 are 1 MiB; the iterate's own
-        # allocations are the few small array views of the state
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 14),
+        data=st.data(),
+        dtype=st.sampled_from([np.float64, np.complex128]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_support_sum_overlap_is_the_whole_array_vdot(self, n, data, dtype, seed):
+        # the iterate's overlap, psi's value times its support's sum, agrees
+        # with <psi|amps> over the whole array within the summation error bound
+        size = 1 << n
+        good = data.draw(st.one_of(st.just(0), st.just(size), st.integers(0, size)))
+        rng = np.random.default_rng(seed)
+        amps = rng.standard_normal(2 << n)
+        if dtype is np.complex128:
+            amps = amps + 1j * rng.standard_normal(2 << n)
+        psi = prepare_a(OracleSpec(n, good)).amps
+        got = core_mod._amplitude(n) * np.add.reduce(amps[good:size + good])
+        want = np.vdot(psi, amps)
+        bound = 2 * amps.size * np.finfo(np.float64).eps * np.sum(np.abs(psi * amps))
+        assert abs(got - want) <= bound
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("call", [
+        apply_q,
+        lambda state, oracle: flag_probability(state),
+    ], ids=["apply_q", "flag_probability"])
+    def test_allocates_no_temporary(self, dtype, call):
+        # the 2**17 amplitudes of n = 16 are 1 MiB (2 MiB complex); a call's
+        # own allocations are the few small array views of the state
         oracle = OracleSpec(16, 3 << 12)
-        state = apply_q(prepare_a(oracle), oracle)  # caches psi
+        state = Statevector(16, prepare_a(oracle).amps.astype(dtype))
+        call(state, oracle)
         tracemalloc.start()
         try:
-            apply_q(state, oracle)
+            call(state, oracle)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 4096
+
+    def test_rejects_a_state_of_another_size(self):
+        # the slices of a larger state would all exist, so the check is explicit
+        state = prepare_a(OracleSpec(4, 3))
+        with pytest.raises(ValueError, match=r"^state has n=4 domain qubits, the oracle n=3$"):
+            apply_q(state, OracleSpec(3, 3))
+        np.testing.assert_array_equal(state.amps, prepare_a(OracleSpec(4, 3)).amps)
 
     def test_probe_matrix_matches_dense(self):
         for n, good in [(1, 1), (2, 2), (3, 5), (4, 7)]:
@@ -587,15 +624,13 @@ class TestLiveState:
     def peak_states(n, calls):
         """Peak bytes traced over ``calls()``, in statevectors of 2**(n+4)
         bytes.  scipy is loaded at import, so tracing starts at the first
-        allocation of ``calls()``, with the prepared-state cache empty."""
-        core_mod._prepared_amps.cache_clear()
+        allocation of ``calls()``."""
         tracemalloc.start()
         try:
             calls()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-            core_mod._prepared_amps.cache_clear()
         return peak / (1 << (n + 4))
 
     N = 14
