@@ -267,12 +267,21 @@ def _batched_rngs(head: list[int], repetitions: int) -> Iterator[np.random.Gener
             yield np.random.Generator(np.random.PCG64(_PresetSeed(words)))
 
 
-def summarize(values) -> tuple[float, float, float, float]:
-    """(max, mean, min, population std) of a non-empty value sequence."""
+def summarize(values) -> tuple[float, ...]:
+    """(max, mean, min, population std) along the last axis of non-empty values.
+
+    One sequence gives those four floats; a stack of rows gives four per
+    row, in row order, each bit for bit the row's own summary.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("nothing to summarize")
-    return float(arr.max()), float(arr.mean()), float(arr.min()), float(arr.std())
+    stats = np.empty(arr.shape[:-1] + (4,))
+    arr.max(-1, out=stats[..., 0])
+    arr.mean(-1, out=stats[..., 1])
+    arr.min(-1, out=stats[..., 2])
+    arr.std(-1, out=stats[..., 3])
+    return tuple(stats.ravel().tolist())
 
 
 def _run_cell(
@@ -333,16 +342,8 @@ def run_sweep(config: ExperimentConfig) -> list[SummaryRow]:
     for shots in config.shots_list:
         estimates, calls, capped, collapsed = _run_cell(config, oracle, backend, shots)
         errors = 100.0 * np.abs(estimates - config.a_true) / config.a_true
-        rows.append(
-            SummaryRow(
-                shots,
-                *summarize(estimates),
-                *summarize(errors),
-                *summarize(calls),
-                capped=capped,
-                collapsed=collapsed,
-            )
-        )
+        stats = summarize(np.array([estimates, errors, calls]))
+        rows.append(SummaryRow(shots, *stats, capped=capped, collapsed=collapsed))
     return rows
 
 

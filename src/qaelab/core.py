@@ -16,12 +16,27 @@ each amplification iterate advances the flag-1 probability along the rotation
 The iterate ``Q = A S_0 A^dagger S_chi`` is applied through the identity
 ``A S_0 A^dagger = I - 2|psi><psi|`` with ``psi = A|0>``, the prepared
 state.  The good indices come first, so ``psi``'s support, where it is
-nonzero, is one contiguous slice that ends inside the flag-1 upper half; an
-iterate flips the flag-1 signs, sums that slice for the overlap and updates
-it in place, reading nothing else and allocating no temporary.  Every one
-of these operators is real, so the prepared state and everything evolved
-from it stay real float64; the same functions act on a complex state
-unchanged.  No gate matrices are ever materialized here; the dense
+nonzero, is one contiguous slice ``[good, 2**n + good)`` that ends inside
+the flag-1 upper half.  One kernel advances that slice: it flips the signs
+of its flag-1 part, the good block, sums the slice for the overlap and
+updates it in place.  The flag-1 amplitudes past the support meet ``psi``
+nowhere, so their flips commute with every reflection and ``m`` iterates
+flip them once if ``m`` is odd.  Every one of these operators is real, so
+the prepared state and everything evolved from it stay real float64; the
+same functions act on a complex state unchanged.
+
+A prepared state is zero outside its support and every iterate keeps it
+so, which lets :class:`StatevectorBackend` hold only the register slice
+``[good, 2**n + r)`` with ``r = min(2**n, ceil(good / 128) * 128)``: the
+support plus fewer than 128 trailing zeros, about half the register.  Every
+squared norm, the flag probability included, is one sum of squares,
+``np.einsum("i,i->", x, x)`` over the float64 view: numpy's own
+single-threaded loop, with one vector accumulator and no temporary, so
+its bits do not depend on BLAS threads, and zeros appended in whole
+multiples of 128 leave it unchanged.  Reading ``r`` amplitudes from the
+good block therefore gives the bits of reading the whole flag-1 half.
+
+No gate matrices are ever materialized here; the dense
 Hadamard-and-permutation build that checks this form independently, and
 the whole-array update that checks the iterate bit for bit, live in
 :mod:`qaelab.verify`.
@@ -56,8 +71,9 @@ __all__ = [
     "measure_flag",
 ]
 
-#: statevectors a ``StatevectorBackend`` holds at its peak: the live state
-_LIVE_STATES = 1
+#: a ``StatevectorBackend`` reads the flag probability over a whole number
+#: of blocks of this many amplitudes; a multiple of every SIMD width
+_READ_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -160,7 +176,8 @@ class Statevector:
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amps)
-        self.amps = amps.astype(np.result_type(amps, np.float64), copy=False)
+        # contiguous, so a complex array has a float64 view
+        self.amps = np.ascontiguousarray(amps, dtype=np.result_type(amps, np.float64))
         expected = 2 << self.n
         if self.amps.shape != (expected,):
             raise ValueError(
@@ -178,7 +195,18 @@ class Statevector:
         return Statevector(self.n, self.amps.copy())
 
     def norm_sq(self) -> float:
-        return float(np.real(np.vdot(self.amps, self.amps)))
+        return _sum_of_squares(self.amps)
+
+
+def _sum_of_squares(amps: np.ndarray) -> float:
+    """Sum of ``|amplitude|**2`` over a contiguous array, real or complex.
+
+    numpy's einsum loop reads the float64 view once, single-threaded, into
+    one vector accumulator, so its bits do not depend on BLAS threads, and
+    zeros appended in whole multiples of ``_READ_BLOCK`` leave it unchanged.
+    """
+    flat = amps.view(np.float64)
+    return float(np.einsum("i,i->", flat, flat))
 
 
 def _physical_memory() -> int | None:
@@ -219,50 +247,76 @@ def prepare_a(oracle: OracleSpec) -> Statevector:
     return Statevector(oracle.n, amps)
 
 
+def _prepare_slice(oracle: OracleSpec) -> np.ndarray:
+    """The prepared state's register slice ``[good, 2**n + r)``, with
+    ``r = min(2**n, ceil(good / _READ_BLOCK) * _READ_BLOCK)``: ``psi``'s
+    support, then ``r - good`` zeros.  The only allocation of
+    :class:`StatevectorBackend`."""
+    size, good = oracle.domain_size, oracle.good_count
+    read = min(size, -(-good // _READ_BLOCK) * _READ_BLOCK)
+    amps = np.empty(size + read - good)
+    amps[:size] = _amplitude(oracle.n)
+    amps[size:] = 0.0
+    return amps
+
+
 def apply_s_chi(state: Statevector) -> Statevector:
     """Negate every flag-1 amplitude, in place."""
     state.amps[1 << state.n:] *= -1.0
     return state
 
 
+def _iterate(support: np.ndarray, n: int, good: int, m: int) -> None:
+    """``m`` iterates on ``psi``'s support ``[good, 2**n + good)``, in place.
+
+    With ``psi = A|0>`` the prepared state, ``A S_0 A^dagger = I - 2|psi><psi|``,
+    so after the flag-phase flip an iterate is ``amps -= 2 <psi|amps> psi``.
+    ``psi`` is ``2**(-n/2)`` on its support and zero elsewhere, so the
+    overlap is that constant times the support's sum.  Of the flag-phase
+    flip this does the part on the support, its last ``good`` amplitudes;
+    the caller owns the flag-1 amplitudes past it.
+    """
+    amplitude = _amplitude(n)
+    block = support[(1 << n) - good:]
+    for _ in range(m):
+        block *= -1.0
+        step = 2.0 * (amplitude * np.add.reduce(support)) * amplitude
+        support -= step
+
+
 def apply_q(state: Statevector, oracle: OracleSpec) -> Statevector:
     """One amplification iterate ``Q = A S_0 A^dagger S_chi``, in place.
 
-    With ``psi = A|0>`` the prepared state, ``A S_0 A^dagger = I - 2|psi><psi|``,
-    so after the flag-phase flip the iterate is ``amps -= 2 <psi|amps> psi``.
-    ``psi`` is ``2**(-n/2)`` on its support ``[good_count, 2**n + good_count)``
-    and zero elsewhere, so the overlap is that constant times the support's
-    sum, and an iterate reads and writes only the support and the flag-1
-    half, with no temporary.  Raises ``ValueError`` if the state and the
-    oracle differ in ``n``.
+    Reads and writes only ``psi``'s support and the flag-1 half, with no
+    temporary.  Raises ``ValueError`` if the state and the oracle differ in
+    ``n``.
     """
+    return apply_q_power(state, oracle, 1)
+
+
+def apply_q_power(state: Statevector, oracle: OracleSpec, m: int) -> Statevector:
+    """Apply the amplification iterate ``m`` times (``m = 0`` is a no-op), in place.
+
+    Bit for bit ``m`` single iterates.  Raises ``ValueError`` for a negative
+    power, or if the state and the oracle differ in ``n``.
+    """
+    if m < 0:
+        raise ValueError(f"power must be non-negative, got {m}")
     if state.n != oracle.n:
         raise ValueError(f"state has n={state.n} domain qubits, the oracle n={oracle.n}")
     amps = state.amps
     size, good = oracle.domain_size, oracle.good_count
-    amplitude = _amplitude(oracle.n)
-    support = amps[good:size + good]
-    amps[size:size + good] *= -1.0
-    step = 2.0 * (amplitude * np.add.reduce(support)) * amplitude
-    support -= step
-    # psi is zero on the other flag-1 amplitudes, so their flip can wait
-    amps[size + good:] *= -1.0
-    return state
-
-
-def apply_q_power(state: Statevector, oracle: OracleSpec, m: int) -> Statevector:
-    """Apply the amplification iterate ``m`` times (``m = 0`` is a no-op)."""
-    if m < 0:
-        raise ValueError(f"power must be non-negative, got {m}")
-    for _ in range(m):
-        apply_q(state, oracle)
+    _iterate(amps[good:size + good], oracle.n, good, m)
+    if m % 2:
+        # psi is zero on the other flag-1 amplitudes: their flips commute
+        # with every reflection, and cancel in pairs
+        amps[size + good:] *= -1.0
     return state
 
 
 def flag_probability(state: Statevector) -> float:
     """Probability of reading 1 on the flag qubit."""
-    upper = state.amps[1 << state.n:]
-    return float(np.real(np.vdot(upper, upper)))
+    return _sum_of_squares(state.amps[1 << state.n:])
 
 
 def analytic_flag_probability(oracle: OracleSpec, m: int) -> float:
@@ -286,50 +340,64 @@ class Backend:
 
 
 class StatevectorBackend(Backend):
-    """Runs the full register simulation and reads the probability off the state.
+    """Simulates the register and reads the probability off the state.
+
+    A state evolved from ``A|0>`` is zero outside ``psi``'s support
+    ``[good, 2**n + good)``, but for sign flips of zeros.  So the backend
+    holds only the register slice :func:`_prepare_slice` allocates, the
+    support and fewer than ``_READ_BLOCK`` zeros after it, about half the
+    register; advances its first ``2**n`` entries with the iterate kernel;
+    and reads the probability as the sum of squares from the good block to
+    the slice's end, ``r`` amplitudes whose trailing zeros fill a whole
+    read block.  That is bit for bit :func:`flag_probability` of the whole
+    evolved register.
 
     Each instance memoizes the probability per ``(oracle, m)`` and evolves one
-    live ``(oracle, m, state)`` in place: a higher power of the same oracle
+    live ``(oracle, m, slice)`` in place: a higher power of the same oracle
     advances it; anything else drops it and restarts from a newly
-    prepared state once :meth:`check_oracle` accepts the oracle.  Both paths
+    prepared slice once :meth:`check_oracle` accepts the oracle.  Both paths
     apply the same iterates to the same start, so the memo returns exactly what
     a fresh simulation would.  A backend serves one caller at a time, holding
-    ``_LIVE_STATES`` statevectors at most.
+    one slice at most.
     """
 
     name = "sv"
 
     def __init__(self) -> None:
         self._probabilities: dict[tuple[OracleSpec, int], float] = {}
-        self._live: tuple[OracleSpec, int, Statevector] | None = None
+        self._live: tuple[OracleSpec, int, np.ndarray] | None = None
 
     def check_oracle(self, oracle: OracleSpec) -> None:
         """Reject an oracle whose statevector numpy cannot index, or whose
-        ``_LIVE_STATES`` states need more bytes than the machine's physical
+        slice of ``(2**n + 128) * 8`` bytes exceeds the machine's physical
         memory.  Allocates nothing."""
         _check_state_size(oracle.n)
-        need = _LIVE_STATES << (oracle.n + 4)
+        need = ((1 << oracle.n) + _READ_BLOCK) * 8
         physical = _physical_memory()
         if physical is not None and need > physical:
             raise ValueError(
-                f"n={oracle.n} needs {_LIVE_STATES} statevectors of 2**{oracle.n + 4} "
-                f"bytes ({need / 2**30:.3g} GiB), more than the "
+                f"n={oracle.n} needs (2**{oracle.n} + {_READ_BLOCK}) * 8 bytes "
+                f"({need / 2**30:.3g} GiB), more than the "
                 f"{physical / 2**30:.3g} GiB of physical memory"
             )
 
     def flag_probability(self, oracle: OracleSpec, m: int) -> float:
+        if m < 0:
+            raise ValueError(f"power must be non-negative, got {m}")
         p = self._probabilities.get((oracle, m))
         if p is not None:
             return p
         # held by this call alone until read, so no half-evolved state is reused
         live, self._live = self._live, None
         if live is None or live[0] != oracle or live[1] > m:
-            live = None  # free the old state before its successor is allocated
+            live = None  # free the old slice before its successor is allocated
             self.check_oracle(oracle)
-            live = (oracle, 0, prepare_a(oracle))
-        state = apply_q_power(live[2], oracle, m - live[1])
-        p = self._probabilities[(oracle, m)] = flag_probability(state)
-        self._live = (oracle, m, state)
+            live = (oracle, 0, _prepare_slice(oracle))
+        amps = live[2]
+        size, good = oracle.domain_size, oracle.good_count
+        _iterate(amps[:size], oracle.n, good, m - live[1])
+        p = self._probabilities[(oracle, m)] = _sum_of_squares(amps[size - good:])
+        self._live = (oracle, m, amps)
         return p
 
 

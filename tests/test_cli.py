@@ -132,20 +132,19 @@ class TestMlqaeCommand:
 
     def test_statevector_beyond_physical_memory_blames_qubits(self, capsys, monkeypatch):
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        states = core_mod._LIVE_STATES
-        n = next(n for n in range(1, 59) if states << (n + 4) > physical)
+        n = next(n for n in range(1, 59) if ((1 << n) + 128) * 8 > physical)
 
         def no_allocation(*args):  # fail here, not by exhausting memory
             raise AssertionError("the refused oracle reached an allocation")
 
-        monkeypatch.setattr(core_mod, "prepare_a", no_allocation)
+        monkeypatch.setattr(core_mod, "_prepare_slice", no_allocation)
         rc, out, err = run_cli(
             capsys, "iqae", "--epsilon", "0.01", "--alpha", "0.05",
             "--qubits", str(n), "--a", "0.125", "--shots", "16", "--seed", "0",
             "--backend", "sv",
         )
         assert rc == 1 and out == ""
-        assert f"--qubits: n={n} needs {states} statevectors of 2**{n + 4} bytes" in err
+        assert f"--qubits: n={n} needs (2**{n} + 128) * 8 bytes" in err
         assert "physical memory" in err
 
 

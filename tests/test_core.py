@@ -5,6 +5,7 @@ import math
 import os
 import random
 import re
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -180,6 +181,20 @@ class TestPrepare:
         np.testing.assert_array_equal(np.flatnonzero(amps), np.arange(good, size + good))
         assert np.all(amps[good:size + good] == 1.0 / math.sqrt(size))
 
+    @pytest.mark.parametrize("n,good", [
+        (1, 0), (1, 2), (3, 5), (8, 1), (8, 127), (8, 128), (8, 129), (8, 255),
+        (10, 129), (10, 1023), (10, 1024),
+    ])
+    def test_backend_slice_is_the_support_and_a_read_block(self, n, good):
+        # [good, 2**n + r) with r = min(2**n, ceil(good / 128) * 128): the
+        # support, then zeros up to a whole read block from the good block
+        size = 1 << n
+        r = min(size, -(-good // 128) * 128)
+        amps = core_mod._prepare_slice(OracleSpec(n, good))
+        assert amps.shape == (size + r - good,)
+        assert np.all(amps[:size] == 1.0 / math.sqrt(size))
+        assert np.all(amps[size:] == 0.0)
+
     def test_flag_is_the_top_bit(self):
         for d in (0, 5, 7):
             assert flag_probability(Statevector.basis(3, (1 << 3) | d)) == 1.0
@@ -224,7 +239,7 @@ class TestDtype:
         assert Statevector.basis(5, 3).amps.dtype == np.float64
         backend = StatevectorBackend()
         backend.flag_probability(oracle, 3)
-        assert backend._live[2].amps.dtype == np.float64
+        assert backend._live[2].dtype == np.float64
 
     def test_complex_state_stays_complex(self):
         oracle = OracleSpec(4, 5)
@@ -302,9 +317,11 @@ class TestIterate:
         data=st.data(),
         dtype=st.sampled_from([np.float64, np.complex128]),
         seed=st.integers(0, 2**32 - 1),
+        m=st.integers(0, 9),
     )
-    def test_equals_whole_array_reference(self, n, data, dtype, seed):
-        # random states, almost never in the span of psi
+    def test_equals_whole_array_reference(self, n, data, dtype, seed, m):
+        # random states, almost never in the span of psi; a power defers the
+        # flips past the support to one, which must change no bit
         size = 1 << n
         good = data.draw(st.one_of(st.just(0), st.just(size), st.integers(0, size)))
         oracle = OracleSpec(n, good)
@@ -312,8 +329,12 @@ class TestIterate:
         amps = rng.standard_normal(2 << n)
         if dtype is np.complex128:
             amps = amps + 1j * rng.standard_normal(2 << n)
-        want = reference_iterate(amps, oracle)
-        assert np.array_equal(apply_q(Statevector(n, amps), oracle).amps, want)
+        want = amps
+        for _ in range(m):
+            want = reference_iterate(want, oracle)
+        got = apply_q_power(Statevector(n, amps), oracle, m).amps
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -444,19 +465,18 @@ class TestAnalytic:
 
 
 def beyond_physical_memory(monkeypatch):
-    """The first n whose ``core._LIVE_STATES`` live states of 2**(n+4) bytes
-    exceed physical memory, and the message refusing it; with state
-    preparation, where every state the backend holds starts, patched to
+    """The first n whose slice of (2**n + 128) float64 amplitudes exceeds
+    physical memory, and the message refusing it; with the slice
+    allocation, where every state the backend holds starts, patched to
     fail, so a missed check fails instead of allocating gigabytes."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    states = core_mod._LIVE_STATES
-    n = next(n for n in range(1, 59) if states << (n + 4) > physical)
+    n = next(n for n in range(1, 59) if ((1 << n) + 128) * 8 > physical)
 
     def no_allocation(*args):
         raise AssertionError("allocated a statevector")
 
-    monkeypatch.setattr(core_mod, "prepare_a", no_allocation)
-    message = (rf"^n={n} needs {states} statevectors of 2\*\*{n + 4} bytes \(.* GiB\), "
+    monkeypatch.setattr(core_mod, "_prepare_slice", no_allocation)
+    message = (rf"^n={n} needs \(2\*\*{n} \+ 128\) \* 8 bytes \(.* GiB\), "
                r"more than the .* GiB of physical memory$")
     return n, message
 
@@ -492,8 +512,8 @@ class TestBackends:
         StatevectorBackend().check_oracle(OracleSpec(16, 1))
 
     def test_statevector_beyond_physical_memory_is_rejected(self, monkeypatch):
-        """The live states of 2**(n+4) bytes each must fit in physical
-        memory; the check refuses the first n past it without allocating."""
+        """The slice of (2**n + 128) * 8 bytes must fit in physical memory;
+        the check refuses the first n past it without allocating."""
         n, message = beyond_physical_memory(monkeypatch)
         backend = StatevectorBackend()
         assert_refused_without_allocating(
@@ -565,7 +585,30 @@ def small_oracles(draw):
     return OracleSpec(n, draw(st.one_of(st.just(0), st.just(size), st.integers(0, size))))
 
 
+@st.composite
+def read_block_oracles(draw):
+    """Oracles with good counts at the read block's edges, and any others."""
+    n = draw(st.integers(1, 14))
+    size = 1 << n
+    edges = sorted({good for good in (0, 1, 127, 128, 129, size - 1, size) if good <= size})
+    return OracleSpec(n, draw(st.one_of(st.sampled_from(edges), st.integers(0, size))))
+
+
 class TestStatevectorMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        oracle=st.one_of(read_block_oracles(), st.just(OracleSpec(16, 1 << 13))),
+        powers=st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True),
+        falling=st.booleans(),
+    )
+    def test_slice_reads_the_whole_register_bitwise(self, oracle, powers, falling):
+        # rising powers advance one slice, falling ones restart it; each
+        # must read the bits of the whole evolved register
+        backend = StatevectorBackend()
+        for m in sorted(powers, reverse=falling):
+            fresh = flag_probability(apply_q_power(prepare_a(oracle), oracle, m))
+            assert backend.flag_probability(oracle, m).hex() == fresh.hex(), m
+
     @settings(max_examples=60, deadline=None)
     @given(
         first=small_oracles(),
@@ -620,9 +663,13 @@ class TestStatevectorMemo:
 
 
 class TestLiveState:
+    #: one slice of 2**n + 128 float64 amplitudes is 0.504 of a 2**(n+4)-byte
+    #: register at n = 14; the backend holds one slice and no register
+    PEAK_STATES = 0.55
+
     @staticmethod
     def peak_states(n, calls):
-        """Peak bytes traced over ``calls()``, in statevectors of 2**(n+4)
+        """Peak bytes traced over ``calls()``, in full registers of 2**(n+4)
         bytes.  scipy is loaded at import, so tracing starts at the first
         allocation of ``calls()``."""
         tracemalloc.start()
@@ -644,7 +691,7 @@ class TestLiveState:
                               (self.B, 6), (self.A, 1), (self.B, 3)):
                 backend.flag_probability(oracle, m)
 
-        assert self.peak_states(self.N, calls) < core_mod._LIVE_STATES + 0.5
+        assert self.peak_states(self.N, calls) < self.PEAK_STATES
 
     def test_a_fresh_backend_after_other_oracles_holds_its_live_states(self):
         def calls():
@@ -654,21 +701,19 @@ class TestLiveState:
             for m in (0, 3, 5):
                 backend.flag_probability(self.A, m)
 
-        assert self.peak_states(self.N, calls) < core_mod._LIVE_STATES + 0.5
+        assert self.peak_states(self.N, calls) < self.PEAK_STATES
 
     def test_a_state_an_exception_interrupts_is_not_reused(self, monkeypatch):
         oracle = OracleSpec(9, 37)
         backend = StatevectorBackend()
         backend.flag_probability(oracle, 2)
-        calls = []
+        iterate = core_mod._iterate
 
-        def interrupted(state, oracle):
-            calls.append(oracle)
-            if len(calls) == 3:
-                raise RuntimeError("interrupted")
-            return apply_q(state, oracle)
+        def interrupted(support, n, good, m):
+            iterate(support, n, good, 2)  # part of the way, then an exception
+            raise RuntimeError("interrupted")
 
-        monkeypatch.setattr(core_mod, "apply_q", interrupted)
+        monkeypatch.setattr(core_mod, "_iterate", interrupted)
         with pytest.raises(RuntimeError, match="interrupted"):
             backend.flag_probability(oracle, 8)
         monkeypatch.undo()
@@ -707,6 +752,44 @@ class TestMeasure:
     def test_rejects_nonpositive_shots(self):
         with pytest.raises(ValueError):
             measure_flag(AnalyticBackend(), OracleSpec(2, 1), 0, 0, np.random.default_rng(0))
+
+
+class TestSumOfSquares:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 14),
+        data=st.data(),
+        offset=st.integers(0, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_zeros_past_a_whole_block_change_no_bit(self, n, data, offset, seed):
+        # a prefix padded to 2**n with signed zeros, against the prefix
+        # rounded up to 128 amplitudes and starting at another alignment
+        size = 1 << n
+        k = data.draw(st.integers(0, size))
+        rng = np.random.default_rng(seed)
+        padded = np.where(rng.random(size) < 0.5, -0.0, 0.0)
+        padded[:k] = rng.standard_normal(k)
+        r = min(size, -(-k // 128) * 128)
+        shifted = np.empty(r + offset)[offset:]
+        shifted[:] = padded[:r]
+        assert core_mod._sum_of_squares(padded).hex() == \
+            core_mod._sum_of_squares(shifted).hex()
+
+    def test_flag_probability_ignores_blas_threads(self):
+        # a BLAS dot product may split the sum by thread; the flag
+        # probability must read the same bits however many there are
+        code = ("import numpy as np; from qaelab.core import Statevector, flag_probability; "
+                "amps = np.random.default_rng(0).standard_normal(2**17); "
+                "print(flag_probability(Statevector(16, amps)).hex())")
+        src = os.path.dirname(os.path.dirname(core_mod.__file__))
+        reads = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120, check=True)
+            reads.append(proc.stdout.strip())
+        assert reads[0] == reads[1], reads
 
 
 class TestStatevector:
