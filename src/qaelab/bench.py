@@ -16,7 +16,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .core import Backend, OracleSpec, make_backend
-from .iqae import IterationCapError, check_alpha, check_ratio, max_rounds, run_iqae
+from .iqae import IterationCapError, check_alpha, max_rounds, run_iqae
 from .mci import MciConfig, run_mci
 # run_mlqae is not called here; perfbench's tracer rebinds it under this name
 from .mlqae import make_schedule, run_mlqae, run_mlqae_cell  # noqa: F401
@@ -51,8 +51,9 @@ class ReproduceCapError(RuntimeError):
 class ExperimentConfig:
     """One sweep: an estimator, its parameters, and the shots ladder.
 
-    ``depth``/``schedule`` apply to MLQAE, ``epsilon``/``alpha``/``ratio``
-    to IQAE; for MCI the shots ladder doubles as the sample-count ladder.
+    ``depth``/``schedule`` apply to MLQAE, ``epsilon``/``alpha`` to IQAE
+    (whose power at least doubles whenever it grows); for MCI the shots
+    ladder doubles as the sample-count ladder.
     """
 
     algorithm: str
@@ -66,7 +67,6 @@ class ExperimentConfig:
     schedule: str = "eis"
     epsilon: float = 0.01
     alpha: float = 0.05
-    ratio: int = 2
 
     def __post_init__(self) -> None:
         if self.algorithm not in _ALGORITHM_IDS:
@@ -95,7 +95,6 @@ class ExperimentConfig:
         elif self.algorithm == "iqae":
             max_rounds(self.epsilon)
             check_alpha(self.alpha)
-            check_ratio(self.ratio)
 
     def oracle(self) -> OracleSpec:
         return OracleSpec.from_amplitude(self.qubits, self.a_true)
@@ -316,8 +315,7 @@ def _run_cell(
         for rng in rngs:
             try:
                 report = run_iqae(
-                    oracle, config.epsilon, config.alpha, shots,
-                    backend=backend, rng=rng, ratio=config.ratio,
+                    oracle, config.epsilon, config.alpha, shots, backend=backend, rng=rng
                 )
             except IterationCapError as exc:
                 report = exc.report

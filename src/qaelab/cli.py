@@ -189,7 +189,6 @@ _CONFIG_KEYS = {
     "schedule": ("schedule", str),
     "epsilon": ("epsilon", float),
     "alpha": ("alpha", float),
-    "ratio": ("ratio", int),
 }
 
 
@@ -232,13 +231,16 @@ def parse_config_file(path) -> ExperimentConfig:
 
 def _cmd_sweep(args) -> int:
     config = parse_config_file(args.config)
-    # open --out first, so a path that cannot be written fails before the sweep runs
+    if args.out:
+        # a path that cannot be written fails before the sweep runs; appending
+        # nothing keeps an existing file as it was if the sweep then fails
+        _checked("--out", open, args.out, "a").close()
+    try:
+        rows = run_sweep(config)
+    except ConfidenceBoundError as exc:
+        raise UsageError(f"{args.config}: alpha: {exc}") from None
     with (_checked("--out", open, args.out, "w", encoding="utf-8", newline="\n")
           if args.out else nullcontext(sys.stdout)) as fh:
-        try:
-            rows = run_sweep(config)
-        except ConfidenceBoundError as exc:
-            raise UsageError(f"{args.config}: alpha: {exc}") from None
         emit_csv(rows, fh)
     if args.out:
         print(f"wrote {args.out}")

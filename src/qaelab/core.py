@@ -22,15 +22,15 @@ of its flag-1 part, the good block, sums the slice for the overlap and
 updates it in place.  The flag-1 amplitudes past the support meet ``psi``
 nowhere, so their flips commute with every reflection and ``m`` iterates
 flip them once if ``m`` is odd.  Every one of these operators is real, so
-the prepared state and everything evolved from it stay real float64; the
-same functions act on a complex state unchanged.
+the prepared state and everything evolved from it stay real: a state is
+float64 only.
 
 A prepared state is zero outside its support and every iterate keeps it
 so, which lets :class:`StatevectorBackend` hold only the register slice
 ``[good, 2**n + r)`` with ``r = min(2**n, ceil(good / 128) * 128)``: the
 support plus fewer than 128 trailing zeros, about half the register.  Every
 squared norm, the flag probability included, is one sum of squares,
-``np.einsum("i,i->", x, x)`` over the float64 view: numpy's own
+``np.einsum("i,i->", x, x)``: numpy's own
 single-threaded loop, with one vector accumulator and no temporary, so
 its bits do not depend on BLAS threads, and zeros appended in whole
 multiples of 128 leave it unchanged.  Reading ``r`` amplitudes from the
@@ -165,19 +165,17 @@ def _asin_sqrt_fraction(count: int, n: int) -> float:
 
 @dataclass
 class Statevector:
-    """Dense amplitudes over ``n`` domain qubits plus the flag (bit ``n``).
+    """Dense real amplitudes over ``n`` domain qubits plus the flag (bit ``n``).
 
-    The array is float64 unless complex amplitudes are passed in, in which
-    case it is complex128.
+    The array is contiguous float64; complex amplitudes raise ``TypeError``.
     """
 
     n: int
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amps)
-        # contiguous, so a complex array has a float64 view
-        self.amps = np.ascontiguousarray(amps, dtype=np.result_type(amps, np.float64))
+        amps = np.ascontiguousarray(self.amps)
+        self.amps = amps.astype(np.float64, casting="same_kind", copy=False)
         expected = 2 << self.n
         if self.amps.shape != (expected,):
             raise ValueError(
@@ -199,14 +197,13 @@ class Statevector:
 
 
 def _sum_of_squares(amps: np.ndarray) -> float:
-    """Sum of ``|amplitude|**2`` over a contiguous array, real or complex.
+    """Sum of ``amplitude**2`` over a contiguous float64 array.
 
-    numpy's einsum loop reads the float64 view once, single-threaded, into
-    one vector accumulator, so its bits do not depend on BLAS threads, and
+    numpy's einsum loop reads the array once, single-threaded, into one
+    vector accumulator, so its bits do not depend on BLAS threads, and
     zeros appended in whole multiples of ``_READ_BLOCK`` leave it unchanged.
     """
-    flat = amps.view(np.float64)
-    return float(np.einsum("i,i->", flat, flat))
+    return float(np.einsum("i,i->", amps, amps))
 
 
 def _physical_memory() -> int | None:

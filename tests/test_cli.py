@@ -430,6 +430,19 @@ class TestSweepCommand:
             "try 'qaelab --help' or 'qaelab COMMAND --help'",
         ]
 
+    def test_failed_sweep_keeps_an_existing_out_file(self, capsys, tmp_path):
+        # the Clopper-Pearson inverse gives up mid-sweep at this alpha
+        config = GOOD_CONFIG + "alpha = 1e-300\n"
+        out_path = tmp_path / "result.csv"
+        out_path.write_bytes(b"an earlier result\n")
+        rc, out, err = run_cli(
+            capsys, "sweep", "--config", self.write(tmp_path, config),
+            "--out", str(out_path),
+        )
+        assert rc == 1 and out == ""
+        assert ": alpha: no lower bound" in err
+        assert out_path.read_bytes() == b"an earlier result\n"
+
     @pytest.mark.parametrize("qubits", [64, 1100])
     def test_large_domain_gives_the_small_csv(self, capsys, tmp_path, qubits):
         _, want, _ = run_cli(capsys, "sweep", "--config", self.write(tmp_path, GOOD_CONFIG))
@@ -455,7 +468,7 @@ class TestSweepCommand:
             ("algorithm = iqae\nqubits = 4\na = 0.1\n", "not representable"),
             ("algorithm = iqae\nqubits = 4\nepsilon = 0.9\n", "epsilon must be in (0, 0.5)"),
             ("algorithm = iqae\nqubits = 4\nalpha = 1.5\n", "alpha must be in (0, 1)"),
-            ("algorithm = iqae\nqubits = 4\nratio = 1\n", "growth ratio must be at least 2"),
+            ("algorithm = iqae\nqubits = 4\nratio = 2\n", "unknown key 'ratio'"),
             ("algorithm = mlqae\nqubits = 4\nm = -1\n", "depth must be non-negative"),
             ("algorithm = mlqae\nqubits = 4\nschedule = cubic\n", "unknown schedule kind"),
             ("algorithm = mlqae\nqubits = 200\nbackend = sv\n",

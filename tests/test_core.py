@@ -209,7 +209,7 @@ class TestPrepare:
 
 class TestReflections:
     def test_flag_phase_flips_upper_half_only(self):
-        amps = np.arange(8, dtype=complex)
+        amps = np.arange(8.0)
         state = Statevector(2, amps.copy())
         apply_s_chi(state)
         np.testing.assert_array_equal(state.amps[:4], amps[:4])
@@ -219,17 +219,11 @@ class TestReflections:
     def test_involution(self, op):
         rng = np.random.default_rng(5)
         for n in (1, 3, 6):
-            amps = rng.normal(size=2 << n) + 1j * rng.normal(size=2 << n)
+            amps = rng.normal(size=2 << n)
             amps /= np.linalg.norm(amps)
             state = Statevector(n, amps.copy())
             op(op(state))
             np.testing.assert_allclose(state.amps, amps, atol=1e-12)
-
-
-def random_complex_state(n, seed):
-    rng = np.random.default_rng(seed)
-    amps = rng.normal(size=2 << n) + 1j * rng.normal(size=2 << n)
-    return Statevector(n, amps / np.linalg.norm(amps))
 
 
 class TestDtype:
@@ -241,21 +235,11 @@ class TestDtype:
         backend.flag_probability(oracle, 3)
         assert backend._live[2].dtype == np.float64
 
-    def test_complex_state_stays_complex(self):
-        oracle = OracleSpec(4, 5)
-        state = random_complex_state(4, 11)
-        assert state.amps.dtype == np.complex128
-        assert apply_s_chi(state).amps.dtype == np.complex128
-        assert apply_q(state, oracle).amps.dtype == np.complex128
-
-    @pytest.mark.parametrize("n,good", [(1, 1), (3, 2), (4, 11)])
-    def test_complex_iterate_matches_dense(self, n, good):
-        # complex amplitudes take the same path as real ones; check them against
-        # the dense reference too
-        oracle = OracleSpec(n, good)
-        state = random_complex_state(n, n)
-        expected = dense_iterate(oracle) @ state.amps
-        np.testing.assert_allclose(apply_q(state, oracle).amps, expected, rtol=0, atol=1e-12)
+    def test_complex_amplitudes_are_refused(self):
+        with pytest.raises(TypeError):
+            Statevector(1, np.zeros(4, dtype=np.complex128))
+        with pytest.raises(TypeError):
+            Statevector(1, [0.5j, 0.5, 0.5, 0.5])
 
 
 class TestIterate:
@@ -278,6 +262,15 @@ class TestIterate:
         state = apply_q_power(prepare_a(oracle), oracle, 3)
         assert flag_probability(state) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n,good", [(1, 1), (3, 2), (4, 11)])
+    def test_random_state_iterate_matches_dense(self, n, good):
+        # states off the prepared state's orbit, against the dense reference
+        oracle = OracleSpec(n, good)
+        amps = np.random.default_rng(n).normal(size=2 << n)
+        state = Statevector(n, amps / np.linalg.norm(amps))
+        expected = dense_iterate(oracle) @ state.amps
+        np.testing.assert_allclose(apply_q(state, oracle).amps, expected, rtol=0, atol=1e-12)
+
     def test_two_iterates_match_dense_build(self):
         oracle = OracleSpec(3, 3)
         dense = dense_iterate(oracle)
@@ -294,7 +287,7 @@ class TestIterate:
                 err_msg=f"n={n} good={good}",
             )
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("dtype", [np.float64])
     def test_sliced_update_equals_whole_array_update(self, dtype):
         # 2**15 amplitudes, a fixed state at the top of the property test's
         # range: the iterate against the flag flip and rank-one update written
@@ -302,8 +295,6 @@ class TestIterate:
         oracle = OracleSpec(14, 3000)
         rng = np.random.default_rng(5)
         amps = rng.standard_normal(2 << 14).astype(dtype)
-        if dtype is np.complex128:
-            amps = amps + 1j * rng.standard_normal(2 << 14)
         psi = prepare_a(oracle).amps
         expected = amps.copy()
         expected[1 << 14:] *= -1.0
@@ -315,11 +306,10 @@ class TestIterate:
     @given(
         n=st.integers(1, 14),
         data=st.data(),
-        dtype=st.sampled_from([np.float64, np.complex128]),
         seed=st.integers(0, 2**32 - 1),
         m=st.integers(0, 9),
     )
-    def test_equals_whole_array_reference(self, n, data, dtype, seed, m):
+    def test_equals_whole_array_reference(self, n, data, seed, m):
         # random states, almost never in the span of psi; a power defers the
         # flips past the support to one, which must change no bit
         size = 1 << n
@@ -327,44 +317,39 @@ class TestIterate:
         oracle = OracleSpec(n, good)
         rng = np.random.default_rng(seed)
         amps = rng.standard_normal(2 << n)
-        if dtype is np.complex128:
-            amps = amps + 1j * rng.standard_normal(2 << n)
         want = amps
         for _ in range(m):
             want = reference_iterate(want, oracle)
         got = apply_q_power(Statevector(n, amps), oracle, m).amps
         assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @settings(max_examples=150, deadline=None)
     @given(
         n=st.integers(1, 14),
         data=st.data(),
-        dtype=st.sampled_from([np.float64, np.complex128]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_support_sum_overlap_is_the_whole_array_vdot(self, n, data, dtype, seed):
+    def test_support_sum_overlap_is_the_whole_array_vdot(self, n, data, seed):
         # the iterate's overlap, psi's value times its support's sum, agrees
         # with <psi|amps> over the whole array within the summation error bound
         size = 1 << n
         good = data.draw(st.one_of(st.just(0), st.just(size), st.integers(0, size)))
         rng = np.random.default_rng(seed)
         amps = rng.standard_normal(2 << n)
-        if dtype is np.complex128:
-            amps = amps + 1j * rng.standard_normal(2 << n)
         psi = prepare_a(OracleSpec(n, good)).amps
         got = core_mod._amplitude(n) * np.add.reduce(amps[good:size + good])
         want = np.vdot(psi, amps)
         bound = 2 * amps.size * np.finfo(np.float64).eps * np.sum(np.abs(psi * amps))
         assert abs(got - want) <= bound
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("dtype", [np.float64])
     @pytest.mark.parametrize("call", [
         apply_q,
         lambda state, oracle: flag_probability(state),
     ], ids=["apply_q", "flag_probability"])
     def test_allocates_no_temporary(self, dtype, call):
-        # the 2**17 amplitudes of n = 16 are 1 MiB (2 MiB complex); a call's
+        # the 2**17 amplitudes of n = 16 are 1 MiB; a call's
         # own allocations are the few small array views of the state
         oracle = OracleSpec(16, 3 << 12)
         state = Statevector(16, prepare_a(oracle).amps.astype(dtype))
