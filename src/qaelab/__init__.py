@@ -15,13 +15,9 @@ from .core import (
     AnalyticBackend,
     Backend,
     OracleSpec,
-    Statevector,
     StatevectorBackend,
     analytic_flag_probability,
     apply_q,
-    apply_q_power,
-    apply_s_chi,
-    flag_probability,
     make_backend,
     measure_flag,
     prepare_a,
@@ -69,13 +65,9 @@ __all__ = [
     "AnalyticBackend",
     "Backend",
     "OracleSpec",
-    "Statevector",
     "StatevectorBackend",
     "analytic_flag_probability",
     "apply_q",
-    "apply_q_power",
-    "apply_s_chi",
-    "flag_probability",
     "make_backend",
     "measure_flag",
     "prepare_a",

@@ -199,6 +199,7 @@ def parse_config_file(path) -> ExperimentConfig:
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     values: dict[str, object] = {}
+    first_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -212,6 +213,11 @@ def parse_config_file(path) -> ExperimentConfig:
         if key not in _CONFIG_KEYS:
             known = ", ".join(sorted(_CONFIG_KEYS))
             raise UsageError(f"{path}:{lineno}: unknown key {key!r} (known: {known})")
+        if key in first_lines:
+            raise UsageError(
+                f"{path}:{lineno}: duplicate key {key!r} (first on line {first_lines[key]})"
+            )
+        first_lines[key] = lineno
         if not value:
             raise UsageError(f"{path}:{lineno}: empty value for {key!r}")
         field, convert = _CONFIG_KEYS[key]

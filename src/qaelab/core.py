@@ -22,8 +22,10 @@ of its flag-1 part, the good block, sums the slice for the overlap and
 updates it in place.  The flag-1 amplitudes past the support meet ``psi``
 nowhere, so their flips commute with every reflection and ``m`` iterates
 flip them once if ``m`` is odd.  Every one of these operators is real, so
-the prepared state and everything evolved from it stay real: a state is
-float64 only.
+the prepared state and everything evolved from it stay real.  A whole
+register is a plain float64 array of ``2**(n+1)`` amplitudes:
+:func:`prepare_a` builds one, :func:`apply_q` evolves one in place, and its
+flag probability is the sum of squares of its flag-1 half ``amps[2**n:]``.
 
 A prepared state is zero outside its support and every iterate keeps it
 so, which lets :class:`StatevectorBackend` hold only the register slice
@@ -55,12 +57,8 @@ import numpy as np
 
 __all__ = [
     "OracleSpec",
-    "Statevector",
     "prepare_a",
-    "apply_s_chi",
     "apply_q",
-    "apply_q_power",
-    "flag_probability",
     "analytic_flag_probability",
     "Backend",
     "StatevectorBackend",
@@ -163,39 +161,6 @@ def _asin_sqrt_fraction(count: int, n: int) -> float:
     return math.ldexp(math.sqrt(scaled >> shift), (shift - n - (n & 1)) // 2)
 
 
-@dataclass
-class Statevector:
-    """Dense real amplitudes over ``n`` domain qubits plus the flag (bit ``n``).
-
-    The array is contiguous float64; complex amplitudes raise ``TypeError``.
-    """
-
-    n: int
-    amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.ascontiguousarray(self.amps)
-        self.amps = amps.astype(np.float64, casting="same_kind", copy=False)
-        expected = 2 << self.n
-        if self.amps.shape != (expected,):
-            raise ValueError(
-                f"amplitude array has shape {self.amps.shape}, expected ({expected},)"
-            )
-
-    @classmethod
-    def basis(cls, n: int, index: int) -> "Statevector":
-        """Computational basis state |index> on the full register."""
-        amps = np.zeros(2 << n)
-        amps[index] = 1.0
-        return cls(n, amps)
-
-    def copy(self) -> "Statevector":
-        return Statevector(self.n, self.amps.copy())
-
-    def norm_sq(self) -> float:
-        return _sum_of_squares(self.amps)
-
-
 def _sum_of_squares(amps: np.ndarray) -> float:
     """Sum of ``amplitude**2`` over a contiguous float64 array.
 
@@ -229,19 +194,20 @@ def _amplitude(n: int) -> float:
     return 1.0 / math.sqrt(1 << n)
 
 
-def prepare_a(oracle: OracleSpec) -> Statevector:
-    """Build the post-preparation state: uniform over the domain, flag set on good indices.
+def prepare_a(oracle: OracleSpec) -> np.ndarray:
+    """The post-preparation register: ``2**(n+1)`` float64 amplitudes,
+    uniform over the domain, flag set on the good indices.
 
     Every domain index carries amplitude ``2**(-n/2)``; the flag qubit is 1
-    exactly on the first ``oracle.good_count`` indices, so
-    ``flag_probability`` equals ``oracle.a``.  Raises ``ValueError`` if
+    exactly on the first ``oracle.good_count`` indices, so the flag-1 half,
+    ``amps[2**n:]``, has squared norm ``oracle.a``.  Raises ``ValueError`` if
     numpy cannot index the state.
     """
     _check_state_size(oracle.n)
     amps = np.zeros(2 * oracle.domain_size)
     # the good indices' flag-1 and the others' flag-0 amplitudes, in one slice
     amps[oracle.good_count:oracle.domain_size + oracle.good_count] = _amplitude(oracle.n)
-    return Statevector(oracle.n, amps)
+    return amps
 
 
 def _prepare_slice(oracle: OracleSpec) -> np.ndarray:
@@ -255,12 +221,6 @@ def _prepare_slice(oracle: OracleSpec) -> np.ndarray:
     amps[:size] = _amplitude(oracle.n)
     amps[size:] = 0.0
     return amps
-
-
-def apply_s_chi(state: Statevector) -> Statevector:
-    """Negate every flag-1 amplitude, in place."""
-    state.amps[1 << state.n:] *= -1.0
-    return state
 
 
 def _iterate(support: np.ndarray, n: int, good: int, m: int) -> None:
@@ -281,39 +241,30 @@ def _iterate(support: np.ndarray, n: int, good: int, m: int) -> None:
         support -= step
 
 
-def apply_q(state: Statevector, oracle: OracleSpec) -> Statevector:
-    """One amplification iterate ``Q = A S_0 A^dagger S_chi``, in place.
+def apply_q(amps: np.ndarray, oracle: OracleSpec, m: int = 1) -> np.ndarray:
+    """``m`` amplification iterates ``Q = A S_0 A^dagger S_chi`` on the whole
+    register ``amps``, in place (``m = 0`` is a no-op); returns ``amps``.
 
     Reads and writes only ``psi``'s support and the flag-1 half, with no
-    temporary.  Raises ``ValueError`` if the state and the oracle differ in
-    ``n``.
-    """
-    return apply_q_power(state, oracle, 1)
-
-
-def apply_q_power(state: Statevector, oracle: OracleSpec, m: int) -> Statevector:
-    """Apply the amplification iterate ``m`` times (``m = 0`` is a no-op), in place.
-
-    Bit for bit ``m`` single iterates.  Raises ``ValueError`` for a negative
-    power, or if the state and the oracle differ in ``n``.
+    temporary, and is bit for bit ``m`` single iterates.  Raises
+    ``ValueError`` for a negative power, or unless ``amps`` is a float64
+    array of shape ``(2**(n+1),)``.
     """
     if m < 0:
         raise ValueError(f"power must be non-negative, got {m}")
-    if state.n != oracle.n:
-        raise ValueError(f"state has n={state.n} domain qubits, the oracle n={oracle.n}")
-    amps = state.amps
     size, good = oracle.domain_size, oracle.good_count
+    if not (isinstance(amps, np.ndarray) and amps.dtype == np.float64
+            and amps.shape == (2 * size,)):
+        raise ValueError(
+            f"n={oracle.n} needs a float64 array of shape ({2 * size},), got "
+            f"{getattr(amps, 'dtype', type(amps).__name__)} of shape {np.shape(amps)}"
+        )
     _iterate(amps[good:size + good], oracle.n, good, m)
     if m % 2:
         # psi is zero on the other flag-1 amplitudes: their flips commute
         # with every reflection, and cancel in pairs
         amps[size + good:] *= -1.0
-    return state
-
-
-def flag_probability(state: Statevector) -> float:
-    """Probability of reading 1 on the flag qubit."""
-    return _sum_of_squares(state.amps[1 << state.n:])
+    return amps
 
 
 def analytic_flag_probability(oracle: OracleSpec, m: int) -> float:

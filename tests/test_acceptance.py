@@ -14,10 +14,8 @@ import pytest
 from qaelab import (
     MciConfig,
     OracleSpec,
-    apply_q,
+    StatevectorBackend,
     cli,
-    flag_probability,
-    prepare_a,
     run_iqae,
     run_mci,
     run_mlqae,
@@ -77,12 +75,11 @@ def test_01_amplified_rotation_identity():
     for n in range(1, 7):
         for good in range(2**n + 1):
             oracle = OracleSpec(n, good)
-            state = prepare_a(oracle)
+            backend = StatevectorBackend()
             for m in range(9):
                 want = math.sin((2 * m + 1) * oracle.theta) ** 2
-                worst = max(worst, abs(flag_probability(state) - want))
+                worst = max(worst, abs(backend.flag_probability(oracle, m) - want))
                 checks += 1
-                apply_q(state, oracle)
     elapsed = time.perf_counter() - start
     passed = worst < 1e-9 and elapsed < 10.0
     _report(

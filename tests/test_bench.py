@@ -2,7 +2,6 @@
 and the table runner."""
 
 import dataclasses
-import hashlib
 import io
 
 import numpy as np
@@ -31,6 +30,8 @@ from qaelab.core import make_backend
 from qaelab.iqae import run_iqae
 from qaelab.mci import MciConfig, run_mci
 from qaelab.mlqae import run_mlqae
+
+from digest import assert_sha256
 
 
 class TestSummarize:
@@ -282,7 +283,7 @@ class TestRunSweep:
         for digest, cfg in pinned.items():
             buf = io.StringIO()
             emit_csv(run_sweep(cfg), buf)
-            assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest, cfg.algorithm
+            assert_sha256(buf.getvalue(), digest, f"{cfg.algorithm} sv sweep CSV")
 
     def test_single_repetition_degenerate_summaries(self):
         cfg = ExperimentConfig(
@@ -548,14 +549,13 @@ class TestRunTable:
     def test_csv_bytes_are_pinned(self, tmp_path, table):
         """Each reproduction CSV has its recorded sha256.
 
-        The digests were taken on x86-64 (AVX-512) with numpy 2.4.6.  Like
+        The digests were taken in ``digest.RECORDED``'s environment.  Like
         the bitwise log-likelihood test, they assume that CPU and numpy: a
         last-bit difference in a likelihood table or a binomial draw
         changes the bytes.
         """
         for path in run_table(table, tmp_path):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            assert digest == PINNED_SHA256[path.name], path.name
+            assert_sha256(path.read_bytes(), PINNED_SHA256[path.name], path.name)
 
     def test_writes_expected_file(self, tmp_path):
         out = tmp_path / "nested" / "dir"

@@ -1,7 +1,6 @@
 """End-to-end tests of the command-line front end, run in process, and one
 import check in a fresh interpreter."""
 
-import hashlib
 import os
 import subprocess
 import sys
@@ -13,6 +12,8 @@ import qaelab.core as core_mod
 import qaelab.iqae as iqae_mod
 from qaelab import cli
 from qaelab.bench import CSV_HEADER
+
+from digest import assert_sha256
 
 
 def run_cli(capsys, *argv):
@@ -89,7 +90,7 @@ class TestMlqaeCommand:
         """The printed estimate, calls and log-likelihood, to 10 digits."""
         rc, out, _ = run_cli(capsys, *argv)
         assert rc == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert_sha256(out, digest, " ".join(argv))
 
     def test_unrepresentable_amplitude(self, capsys):
         rc, out, err = run_cli(
@@ -198,7 +199,7 @@ class TestIqaeCommand:
         rc, out, _ = run_cli(capsys, *argv, "--trace")
         assert rc == 0
         assert "half_plane=lower" in out and "half_plane=upper" in out
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert_sha256(out, digest, " ".join(argv) + " --trace")
 
     def test_collapse_is_named_on_stderr(self, capsys):
         rc, out, err = run_cli(capsys, "iqae", "--qubits", "10", "--a", "0.125",
@@ -469,6 +470,8 @@ class TestSweepCommand:
             ("algorithm = iqae\nqubits = 4\nepsilon = 0.9\n", "epsilon must be in (0, 0.5)"),
             ("algorithm = iqae\nqubits = 4\nalpha = 1.5\n", "alpha must be in (0, 1)"),
             ("algorithm = iqae\nqubits = 4\nratio = 2\n", "unknown key 'ratio'"),
+            ("algorithm = mci\nreps = 3\nreps = 2\nshots = 16\n",
+             ":3: duplicate key 'reps' (first on line 2)"),
             ("algorithm = mlqae\nqubits = 4\nm = -1\n", "depth must be non-negative"),
             ("algorithm = mlqae\nqubits = 4\nschedule = cubic\n", "unknown schedule kind"),
             ("algorithm = mlqae\nqubits = 200\nbackend = sv\n",

@@ -21,13 +21,9 @@ import qaelab.core as core_mod
 from qaelab.core import (
     AnalyticBackend,
     OracleSpec,
-    Statevector,
     StatevectorBackend,
     analytic_flag_probability,
     apply_q,
-    apply_q_power,
-    apply_s_chi,
-    flag_probability,
     make_backend,
     measure_flag,
     prepare_a,
@@ -42,10 +38,15 @@ from qaelab.verify import (
 )
 
 
+def flag_probability(amps):
+    """Flag-1 probability of a whole register: its flag-1 half's sum of squares."""
+    return core_mod._sum_of_squares(amps[amps.size // 2:])
+
+
 class TestOracleSpec:
     def test_defaults_to_leading_indices(self):
         oracle = OracleSpec(3, 3)
-        assert list(np.flatnonzero(prepare_a(oracle).amps[8:])) == [0, 1, 2]
+        assert list(np.flatnonzero(prepare_a(oracle)[8:])) == [0, 1, 2]
         assert oracle.domain_size == 8
         assert oracle.a == 0.375
 
@@ -161,13 +162,13 @@ class TestPrepare:
         state = prepare_a(OracleSpec(2, 1))
         assert flag_probability(state) == pytest.approx(0.25, abs=1e-15)
         # index (1 << 2) | 0 carries the single marked amplitude
-        assert state.amps[4] == pytest.approx(0.5)
-        assert state.amps[0] == 0.0
+        assert state[4] == pytest.approx(0.5)
+        assert state[0] == 0.0
 
     def test_empty_good_set(self):
         state = prepare_a(OracleSpec(3, 0))
         assert flag_probability(state) == 0.0
-        assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert core_mod._sum_of_squares(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_three_eighths(self):
         state = prepare_a(OracleSpec(3, 3))
@@ -177,7 +178,7 @@ class TestPrepare:
     def test_support_is_one_slice(self, n, good):
         # the good indices' flag-1 amplitudes follow the others' flag-0 ones
         size = 1 << n
-        amps = prepare_a(OracleSpec(n, good)).amps
+        amps = prepare_a(OracleSpec(n, good))
         np.testing.assert_array_equal(np.flatnonzero(amps), np.arange(good, size + good))
         assert np.all(amps[good:size + good] == 1.0 / math.sqrt(size))
 
@@ -197,49 +198,55 @@ class TestPrepare:
 
     def test_flag_is_the_top_bit(self):
         for d in (0, 5, 7):
-            assert flag_probability(Statevector.basis(3, (1 << 3) | d)) == 1.0
-            assert flag_probability(Statevector.basis(3, d)) == 0.0
+            assert flag_probability(np.eye(16)[(1 << 3) | d]) == 1.0
+            assert flag_probability(np.eye(16)[d]) == 0.0
 
     @pytest.mark.parametrize("n,good", [(1, 1), (2, 3), (3, 3), (3, 8), (4, 5)])
     def test_matches_dense_build(self, n, good):
         oracle = OracleSpec(n, good)
         column = dense_preparation(oracle)[:, 0]
-        np.testing.assert_allclose(prepare_a(oracle).amps, column, atol=1e-12)
+        np.testing.assert_allclose(prepare_a(oracle), column, atol=1e-12)
 
 
 class TestReflections:
     def test_flag_phase_flips_upper_half_only(self):
+        # zero on psi's support [1, 5), an iterate is the flag-phase flip alone
         amps = np.arange(8.0)
-        state = Statevector(2, amps.copy())
-        apply_s_chi(state)
-        np.testing.assert_array_equal(state.amps[:4], amps[:4])
-        np.testing.assert_array_equal(state.amps[4:], -amps[4:])
+        amps[1:5] = 0.0
+        got = apply_q(amps.copy(), OracleSpec(2, 1))
+        np.testing.assert_array_equal(got[:4], amps[:4])
+        np.testing.assert_array_equal(got[4:], -amps[4:])
 
-    @pytest.mark.parametrize("op", [apply_s_chi])
-    def test_involution(self, op):
+    def test_dense_transpose_inverts_the_iterate(self):
+        # the iterate is real and orthogonal, so Q^T undoes it
         rng = np.random.default_rng(5)
         for n in (1, 3, 6):
-            amps = rng.normal(size=2 << n)
-            amps /= np.linalg.norm(amps)
-            state = Statevector(n, amps.copy())
-            op(op(state))
-            np.testing.assert_allclose(state.amps, amps, atol=1e-12)
+            for good in (0, 1, (1 << n) // 3, 1 << n):
+                oracle = OracleSpec(n, good)
+                amps = rng.normal(size=2 << n)
+                amps /= np.linalg.norm(amps)
+                back = dense_iterate(oracle).T @ apply_q(amps.copy(), oracle)
+                np.testing.assert_allclose(back, amps, atol=1e-12)
 
 
 class TestDtype:
     def test_real_paths_stay_float64(self):
         oracle = OracleSpec(5, 7)
-        assert prepare_a(oracle).amps.dtype == np.float64
-        assert Statevector.basis(5, 3).amps.dtype == np.float64
+        assert prepare_a(oracle).dtype == np.float64
+        assert apply_q(prepare_a(oracle), oracle, 3).dtype == np.float64
         backend = StatevectorBackend()
         backend.flag_probability(oracle, 3)
         assert backend._live[2].dtype == np.float64
 
     def test_complex_amplitudes_are_refused(self):
-        with pytest.raises(TypeError):
-            Statevector(1, np.zeros(4, dtype=np.complex128))
-        with pytest.raises(TypeError):
-            Statevector(1, [0.5j, 0.5, 0.5, 0.5])
+        oracle = OracleSpec(1, 1)
+        amps = np.full(4, 0.5, dtype=np.complex128)
+        with pytest.raises(ValueError, match=r"^n=1 needs a float64 array of shape \(4,\), "
+                                             r"got complex128 of shape \(4,\)$"):
+            apply_q(amps, oracle)
+        np.testing.assert_array_equal(amps, 0.5)
+        with pytest.raises(ValueError, match=r"got list of shape \(4,\)$"):
+            apply_q([0.5j, 0.5, 0.5, 0.5], oracle)
 
 
 class TestIterate:
@@ -255,11 +262,11 @@ class TestIterate:
         for _ in range(5):
             apply_q(state, oracle)
             assert flag_probability(state) == 0.0
-            assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+            assert core_mod._sum_of_squares(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_full_oracle_keeps_flag_raised(self):
         oracle = OracleSpec(2, 4)
-        state = apply_q_power(prepare_a(oracle), oracle, 3)
+        state = apply_q(prepare_a(oracle), oracle, 3)
         assert flag_probability(state) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n,good", [(1, 1), (3, 2), (4, 11)])
@@ -267,16 +274,16 @@ class TestIterate:
         # states off the prepared state's orbit, against the dense reference
         oracle = OracleSpec(n, good)
         amps = np.random.default_rng(n).normal(size=2 << n)
-        state = Statevector(n, amps / np.linalg.norm(amps))
-        expected = dense_iterate(oracle) @ state.amps
-        np.testing.assert_allclose(apply_q(state, oracle).amps, expected, rtol=0, atol=1e-12)
+        state = amps / np.linalg.norm(amps)
+        expected = dense_iterate(oracle) @ state
+        np.testing.assert_allclose(apply_q(state, oracle), expected, rtol=0, atol=1e-12)
 
     def test_two_iterates_match_dense_build(self):
         oracle = OracleSpec(3, 3)
         dense = dense_iterate(oracle)
         expected = dense @ dense @ dense_preparation(oracle)[:, 0]
-        state = apply_q_power(prepare_a(oracle), oracle, 2)
-        np.testing.assert_allclose(state.amps, expected, atol=1e-12)
+        state = apply_q(prepare_a(oracle), oracle, 2)
+        np.testing.assert_allclose(state, expected, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_probe_matrix_is_unitary(self, n):
@@ -295,12 +302,12 @@ class TestIterate:
         oracle = OracleSpec(14, 3000)
         rng = np.random.default_rng(5)
         amps = rng.standard_normal(2 << 14).astype(dtype)
-        psi = prepare_a(oracle).amps
+        psi = prepare_a(oracle)
         expected = amps.copy()
         expected[1 << 14:] *= -1.0
         overlap = psi[3000] * np.add.reduce(expected[psi != 0])
         expected -= (2.0 * overlap) * psi
-        assert np.array_equal(apply_q(Statevector(14, amps), oracle).amps, expected)
+        assert np.array_equal(apply_q(amps, oracle), expected)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -320,7 +327,7 @@ class TestIterate:
         want = amps
         for _ in range(m):
             want = reference_iterate(want, oracle)
-        got = apply_q_power(Statevector(n, amps), oracle, m).amps
+        got = apply_q(amps, oracle, m)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -337,7 +344,7 @@ class TestIterate:
         good = data.draw(st.one_of(st.just(0), st.just(size), st.integers(0, size)))
         rng = np.random.default_rng(seed)
         amps = rng.standard_normal(2 << n)
-        psi = prepare_a(OracleSpec(n, good)).amps
+        psi = prepare_a(OracleSpec(n, good))
         got = core_mod._amplitude(n) * np.add.reduce(amps[good:size + good])
         want = np.vdot(psi, amps)
         bound = 2 * amps.size * np.finfo(np.float64).eps * np.sum(np.abs(psi * amps))
@@ -352,7 +359,7 @@ class TestIterate:
         # the 2**17 amplitudes of n = 16 are 1 MiB; a call's
         # own allocations are the few small array views of the state
         oracle = OracleSpec(16, 3 << 12)
-        state = Statevector(16, prepare_a(oracle).amps.astype(dtype))
+        state = prepare_a(oracle).astype(dtype)
         call(state, oracle)
         tracemalloc.start()
         try:
@@ -365,9 +372,10 @@ class TestIterate:
     def test_rejects_a_state_of_another_size(self):
         # the slices of a larger state would all exist, so the check is explicit
         state = prepare_a(OracleSpec(4, 3))
-        with pytest.raises(ValueError, match=r"^state has n=4 domain qubits, the oracle n=3$"):
+        message = r"^n=3 needs a float64 array of shape \(16,\), got float64 of shape \(32,\)$"
+        with pytest.raises(ValueError, match=message):
             apply_q(state, OracleSpec(3, 3))
-        np.testing.assert_array_equal(state.amps, prepare_a(OracleSpec(4, 3)).amps)
+        np.testing.assert_array_equal(state, prepare_a(OracleSpec(4, 3)))
 
     def test_probe_matrix_matches_dense(self):
         for n, good in [(1, 1), (2, 2), (3, 5), (4, 7)]:
@@ -379,19 +387,19 @@ class TestPower:
     def test_zero_power_is_identity(self):
         oracle = OracleSpec(3, 2)
         state = prepare_a(oracle)
-        before = state.amps.copy()
-        apply_q_power(state, oracle, 0)
-        np.testing.assert_array_equal(state.amps, before)
+        before = state.copy()
+        apply_q(state, oracle, 0)
+        np.testing.assert_array_equal(state, before)
 
     def test_negative_power_rejected(self):
         oracle = OracleSpec(2, 1)
         with pytest.raises(ValueError):
-            apply_q_power(prepare_a(oracle), oracle, -1)
+            apply_q(prepare_a(oracle), oracle, -1)
 
     def test_eighth_after_four_iterates(self):
         # sin^2(9 * arcsin(sqrt(1/8))) is exactly 25/2048
         oracle = OracleSpec(10, 128)
-        state = apply_q_power(prepare_a(oracle), oracle, 4)
+        state = apply_q(prepare_a(oracle), oracle, 4)
         assert flag_probability(state) == pytest.approx(0.01220703125, abs=1e-11)
 
     def test_rotation_identity_sample(self):
@@ -399,7 +407,7 @@ class TestPower:
             for good in (0, 1, (1 << n) // 2, 1 << n):
                 oracle = OracleSpec(n, good)
                 for m in range(9):
-                    state = apply_q_power(prepare_a(oracle), oracle, m)
+                    state = apply_q(prepare_a(oracle), oracle, m)
                     assert flag_probability(state) == pytest.approx(
                         analytic_flag_probability(oracle, m), abs=1e-9
                     ), f"n={n} good={good} m={m}"
@@ -409,7 +417,7 @@ class TestPower:
         state = prepare_a(oracle)
         for _ in range(50):
             apply_q(state, oracle)
-            assert abs(state.norm_sq() - 1.0) < 1e-10
+            assert abs(core_mod._sum_of_squares(state) - 1.0) < 1e-10
 
     @pytest.mark.parametrize("n", [3, 5, 10, 16, 20])
     def test_long_products_track_the_closed_form(self, n):
@@ -423,7 +431,7 @@ class TestPower:
                 apply_q(state, oracle)
                 expected = analytic_flag_probability(oracle, m)
                 assert abs(flag_probability(state) - expected) <= 1e-10, (good, m)
-                assert abs(state.norm_sq() - 1.0) <= 1e-10, (good, m)
+                assert abs(core_mod._sum_of_squares(state) - 1.0) <= 1e-10, (good, m)
 
 
 class TestAnalytic:
@@ -436,7 +444,7 @@ class TestAnalytic:
         value = analytic_flag_probability(OracleSpec(10, 128), 8)
         assert value == pytest.approx(0.019456863403320264, abs=1e-12)
         # same number through the statevector route
-        state = apply_q_power(prepare_a(OracleSpec(10, 128)), OracleSpec(10, 128), 8)
+        state = apply_q(prepare_a(OracleSpec(10, 128)), OracleSpec(10, 128), 8)
         assert flag_probability(state) == pytest.approx(value, abs=1e-9)
 
     def test_certain_amplitude(self):
@@ -591,7 +599,7 @@ class TestStatevectorMemo:
         # must read the bits of the whole evolved register
         backend = StatevectorBackend()
         for m in sorted(powers, reverse=falling):
-            fresh = flag_probability(apply_q_power(prepare_a(oracle), oracle, m))
+            fresh = flag_probability(apply_q(prepare_a(oracle), oracle, m))
             assert backend.flag_probability(oracle, m).hex() == fresh.hex(), m
 
     @settings(max_examples=60, deadline=None)
@@ -606,7 +614,7 @@ class TestStatevectorMemo:
         backend = StatevectorBackend()
         for use_second, m in calls:
             oracle = second if use_second else first
-            fresh = flag_probability(apply_q_power(prepare_a(oracle), oracle, m))
+            fresh = flag_probability(apply_q(prepare_a(oracle), oracle, m))
             assert backend.flag_probability(oracle, m) == fresh
 
     def test_threads_sharing_one_backend_match_fresh(self):
@@ -616,7 +624,7 @@ class TestStatevectorMemo:
         oracles = (OracleSpec(9, 37), OracleSpec(9, 200))
         keys = [(oracle, m) for oracle in oracles for m in range(16)]
         expected = [
-            flag_probability(apply_q_power(prepare_a(oracle), oracle, m))
+            flag_probability(apply_q(prepare_a(oracle), oracle, m))
             for oracle, m in keys
         ]
 
@@ -764,9 +772,9 @@ class TestSumOfSquares:
     def test_flag_probability_ignores_blas_threads(self):
         # a BLAS dot product may split the sum by thread; the flag
         # probability must read the same bits however many there are
-        code = ("import numpy as np; from qaelab.core import Statevector, flag_probability; "
+        code = ("import numpy as np; from qaelab.core import _sum_of_squares; "
                 "amps = np.random.default_rng(0).standard_normal(2**17); "
-                "print(flag_probability(Statevector(16, amps)).hex())")
+                "print(_sum_of_squares(amps[2**16:]).hex())")
         src = os.path.dirname(os.path.dirname(core_mod.__file__))
         reads = []
         for threads in ("1", "2"):
@@ -779,22 +787,17 @@ class TestSumOfSquares:
 
 class TestStatevector:
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            Statevector(2, np.zeros(4))
-
-    def test_basis_and_copy(self):
-        state = Statevector.basis(2, 5)
-        assert state.amps[5] == 1.0
-        assert state.norm_sq() == 1.0
-        dup = state.copy()
-        dup.amps[5] = 0.0
-        assert state.amps[5] == 1.0
+        with pytest.raises(ValueError, match=r"^n=2 needs a float64 array of shape \(8,\)"):
+            apply_q(np.zeros(4), OracleSpec(2, 1))
+        with pytest.raises(ValueError, match=r"got float32 of shape \(8,\)$"):
+            apply_q(np.zeros(8, dtype=np.float32), OracleSpec(2, 1))
+        with pytest.raises(ValueError, match=r"got float64 of shape \(2, 4\)$"):
+            apply_q(np.zeros((2, 4)), OracleSpec(2, 1))
 
     def test_normalization_through_random_sequences(self):
         rng = np.random.default_rng(23)
         oracle = OracleSpec(4, 6)
         state = prepare_a(oracle)
-        ops = [apply_s_chi, lambda s: apply_q(s, oracle)]
         for _ in range(60):
-            ops[rng.integers(len(ops))](state)
-            assert abs(state.norm_sq() - 1.0) < 1e-10
+            apply_q(state, oracle, int(rng.integers(0, 4)))
+            assert abs(core_mod._sum_of_squares(state) - 1.0) < 1e-10
