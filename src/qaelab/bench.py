@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .core import Backend, OracleSpec, make_backend
+from .core import Backend, OracleSpec, check_shots, make_backend
 from .iqae import IterationCapError, check_alpha, max_rounds, run_iqae
 from .mci import MciConfig, run_mci
 # run_mlqae is not called here; perfbench's tracer rebinds it under this name
@@ -78,6 +78,7 @@ class ExperimentConfig:
         self.shots_list = tuple(int(s) for s in self.shots_list)
         if not self.shots_list or any(s < 1 for s in self.shots_list):
             raise ValueError(f"bad shots ladder {self.shots_list}")
+        check_shots(max(self.shots_list))
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be positive, got {self.repetitions}")
         if self.base_seed < 0:

@@ -28,15 +28,12 @@ register is a plain float64 array of ``2**(n+1)`` amplitudes:
 flag probability is the sum of squares of its flag-1 half ``amps[2**n:]``.
 
 A prepared state is zero outside its support and every iterate keeps it
-so, which lets :class:`StatevectorBackend` hold only the register slice
-``[good, 2**n + r)`` with ``r = min(2**n, ceil(good / 128) * 128)``: the
-support plus fewer than 128 trailing zeros, about half the register.  Every
+so, but for sign flips of zeros, which lets :class:`StatevectorBackend`
+hold only the support, ``2**n`` amplitudes, half the register.  Every
 squared norm, the flag probability included, is one sum of squares,
-``np.einsum("i,i->", x, x)``: numpy's own
-single-threaded loop, with one vector accumulator and no temporary, so
-its bits do not depend on BLAS threads, and zeros appended in whole
-multiples of 128 leave it unchanged.  Reading ``r`` amplitudes from the
-good block therefore gives the bits of reading the whole flag-1 half.
+``np.einsum("i,i->", x, x)``: numpy's own single-threaded loop, with no
+temporary, so its bits do not depend on BLAS threads or on where the
+summed slice starts in memory.
 
 No gate matrices are ever materialized here; the dense
 Hadamard-and-permutation build that checks this form independently, and
@@ -68,11 +65,6 @@ __all__ = [
     "check_shots",
     "measure_flag",
 ]
-
-#: a ``StatevectorBackend`` reads the flag probability over a whole number
-#: of blocks of this many amplitudes; a multiple of every SIMD width
-_READ_BLOCK = 128
-
 
 @dataclass(frozen=True)
 class OracleSpec:
@@ -164,9 +156,8 @@ def _asin_sqrt_fraction(count: int, n: int) -> float:
 def _sum_of_squares(amps: np.ndarray) -> float:
     """Sum of ``amplitude**2`` over a contiguous float64 array.
 
-    numpy's einsum loop reads the array once, single-threaded, into one
-    vector accumulator, so its bits do not depend on BLAS threads, and
-    zeros appended in whole multiples of ``_READ_BLOCK`` leave it unchanged.
+    numpy's einsum loop reads the array once, single-threaded, so its bits
+    do not depend on BLAS threads or on the array's start in memory.
     """
     return float(np.einsum("i,i->", amps, amps))
 
@@ -211,16 +202,10 @@ def prepare_a(oracle: OracleSpec) -> np.ndarray:
 
 
 def _prepare_slice(oracle: OracleSpec) -> np.ndarray:
-    """The prepared state's register slice ``[good, 2**n + r)``, with
-    ``r = min(2**n, ceil(good / _READ_BLOCK) * _READ_BLOCK)``: ``psi``'s
-    support, then ``r - good`` zeros.  The only allocation of
+    """The prepared state's support ``[good, 2**n + good)``: ``2**n``
+    amplitudes of ``2**(-n/2)``.  The only allocation of
     :class:`StatevectorBackend`."""
-    size, good = oracle.domain_size, oracle.good_count
-    read = min(size, -(-good // _READ_BLOCK) * _READ_BLOCK)
-    amps = np.empty(size + read - good)
-    amps[:size] = _amplitude(oracle.n)
-    amps[size:] = 0.0
-    return amps
+    return np.full(oracle.domain_size, _amplitude(oracle.n))
 
 
 def _iterate(support: np.ndarray, n: int, good: int, m: int) -> None:
@@ -292,13 +277,10 @@ class StatevectorBackend(Backend):
 
     A state evolved from ``A|0>`` is zero outside ``psi``'s support
     ``[good, 2**n + good)``, but for sign flips of zeros.  So the backend
-    holds only the register slice :func:`_prepare_slice` allocates, the
-    support and fewer than ``_READ_BLOCK`` zeros after it, about half the
-    register; advances its first ``2**n`` entries with the iterate kernel;
-    and reads the probability as the sum of squares from the good block to
-    the slice's end, ``r`` amplitudes whose trailing zeros fill a whole
-    read block.  That is bit for bit :func:`flag_probability` of the whole
-    evolved register.
+    holds only that support, the slice :func:`_prepare_slice` allocates,
+    half the register; advances it with the iterate kernel; and reads the
+    probability as the sum of squares of its last ``good`` amplitudes, the
+    good block, where the flag is 1.
 
     Each instance memoizes the probability per ``(oracle, m)`` and evolves one
     live ``(oracle, m, slice)`` in place: a higher power of the same oracle
@@ -317,16 +299,15 @@ class StatevectorBackend(Backend):
 
     def check_oracle(self, oracle: OracleSpec) -> None:
         """Reject an oracle whose statevector numpy cannot index, or whose
-        slice of ``(2**n + 128) * 8`` bytes exceeds the machine's physical
-        memory.  Allocates nothing."""
+        support of ``2**n * 8`` bytes exceeds the machine's physical memory.
+        Allocates nothing."""
         _check_state_size(oracle.n)
-        need = ((1 << oracle.n) + _READ_BLOCK) * 8
+        need = oracle.domain_size * 8
         physical = _physical_memory()
         if physical is not None and need > physical:
             raise ValueError(
-                f"n={oracle.n} needs (2**{oracle.n} + {_READ_BLOCK}) * 8 bytes "
-                f"({need / 2**30:.3g} GiB), more than the "
-                f"{physical / 2**30:.3g} GiB of physical memory"
+                f"n={oracle.n} needs 2**{oracle.n} * 8 bytes ({need / 2**30:.3g} GiB), "
+                f"more than the {physical / 2**30:.3g} GiB of physical memory"
             )
 
     def flag_probability(self, oracle: OracleSpec, m: int) -> float:
@@ -341,10 +322,9 @@ class StatevectorBackend(Backend):
             live = None  # free the old slice before its successor is allocated
             self.check_oracle(oracle)
             live = (oracle, 0, _prepare_slice(oracle))
-        amps = live[2]
-        size, good = oracle.domain_size, oracle.good_count
-        _iterate(amps[:size], oracle.n, good, m - live[1])
-        p = self._probabilities[(oracle, m)] = _sum_of_squares(amps[size - good:])
+        amps, good = live[2], oracle.good_count
+        _iterate(amps, oracle.n, good, m - live[1])
+        p = self._probabilities[(oracle, m)] = _sum_of_squares(amps[amps.size - good:])
         self._live = (oracle, m, amps)
         return p
 
@@ -371,10 +351,13 @@ def make_backend(name: str) -> Backend:
     return BACKENDS[name]()
 
 
-def check_shots(shots: int) -> None:
-    """Reject a non-positive shot count."""
+def check_shots(shots: int, name: str = "shots") -> None:
+    """Reject a draw count that is not positive, or past 2**63 - 1, the
+    largest that numpy's binomial sampler takes; ``name`` heads the message."""
     if shots < 1:
-        raise ValueError(f"shots must be positive, got {shots}")
+        raise ValueError(f"{name} must be positive, got {shots}")
+    if shots > 2**63 - 1:
+        raise ValueError(f"{name} must be at most 2**63 - 1, got {shots}")
 
 
 def measure_flag(

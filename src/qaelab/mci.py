@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_shots
+
 __all__ = ["MciConfig", "run_mci"]
 
 
@@ -26,8 +28,7 @@ class MciConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.a_true <= 1.0:
             raise ValueError(f"a_true={self.a_true} outside [0, 1]")
-        if self.samples < 1:
-            raise ValueError(f"samples must be positive, got {self.samples}")
+        check_shots(self.samples, "samples")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be positive, got {self.repetitions}")
 

@@ -53,6 +53,14 @@ def make_schedule(kind: str, depth: int) -> tuple[int, ...]:
         raise ValueError(f"unknown schedule kind {kind!r}")
     if depth < 0:
         raise ValueError(f"depth must be non-negative, got {depth}")
+    try:
+        # the top power's multiplier 2m + 1 scales the angle as a float: it
+        # is 2**depth + 1 for "eis", whose float is 2**depth, and 2*depth + 1
+        math.ldexp(1.0, depth) if kind == "eis" else float(2 * depth + 1)
+    except OverflowError:
+        raise ValueError(
+            f"depth {depth} is too deep: its top multiplier 2m + 1 has no float"
+        ) from None
     if kind == "eis":
         return (0,) + tuple(2**j for j in range(depth))
     return tuple(range(depth + 1))

@@ -41,7 +41,7 @@ __all__ = [
     "run_checks",
 ]
 
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
+_H = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class CheckResult:
 def _mark_permutation(oracle: OracleSpec) -> np.ndarray:
     """Permutation flipping the flag bit on every good domain index."""
     dim, n = 2 << oracle.n, oracle.n
-    perm = np.zeros((dim, dim), dtype=np.complex128)
+    perm = np.zeros((dim, dim))
     for d in range(oracle.domain_size):
         flip = 1 if d < oracle.good_count else 0
         for f in (0, 1):
@@ -64,7 +64,7 @@ def _mark_permutation(oracle: OracleSpec) -> np.ndarray:
 
 def dense_preparation(oracle: OracleSpec) -> np.ndarray:
     """Preparation unitary as an explicit matrix: Hadamards then marking."""
-    had = np.eye(2, dtype=np.complex128)
+    had = np.eye(2)
     for _ in range(oracle.n):
         had = np.kron(had, _H)
     return _mark_permutation(oracle) @ had
@@ -74,19 +74,16 @@ def dense_iterate(oracle: OracleSpec) -> np.ndarray:
     """Amplification iterate assembled from explicit dense factors."""
     dim = 2 << oracle.n
     prep = dense_preparation(oracle)
-    reflect0 = np.eye(dim, dtype=np.complex128)
+    reflect0 = np.eye(dim)
     reflect0[0, 0] = -1.0
-    flag_phase = np.kron(
-        np.diag([1.0, -1.0]).astype(np.complex128),
-        np.eye(1 << oracle.n, dtype=np.complex128),
-    )
-    return prep @ reflect0 @ prep.conj().T @ flag_phase
+    flag_phase = np.kron(np.diag([1.0, -1.0]), np.eye(1 << oracle.n))
+    return prep @ reflect0 @ prep.T @ flag_phase
 
 
 def probe_iterate(oracle: OracleSpec) -> np.ndarray:
     """Iterate matrix recovered column-by-column through the in-place kernel."""
     dim = 2 << oracle.n
-    cols = np.empty((dim, dim), dtype=np.complex128)
+    cols = np.empty((dim, dim))
     for j, basis in enumerate(np.eye(dim)):
         cols[:, j] = apply_q(basis, oracle)
     return cols
@@ -304,7 +301,7 @@ def _check_unitarity() -> CheckResult:
         for good in range(0, (1 << n) + 1):
             mat = probe_iterate(OracleSpec(n, good))
             eye = np.eye(2 << n)
-            worst = max(worst, float(np.abs(mat @ mat.conj().T - eye).max()))
+            worst = max(worst, float(np.abs(mat @ mat.T - eye).max()))
     return CheckResult(
         "iterate unitarity (probe matrix, n<=4, all good counts)",
         worst < 1e-10,

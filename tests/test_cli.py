@@ -133,7 +133,7 @@ class TestMlqaeCommand:
 
     def test_statevector_beyond_physical_memory_blames_qubits(self, capsys, monkeypatch):
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        n = next(n for n in range(1, 59) if ((1 << n) + 128) * 8 > physical)
+        n = next(n for n in range(1, 59) if (1 << n) * 8 > physical)
 
         def no_allocation(*args):  # fail here, not by exhausting memory
             raise AssertionError("the refused oracle reached an allocation")
@@ -145,7 +145,7 @@ class TestMlqaeCommand:
             "--backend", "sv",
         )
         assert rc == 1 and out == ""
-        assert f"--qubits: n={n} needs (2**{n} + 128) * 8 bytes" in err
+        assert f"--qubits: n={n} needs 2**{n} * 8 bytes" in err
         assert "physical memory" in err
 
 
@@ -302,6 +302,10 @@ class TestUsage:
         (MCI, "--samples", "0", "samples must be positive, got 0"),
         (MCI, "--reps", "0", "repetitions must be positive, got 0"),
         (MCI, "--seed", "-1", "expected non-negative integer"),
+        (MLQAE, "--m", "1024", "depth 1024 is too deep: its top multiplier 2m + 1 has no float"),
+        (MLQAE, "--shots", str(10**20), f"shots must be at most 2**63 - 1, got {10**20}"),
+        (IQAE, "--shots", str(10**20), f"shots must be at most 2**63 - 1, got {10**20}"),
+        (MCI, "--samples", str(10**20), f"samples must be at most 2**63 - 1, got {10**20}"),
     ])
     def test_estimator_check_names_its_flag(self, capsys, base, flag, value, message):
         argv = list(base)
@@ -476,6 +480,9 @@ class TestSweepCommand:
             ("algorithm = mlqae\nqubits = 4\nschedule = cubic\n", "unknown schedule kind"),
             ("algorithm = mlqae\nqubits = 200\nbackend = sv\n",
              ": qubits: n=200 needs a statevector of 2**201 float64 amplitudes"),
+            ("algorithm = mlqae\nqubits = 4\nm = 1024\n", ": depth 1024 is too deep"),
+            ("algorithm = mci\nshots = 16,100000000000000000000\n",
+             ": shots must be at most 2**63 - 1, got 100000000000000000000"),
         ],
     )
     def test_malformed_config(self, capsys, tmp_path, text, fragment):

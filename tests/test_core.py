@@ -187,14 +187,11 @@ class TestPrepare:
         (10, 129), (10, 1023), (10, 1024),
     ])
     def test_backend_slice_is_the_support_and_a_read_block(self, n, good):
-        # [good, 2**n + r) with r = min(2**n, ceil(good / 128) * 128): the
-        # support, then zeros up to a whole read block from the good block
+        # exactly the support [good, 2**n + good): 2**n copies of 2**(-n/2)
         size = 1 << n
-        r = min(size, -(-good // 128) * 128)
         amps = core_mod._prepare_slice(OracleSpec(n, good))
-        assert amps.shape == (size + r - good,)
-        assert np.all(amps[:size] == 1.0 / math.sqrt(size))
-        assert np.all(amps[size:] == 0.0)
+        assert amps.dtype == np.float64 and amps.shape == (size,)
+        assert np.all(amps == 1.0 / math.sqrt(size))
 
     def test_flag_is_the_top_bit(self):
         for d in (0, 5, 7):
@@ -458,18 +455,18 @@ class TestAnalytic:
 
 
 def beyond_physical_memory(monkeypatch):
-    """The first n whose slice of (2**n + 128) float64 amplitudes exceeds
+    """The first n whose support of 2**n float64 amplitudes exceeds
     physical memory, and the message refusing it; with the slice
     allocation, where every state the backend holds starts, patched to
     fail, so a missed check fails instead of allocating gigabytes."""
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    n = next(n for n in range(1, 59) if ((1 << n) + 128) * 8 > physical)
+    n = next(n for n in range(1, 59) if (1 << n) * 8 > physical)
 
     def no_allocation(*args):
         raise AssertionError("allocated a statevector")
 
     monkeypatch.setattr(core_mod, "_prepare_slice", no_allocation)
-    message = (rf"^n={n} needs \(2\*\*{n} \+ 128\) \* 8 bytes \(.* GiB\), "
+    message = (rf"^n={n} needs 2\*\*{n} \* 8 bytes \(.* GiB\), "
                r"more than the .* GiB of physical memory$")
     return n, message
 
@@ -505,7 +502,7 @@ class TestBackends:
         StatevectorBackend().check_oracle(OracleSpec(16, 1))
 
     def test_statevector_beyond_physical_memory_is_rejected(self, monkeypatch):
-        """The slice of (2**n + 128) * 8 bytes must fit in physical memory;
+        """The support of 2**n * 8 bytes must fit in physical memory;
         the check refuses the first n past it without allocating."""
         n, message = beyond_physical_memory(monkeypatch)
         backend = StatevectorBackend()
@@ -578,9 +575,20 @@ def small_oracles(draw):
     return OracleSpec(n, draw(st.one_of(st.just(0), st.just(size), st.integers(0, size))))
 
 
+def register_probability(oracle, m):
+    """The flag probability the backend must read, from the whole register
+    ``apply_q`` evolves: the good block ``reg[2**n : 2**n + good]``'s sum of
+    squares, once the flag-1 amplitudes past it are found exactly zero."""
+    reg = apply_q(prepare_a(oracle), oracle, m)
+    size, good = oracle.domain_size, oracle.good_count
+    assert not reg[size + good:].any()
+    return core_mod._sum_of_squares(reg[size:size + good])
+
+
 @st.composite
-def read_block_oracles(draw):
-    """Oracles with good counts at the read block's edges, and any others."""
+def edge_oracles(draw):
+    """Oracles with good counts at the domain's ends and around 128, a
+    multiple of every SIMD width, and any others."""
     n = draw(st.integers(1, 14))
     size = 1 << n
     edges = sorted({good for good in (0, 1, 127, 128, 129, size - 1, size) if good <= size})
@@ -590,16 +598,16 @@ def read_block_oracles(draw):
 class TestStatevectorMemo:
     @settings(max_examples=100, deadline=None)
     @given(
-        oracle=st.one_of(read_block_oracles(), st.just(OracleSpec(16, 1 << 13))),
+        oracle=st.one_of(edge_oracles(), st.just(OracleSpec(16, 1 << 13))),
         powers=st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True),
         falling=st.booleans(),
     )
     def test_slice_reads_the_whole_register_bitwise(self, oracle, powers, falling):
         # rising powers advance one slice, falling ones restart it; each
-        # must read the bits of the whole evolved register
+        # must read the bits of the whole evolved register's good block
         backend = StatevectorBackend()
         for m in sorted(powers, reverse=falling):
-            fresh = flag_probability(apply_q(prepare_a(oracle), oracle, m))
+            fresh = register_probability(oracle, m)
             assert backend.flag_probability(oracle, m).hex() == fresh.hex(), m
 
     @settings(max_examples=60, deadline=None)
@@ -614,8 +622,7 @@ class TestStatevectorMemo:
         backend = StatevectorBackend()
         for use_second, m in calls:
             oracle = second if use_second else first
-            fresh = flag_probability(apply_q(prepare_a(oracle), oracle, m))
-            assert backend.flag_probability(oracle, m) == fresh
+            assert backend.flag_probability(oracle, m) == register_probability(oracle, m)
 
     def test_threads_sharing_one_backend_match_fresh(self):
         # more threads than cores, switching often, each in its own order
@@ -623,10 +630,7 @@ class TestStatevectorMemo:
         # while another advances from it would change some probability
         oracles = (OracleSpec(9, 37), OracleSpec(9, 200))
         keys = [(oracle, m) for oracle in oracles for m in range(16)]
-        expected = [
-            flag_probability(apply_q(prepare_a(oracle), oracle, m))
-            for oracle, m in keys
-        ]
+        expected = [register_probability(oracle, m) for oracle, m in keys]
 
         def sweep(backend, order):
             return [backend.flag_probability(*keys[j]) == expected[j] for j in order]
@@ -656,8 +660,8 @@ class TestStatevectorMemo:
 
 
 class TestLiveState:
-    #: one slice of 2**n + 128 float64 amplitudes is 0.504 of a 2**(n+4)-byte
-    #: register at n = 14; the backend holds one slice and no register
+    #: one slice of 2**n float64 amplitudes is half of a 2**(n+4)-byte
+    #: register; the backend holds one slice and no register
     PEAK_STATES = 0.55
 
     @staticmethod
@@ -746,28 +750,29 @@ class TestMeasure:
         with pytest.raises(ValueError):
             measure_flag(AnalyticBackend(), OracleSpec(2, 1), 0, 0, np.random.default_rng(0))
 
+    def test_shots_stop_at_the_largest_int64(self):
+        # numpy's binomial sampler takes an int64 count
+        rng = np.random.default_rng(0)
+        hits = measure_flag(AnalyticBackend(), OracleSpec(2, 1), 0, 2**63 - 1, rng)
+        assert 0 < hits < 2**63 - 1
+        with pytest.raises(ValueError, match=rf"^shots must be at most 2\*\*63 - 1, got {2**63}$"):
+            measure_flag(AnalyticBackend(), OracleSpec(2, 1), 0, 2**63, rng)
+
 
 class TestSumOfSquares:
     @settings(max_examples=200, deadline=None)
-    @given(
-        n=st.integers(1, 14),
-        data=st.data(),
-        offset=st.integers(0, 7),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_zeros_past_a_whole_block_change_no_bit(self, n, data, offset, seed):
-        # a prefix padded to 2**n with signed zeros, against the prefix
-        # rounded up to 128 amplitudes and starting at another alignment
-        size = 1 << n
-        k = data.draw(st.integers(0, size))
-        rng = np.random.default_rng(seed)
-        padded = np.where(rng.random(size) < 0.5, -0.0, 0.0)
-        padded[:k] = rng.standard_normal(k)
-        r = min(size, -(-k // 128) * 128)
-        shifted = np.empty(r + offset)[offset:]
-        shifted[:] = padded[:r]
-        assert core_mod._sum_of_squares(padded).hex() == \
-            core_mod._sum_of_squares(shifted).hex()
+    @given(n=st.integers(1, 14), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_start_offset_changes_no_bit(self, n, data, seed):
+        # the backend's good block and the register's start at different
+        # offsets in memory, so the same values must sum to the same bits
+        # at every offset
+        values = np.random.default_rng(seed).standard_normal(data.draw(st.integers(0, 1 << n)))
+        reads = set()
+        for offset in range(8):
+            shifted = np.empty(values.size + offset)[offset:]
+            shifted[:] = values
+            reads.add(core_mod._sum_of_squares(shifted).hex())
+        assert len(reads) == 1, reads
 
     def test_flag_probability_ignores_blas_threads(self):
         # a BLAS dot product may split the sum by thread; the flag

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qaelab.core import AnalyticBackend, OracleSpec, StatevectorBackend
+from qaelab.core import AnalyticBackend, OracleSpec, StatevectorBackend, \
+    analytic_flag_probability
 from qaelab.mlqae import (
     GRID_POINTS,
     MeasurementRecord,
@@ -65,6 +66,17 @@ class TestSchedules:
             make_schedule("eis", -1)
         with pytest.raises(ValueError, match=r"^depth must be non-negative, got -2$"):
             make_schedule("lis", -2)
+        # the top multiplier 2m + 1 must have a float: 2**1023 + 1 does,
+        # 2**1024 + 1 does not
+        top = make_schedule("eis", 1023)[-1]
+        assert top == 2**1022
+        assert 0.0 <= analytic_flag_probability(OracleSpec(4, 4), top) <= 1.0
+        message = r"^depth 1024 is too deep: its top multiplier 2m \+ 1 has no float$"
+        with pytest.raises(ValueError, match=message):
+            make_schedule("eis", 1024)
+        make_schedule("lis", 1024)
+        with pytest.raises(ValueError, match=r"^depth 1\d+ is too deep"):
+            make_schedule("lis", 10**308)
 
     def test_every_schedule_is_well_formed(self):
         for depth in range(65):
