@@ -9,98 +9,21 @@ Core pieces:
 * :mod:`qaelab.mci` — classical hit-or-miss baseline;
 * :mod:`qaelab.bench` — seeded sweeps, CSV emission, reference tables;
 * :mod:`qaelab.verify` — brute-force cross-checks behind ``qaelab verify``.
+
+The package re-exports the ``__all__`` of core, mlqae, iqae, mci and bench;
+each module's ``__all__`` alone decides what is public.
 """
 
-from .core import (
-    AnalyticBackend,
-    Backend,
-    OracleSpec,
-    StatevectorBackend,
-    analytic_flag_probability,
-    apply_q,
-    make_backend,
-    measure_flag,
-    prepare_a,
-)
-from .mlqae import (
-    MeasurementRecord,
-    MlqaeReport,
-    log_likelihood,
-    make_schedule,
-    maximize_likelihood,
-    maximize_likelihoods,
-    oracle_call_count,
-    run_mlqae,
-    run_mlqae_cell,
-)
-from .iqae import (
-    ConfidenceBoundError,
-    ConfidenceInterval,
-    IqaeReport,
-    IterationCapError,
-    RoundRecord,
-    binomial_confidence,
-    find_next_k,
-    invert_to_theta,
-    max_rounds,
-    run_iqae,
-)
-from .mci import MciConfig, run_mci
-from .bench import (
-    CSV_HEADER,
-    ExperimentConfig,
-    SummaryRow,
-    derive_rng,
-    derive_rngs,
-    emit_csv,
-    run_sweep,
-    run_table,
-    summarize,
-    table_configs,
-)
+from . import bench, core, iqae, mci, mlqae
+from .core import *  # noqa: F401,F403
+from .mlqae import *  # noqa: F401,F403
+from .iqae import *  # noqa: F401,F403
+from .mci import *  # noqa: F401,F403
+from .bench import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticBackend",
-    "Backend",
-    "OracleSpec",
-    "StatevectorBackend",
-    "analytic_flag_probability",
-    "apply_q",
-    "make_backend",
-    "measure_flag",
-    "prepare_a",
-    "MeasurementRecord",
-    "MlqaeReport",
-    "log_likelihood",
-    "make_schedule",
-    "maximize_likelihood",
-    "maximize_likelihoods",
-    "oracle_call_count",
-    "run_mlqae",
-    "run_mlqae_cell",
-    "ConfidenceBoundError",
-    "ConfidenceInterval",
-    "IqaeReport",
-    "IterationCapError",
-    "RoundRecord",
-    "binomial_confidence",
-    "find_next_k",
-    "invert_to_theta",
-    "max_rounds",
-    "run_iqae",
-    "MciConfig",
-    "run_mci",
-    "CSV_HEADER",
-    "ExperimentConfig",
-    "SummaryRow",
-    "derive_rng",
-    "derive_rngs",
-    "emit_csv",
-    "run_sweep",
-    "run_table",
-    "summarize",
-    "table_configs",
+    *core.__all__, *mlqae.__all__, *iqae.__all__, *mci.__all__, *bench.__all__,
     "__version__",
 ]

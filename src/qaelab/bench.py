@@ -8,6 +8,7 @@ Summaries serialize to a fixed 13-column CSV.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +20,7 @@ from .core import Backend, OracleSpec, check_shots, make_backend
 from .iqae import IterationCapError, check_alpha, max_rounds, run_iqae
 from .mci import MciConfig, run_mci
 # run_mlqae is not called here; perfbench's tracer rebinds it under this name
-from .mlqae import make_schedule, run_mlqae, run_mlqae_cell  # noqa: F401
+from .mlqae import make_schedule, oracle_call_count, run_mlqae, run_mlqae_cell  # noqa: F401
 
 __all__ = [
     "CSV_HEADER",
@@ -92,7 +93,16 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ValueError(f"qubits: {exc}") from None
         if self.algorithm == "mlqae":
-            make_schedule(self.schedule, self.depth)
+            schedule = make_schedule(self.schedule, self.depth)
+            shots = max(self.shots_list)
+            # a cell's summary sums its repetitions' call counts as floats
+            calls = oracle_call_count(schedule, shots) * self.repetitions
+            if calls > sys.float_info.max:
+                raise ValueError(
+                    f"depth {self.depth} at {shots} shots and {self.repetitions} "
+                    f"repetitions makes at least 2**{calls.bit_length() - 1} oracle "
+                    "calls, more than a float holds"
+                )
         elif self.algorithm == "iqae":
             max_rounds(self.epsilon)
             check_alpha(self.alpha)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -239,8 +240,12 @@ def _cmd_sweep(args) -> int:
     config = parse_config_file(args.config)
     if args.out:
         # a path that cannot be written fails before the sweep runs; appending
-        # nothing keeps an existing file as it was if the sweep then fails
+        # nothing keeps an existing file as it was if the sweep then fails, and
+        # a file the probe created goes at once, so a failed sweep leaves none
+        existed = os.path.lexists(args.out)
         _checked("--out", open, args.out, "a").close()
+        if not existed:
+            os.remove(args.out)
     try:
         rows = run_sweep(config)
     except ConfidenceBoundError as exc:

@@ -190,6 +190,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="not representable"):
             ExperimentConfig("iqae", qubits=4, a_true=0.1)
 
+    def test_deepest_mlqae_cell_whose_calls_a_float_holds(self):
+        # 16 * (2**1019 + 1017) calls: the largest EIS depth at 16 shots whose
+        # count is a finite float.  Constructed only: a run builds 1019 grid
+        # tables, about 1.7 GB
+        cfg = ExperimentConfig("mlqae", qubits=4, a_true=0.25, shots_list=(16,),
+                               repetitions=1, depth=1018)
+        assert cfg.depth == 1018
+        with pytest.raises(ValueError, match=r"^depth 1019 at 16 shots and 1 rep"):
+            dataclasses.replace(cfg, depth=1019)
+
     def test_any_amplitude_fine_for_baseline(self):
         assert ExperimentConfig("mci", qubits=4, a_true=0.1).a_true == 0.1
 

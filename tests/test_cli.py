@@ -435,18 +435,24 @@ class TestSweepCommand:
             "try 'qaelab --help' or 'qaelab COMMAND --help'",
         ]
 
-    def test_failed_sweep_keeps_an_existing_out_file(self, capsys, tmp_path):
-        # the Clopper-Pearson inverse gives up mid-sweep at this alpha
+    @pytest.mark.parametrize("earlier", [b"an earlier result\n", None], ids=["existing", "new"])
+    def test_failed_sweep_keeps_an_existing_out_file(self, capsys, tmp_path, earlier):
+        # the Clopper-Pearson inverse gives up mid-sweep at this alpha; a new
+        # --out path is left absent, an existing file byte for byte as it was
         config = GOOD_CONFIG + "alpha = 1e-300\n"
         out_path = tmp_path / "result.csv"
-        out_path.write_bytes(b"an earlier result\n")
+        if earlier is not None:
+            out_path.write_bytes(earlier)
         rc, out, err = run_cli(
             capsys, "sweep", "--config", self.write(tmp_path, config),
             "--out", str(out_path),
         )
         assert rc == 1 and out == ""
         assert ": alpha: no lower bound" in err
-        assert out_path.read_bytes() == b"an earlier result\n"
+        if earlier is None:
+            assert not out_path.exists()
+        else:
+            assert out_path.read_bytes() == earlier
 
     @pytest.mark.parametrize("qubits", [64, 1100])
     def test_large_domain_gives_the_small_csv(self, capsys, tmp_path, qubits):
@@ -481,6 +487,13 @@ class TestSweepCommand:
             ("algorithm = mlqae\nqubits = 200\nbackend = sv\n",
              ": qubits: n=200 needs a statevector of 2**201 float64 amplitudes"),
             ("algorithm = mlqae\nqubits = 4\nm = 1024\n", ": depth 1024 is too deep"),
+            # a cell's call counts must sum to a finite float over its repetitions
+            ("algorithm = mlqae\nqubits = 4\na = 0.25\nshots = 16\nreps = 1\nm = 1023\n",
+             ": depth 1023 at 16 shots and 1 repetitions makes at least 2**1028 oracle calls"),
+            ("algorithm = mlqae\nqubits = 4\na = 0.25\nshots = 16\nreps = 2\nm = 1020\n",
+             ": depth 1020 at 16 shots and 2 repetitions makes at least 2**1026 oracle calls"),
+            ("algorithm = mlqae\nqubits = 4\na = 0.25\nshots = 16\nreps = 2\nm = 1018\n",
+             ": depth 1018 at 16 shots and 2 repetitions makes at least 2**1024 oracle calls"),
             ("algorithm = mci\nshots = 16,100000000000000000000\n",
              ": shots must be at most 2**63 - 1, got 100000000000000000000"),
         ],

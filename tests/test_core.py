@@ -186,7 +186,7 @@ class TestPrepare:
         (1, 0), (1, 2), (3, 5), (8, 1), (8, 127), (8, 128), (8, 129), (8, 255),
         (10, 129), (10, 1023), (10, 1024),
     ])
-    def test_backend_slice_is_the_support_and_a_read_block(self, n, good):
+    def test_backend_slice_is_the_support(self, n, good):
         # exactly the support [good, 2**n + good): 2**n copies of 2**(-n/2)
         size = 1 << n
         amps = core_mod._prepare_slice(OracleSpec(n, good))
