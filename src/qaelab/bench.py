@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -134,12 +134,9 @@ class SummaryRow:
     collapsed: int = 0
 
 
-#: the 12 statistics after ``shots``, in column order
-_CSV_FIELDS = (
-    "max_a", "avg_a", "min_a", "std_a",
-    "max_err_pct", "avg_err_pct", "min_err_pct", "std_err_pct",
-    "max_calls", "avg_calls", "min_calls", "std_calls",
-)
+#: the 12 statistics after ``shots``, in column order; the last two
+#: fields, ``capped`` and ``collapsed``, stay outside the CSV
+_CSV_FIELDS = tuple(field.name for field in fields(SummaryRow))[1:-2]
 CSV_HEADER = ",".join(("shots",) + _CSV_FIELDS)
 
 
@@ -356,17 +353,13 @@ def run_sweep(config: ExperimentConfig) -> list[SummaryRow]:
     return rows
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
-
-
 def emit_csv(rows, stream) -> None:
     """Write the 13-column summary table (floats at six significant digits)."""
     stream.write(CSV_HEADER + "\n")
     for row in rows:
-        fields = [str(row.shots)]
-        fields += [_fmt(getattr(row, name)) for name in _CSV_FIELDS]
-        stream.write(",".join(fields) + "\n")
+        cells = [str(row.shots)]
+        cells += [f"{getattr(row, name):.6g}" for name in _CSV_FIELDS]
+        stream.write(",".join(cells) + "\n")
 
 
 #: ``reproduce --table N``: one (file name, ExperimentConfig fields) per sweep

@@ -54,9 +54,6 @@ import numpy as np
 
 __all__ = [
     "OracleSpec",
-    "prepare_a",
-    "apply_q",
-    "analytic_flag_probability",
     "Backend",
     "StatevectorBackend",
     "AnalyticBackend",
@@ -185,6 +182,8 @@ def _amplitude(n: int) -> float:
     return 1.0 / math.sqrt(1 << n)
 
 
+# outside __all__: verify's dense, probe and inverse checks call prepare_a and
+# apply_q, and perfbench's tracer rebinds both here by name
 def prepare_a(oracle: OracleSpec) -> np.ndarray:
     """The post-preparation register: ``2**(n+1)`` float64 amplitudes,
     uniform over the domain, flag set on the good indices.
@@ -250,13 +249,6 @@ def apply_q(amps: np.ndarray, oracle: OracleSpec, m: int = 1) -> np.ndarray:
         # with every reflection, and cancel in pairs
         amps[size + good:] *= -1.0
     return amps
-
-
-def analytic_flag_probability(oracle: OracleSpec, m: int) -> float:
-    """Closed-form flag-1 probability after ``m`` iterates: ``sin^2((2m+1) theta)``."""
-    if m < 0:
-        raise ValueError(f"power must be non-negative, got {m}")
-    return math.sin((2 * m + 1) * oracle.theta) ** 2
 
 
 class Backend:
@@ -335,7 +327,10 @@ class AnalyticBackend(Backend):
     name = "analytic"
 
     def flag_probability(self, oracle: OracleSpec, m: int) -> float:
-        return analytic_flag_probability(oracle, m)
+        """Closed-form flag-1 probability after ``m`` iterates: ``sin^2((2m+1) theta)``."""
+        if m < 0:
+            raise ValueError(f"power must be non-negative, got {m}")
+        return math.sin((2 * m + 1) * oracle.theta) ** 2
 
 
 #: every backend, by the name that configs, sweep files and ``--backend`` use

@@ -20,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from .bench import derive_rng, derive_rngs, table_configs
-from .core import OracleSpec, StatevectorBackend, analytic_flag_probability, apply_q, \
-    make_backend, prepare_a
+from .core import AnalyticBackend, OracleSpec, StatevectorBackend, apply_q, make_backend, \
+    prepare_a
 from .iqae import ConfidenceInterval, binomial_confidence, find_next_k
 from .mlqae import GRID_POINTS, LIKELIHOOD_FLOOR, MeasurementRecord, _INV_PHI, _REFINE_TOL, \
     _bounded_scan, _grid, _likelihood_columns, _log_tables, _scores, log_likelihood, \
@@ -343,13 +343,14 @@ def _check_preparation() -> CheckResult:
 
 def _check_rotation_identity() -> CheckResult:
     worst = 0.0
+    analytic = AnalyticBackend()
     for n in range(1, 7):
         for good in range(0, (1 << n) + 1):
             oracle = OracleSpec(n, good)
             backend = StatevectorBackend()
             for m in range(0, 9):
                 gap = abs(
-                    backend.flag_probability(oracle, m) - analytic_flag_probability(oracle, m)
+                    backend.flag_probability(oracle, m) - analytic.flag_probability(oracle, m)
                 )
                 worst = max(worst, gap)
     return CheckResult(

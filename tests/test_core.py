@@ -22,7 +22,6 @@ from qaelab.core import (
     AnalyticBackend,
     OracleSpec,
     StatevectorBackend,
-    analytic_flag_probability,
     apply_q,
     make_backend,
     measure_flag,
@@ -291,14 +290,13 @@ class TestIterate:
                 err_msg=f"n={n} good={good}",
             )
 
-    @pytest.mark.parametrize("dtype", [np.float64])
-    def test_sliced_update_equals_whole_array_update(self, dtype):
+    def test_sliced_update_equals_whole_array_update(self):
         # 2**15 amplitudes, a fixed state at the top of the property test's
         # range: the iterate against the flag flip and rank-one update written
         # out over the whole array
         oracle = OracleSpec(14, 3000)
         rng = np.random.default_rng(5)
-        amps = rng.standard_normal(2 << 14).astype(dtype)
+        amps = rng.standard_normal(2 << 14)
         psi = prepare_a(oracle)
         expected = amps.copy()
         expected[1 << 14:] *= -1.0
@@ -347,16 +345,15 @@ class TestIterate:
         bound = 2 * amps.size * np.finfo(np.float64).eps * np.sum(np.abs(psi * amps))
         assert abs(got - want) <= bound
 
-    @pytest.mark.parametrize("dtype", [np.float64])
     @pytest.mark.parametrize("call", [
         apply_q,
         lambda state, oracle: flag_probability(state),
     ], ids=["apply_q", "flag_probability"])
-    def test_allocates_no_temporary(self, dtype, call):
+    def test_allocates_no_temporary(self, call):
         # the 2**17 amplitudes of n = 16 are 1 MiB; a call's
         # own allocations are the few small array views of the state
         oracle = OracleSpec(16, 3 << 12)
-        state = prepare_a(oracle).astype(dtype)
+        state = prepare_a(oracle)
         call(state, oracle)
         tracemalloc.start()
         try:
@@ -406,7 +403,7 @@ class TestPower:
                 for m in range(9):
                     state = apply_q(prepare_a(oracle), oracle, m)
                     assert flag_probability(state) == pytest.approx(
-                        analytic_flag_probability(oracle, m), abs=1e-9
+                        AnalyticBackend().flag_probability(oracle, m), abs=1e-9
                     ), f"n={n} good={good} m={m}"
 
     def test_norm_preserved_through_long_product(self):
@@ -426,19 +423,19 @@ class TestPower:
             state = prepare_a(oracle)
             for m in range(1, (32 if n == 20 else 256) + 1):
                 apply_q(state, oracle)
-                expected = analytic_flag_probability(oracle, m)
+                expected = AnalyticBackend().flag_probability(oracle, m)
                 assert abs(flag_probability(state) - expected) <= 1e-10, (good, m)
                 assert abs(core_mod._sum_of_squares(state) - 1.0) <= 1e-10, (good, m)
 
 
 class TestAnalytic:
     def test_identity_power(self):
-        assert analytic_flag_probability(OracleSpec(10, 128), 0) == pytest.approx(
+        assert AnalyticBackend().flag_probability(OracleSpec(10, 128), 0) == pytest.approx(
             0.125, abs=1e-15
         )
 
     def test_eight_iterates(self):
-        value = analytic_flag_probability(OracleSpec(10, 128), 8)
+        value = AnalyticBackend().flag_probability(OracleSpec(10, 128), 8)
         assert value == pytest.approx(0.019456863403320264, abs=1e-12)
         # same number through the statevector route
         state = apply_q(prepare_a(OracleSpec(10, 128)), OracleSpec(10, 128), 8)
@@ -447,11 +444,11 @@ class TestAnalytic:
     def test_certain_amplitude(self):
         oracle = OracleSpec(2, 4)
         for m in (0, 1, 5):
-            assert analytic_flag_probability(oracle, m) == pytest.approx(1.0, abs=1e-12)
+            assert AnalyticBackend().flag_probability(oracle, m) == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            analytic_flag_probability(OracleSpec(2, 1), -2)
+            AnalyticBackend().flag_probability(OracleSpec(2, 1), -2)
 
 
 def beyond_physical_memory(monkeypatch):

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qaelab.core import AnalyticBackend, OracleSpec, StatevectorBackend, \
-    analytic_flag_probability
+from qaelab.core import AnalyticBackend, OracleSpec, StatevectorBackend
 from qaelab.mlqae import (
     GRID_POINTS,
     MeasurementRecord,
@@ -70,7 +69,7 @@ class TestSchedules:
         # 2**1024 + 1 does not
         top = make_schedule("eis", 1023)[-1]
         assert top == 2**1022
-        assert 0.0 <= analytic_flag_probability(OracleSpec(4, 4), top) <= 1.0
+        assert 0.0 <= AnalyticBackend().flag_probability(OracleSpec(4, 4), top) <= 1.0
         message = r"^depth 1024 is too deep: its top multiplier 2m \+ 1 has no float$"
         with pytest.raises(ValueError, match=message):
             make_schedule("eis", 1024)
@@ -157,14 +156,19 @@ class TestLogLikelihoodBitwise:
     last-bit difference can move the argmax or the refined angle, and so
     the reproduction CSVs."""
 
+    def test_grid_reference_caches_fresh_logs(self):
+        # every power schedule_records can draw: EIS and LIS at depth 18 hold
+        # those of every shallower depth
+        powers = {p for kind in ("eis", "lis") for p in make_schedule(kind, 18)}
+        for power in powers:
+            for cached, fresh in zip(_reference_grid_logs(power), _reference_logs(power, _grid())):
+                assert np.array_equal(cached, fresh), power
+
     @settings(max_examples=30, deadline=None)
     @given(records=schedule_records())
     def test_grid_tables(self, records):
-        # the grid reference caches each power's logs computed afresh, and
-        # sums them as reference_log_likelihood(subset, _grid()) does
-        for power in {rec.power for rec in records}:
-            for cached, fresh in zip(_reference_grid_logs(power), _reference_logs(power, _grid())):
-                assert np.array_equal(cached, fresh)
+        # the grid reference sums each power's cached logs as
+        # reference_log_likelihood(subset, _grid()) does
         for subset in with_singles(records):
             assert np.array_equal(_table_scores(subset), reference_grid_log_likelihood(subset))
 
