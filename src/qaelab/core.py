@@ -355,6 +355,15 @@ def check_shots(shots: int, name: str = "shots") -> None:
         raise ValueError(f"{name} must be at most 2**63 - 1, got {shots}")
 
 
+def _draw_probability(backend: Backend, oracle: OracleSpec, m: int) -> float:
+    """The backend's flag probability after ``m`` iterates, clamped into
+    [0, 1]: the ``p`` of every binomial flag draw, :func:`measure_flag`'s
+    and an MLQAE cell's.  A ``p`` strictly inside skips ``min`` and
+    ``max``, two builtin calls that cost more than this function's own."""
+    p = backend.flag_probability(oracle, m)
+    return p if 0.0 < p < 1.0 else min(1.0, max(0.0, p))
+
+
 def measure_flag(
     backend: Backend,
     oracle: OracleSpec,
@@ -368,6 +377,4 @@ def measure_flag(
     generator state makes the draw reproducible.
     """
     check_shots(shots)
-    p = backend.flag_probability(oracle, m)
-    p = min(1.0, max(0.0, p))
-    return int(rng.binomial(shots, p))
+    return int(rng.binomial(shots, _draw_probability(backend, oracle, m)))

@@ -3,19 +3,25 @@
 One circuit is run per entry of a power schedule; the flag hit counts from
 all circuits are combined into a joint Bernoulli log-likelihood in the
 rotation angle, which is maximized by a bounded coarse grid scan followed
-by golden-section refinement.  The refinement runs every repetition of a
-sweep cell in lockstep, with one vectorized likelihood evaluation per step.
+by golden-section refinement.  A sweep cell asks its backend for each
+power's flag probability once and draws every repetition's hits from it;
+the scan and the refinement then run all of the cell's repetitions
+together, the refinement in lockstep with one vectorized likelihood
+evaluation per step.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AnalyticBackend, Backend, OracleSpec, check_shots, measure_flag
+# measure_flag is not called here; perfbench's tracer rebinds it under this name
+from .core import AnalyticBackend, Backend, OracleSpec, _draw_probability, check_shots, \
+    measure_flag  # noqa: F401
 
 __all__ = [
     "make_schedule",
@@ -41,7 +47,21 @@ _REFINE_TOL = 1e-10
 _BLOCK_POINTS = 400
 _SUB_POINTS = 25
 _BLOCKS = GRID_POINTS // _BLOCK_POINTS
+_SUBS = _BLOCK_POINTS // _SUB_POINTS
+#: best-bound sub-blocks of a set's best-bound block that the bounded scan
+#: scores for a value to prune against.  One holds that block's maximum in
+#: 794 of the 840 sets of tables 2-4 and prunes as well as the whole block
+#: on average there, but at EIS depth 18, where a block spans many lobes,
+#: it scores lower in most sets and prunes less; two prune as the whole
+#: block does on both
+_REACH_SUBS = 2
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: record sets maximized at once.  The scan's gathers grow with the batch, so
+#: one chunk's transient arrays peak at about 14 MiB at EIS depth 4, 80 MiB
+#: at depth 14 and 650 MiB at depth 18, where a block spans many lobes and
+#: about 165 sub-blocks per set are scored (tracemalloc, n = 20, a = 1/8,
+#: 100 shots)
+_CHUNK = 512
 
 
 def make_schedule(kind: str, depth: int) -> tuple[int, ...]:
@@ -98,13 +118,17 @@ def _likelihood_columns(record_sets) -> tuple[tuple[int, ...], np.ndarray, np.nd
     powers = tuple(rec.power for rec in record_sets[0])
     if any(tuple(rec.power for rec in records) != powers for records in record_sets):
         raise ValueError("record sets of one batch must have the same powers")
-    multipliers = np.array([[2 * power + 1] for power in powers], dtype=float)
     weights = np.array(
         [row for recs in zip(*record_sets)
          for row in ([rec.hits for rec in recs], [rec.shots - rec.hits for rec in recs])],
         dtype=float,
     )
-    return powers, multipliers, weights
+    return powers, _multipliers(powers), weights
+
+
+def _multipliers(powers) -> np.ndarray:
+    """The kernel's (R, 1) multipliers: row j holds ``2m + 1`` of ``powers[j]``."""
+    return np.array([[2 * power + 1] for power in powers], dtype=float)
 
 
 def _log_terms(angles: np.ndarray, out: np.ndarray) -> None:
@@ -212,22 +236,28 @@ def _bounded_scan(powers, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A block's or sub-block's bound is the weighted sum of its table maxima,
     added in the order of the exact sum.  Weights are non-negative, and
     round-to-nearest products and sums are monotone, so the float bound is
-    at least the float value at each of its angles.  Each column's top block
-    is scored to get a value its maximum reaches; sub-block bounds are taken
-    only in the blocks whose bound reaches it, and only the sub-blocks whose
-    bound reaches it are scored.  Any angle left out scores below that value,
-    so ties still go to the smallest angle.
+    at least the float value at each of its angles.  A value the column's
+    maximum reaches, its reach, is the best score in the ``_REACH_SUBS``
+    best-bound sub-blocks of its best-bound block: any value a grid angle
+    attains prunes correctly, and a higher one prunes more.  Sub-block
+    bounds are then taken only in the blocks whose bound reaches it, and
+    only the sub-blocks whose bound reaches it are scored.  Any angle left
+    out scores below the reach, so ties still go to the smallest angle.
     """
     tables, sub_maxima, block_maxima = zip(*(_log_tables(power) for power in powers))
     order = np.arange(weights.shape[1])
     bounds = _scores(weights, block_maxima, _BLOCKS, order, np.zeros_like(order))
-    reach = _scores(weights, tables, _BLOCK_POINTS, order, bounds.argmax(axis=1)).max(axis=1)
+    top = bounds.argmax(axis=1)
+    subs = np.argpartition(_scores(weights, sub_maxima, _SUBS, order, top), -_REACH_SUBS, axis=1)
+    subs = top[:, None] * _SUBS + subs[:, -_REACH_SUBS:]
+    reach = _scores(weights, tables, _SUB_POINTS, order.repeat(_REACH_SUBS), subs.ravel())
+    reach = reach.reshape(len(order), -1).max(axis=1)
 
     sets, kept = (bounds >= reach[:, None]).nonzero()
-    bounds = _scores(weights, sub_maxima, _BLOCK_POINTS // _SUB_POINTS, sets, kept)
+    bounds = _scores(weights, sub_maxima, _SUBS, sets, kept)
     pairs, subs = (bounds >= reach[sets, None]).nonzero()
     sets = sets[pairs]
-    kept = kept[pairs] * (_BLOCK_POINTS // _SUB_POINTS) + subs
+    kept = kept[pairs] * _SUBS + subs
 
     scores = _scores(weights, tables, _SUB_POINTS, sets, kept)
     # sets ascend, and so do each set's sub-blocks: the first of a set's
@@ -290,11 +320,15 @@ def maximize_likelihoods(record_sets) -> list[tuple[float, float]]:
     a bounded scan, all record sets together (see
     :func:`_bounded_scan`): upper bounds per block of ``_BLOCK_POINTS``
     angles, then per sub-block of ``_SUB_POINTS``, rule out most of the
-    grid, and only the rest is scored exactly.  Stage two refines between
-    the grid neighbours of the best point by golden section down to 1e-10,
-    all record sets in lockstep (see :func:`_lockstep`).  Ties go to the
-    smaller angle, and the result never scores below the best grid point.
-    The record sets must have the same powers.
+    grid, and only the rest is scored exactly.  The value to prune against
+    comes from scoring the two best-bound sub-blocks of each set's
+    best-bound block.  Stage two refines between the grid neighbours of the
+    best point by golden section down to 1e-10, all record sets in lockstep
+    (see :func:`_lockstep`).  Ties go to the smaller angle, and the result
+    never scores below the best grid point.  The record sets must have the
+    same powers.  They are maximized ``_CHUNK`` at a time, which bounds the
+    scan's and the refine's transient arrays; a set's result does not
+    depend on the others.
 
     The grid's log sin^2 and log cos^2 tables and their block and sub-block
     maxima are built once per power and cached for the life of the process:
@@ -304,19 +338,30 @@ def maximize_likelihoods(record_sets) -> list[tuple[float, float]]:
         raise ValueError("need at least one measurement record")
     if not record_sets:
         return []
-    powers, multipliers, weights = _likelihood_columns(record_sets)
+    powers, _, weights = _likelihood_columns(record_sets)
+    return _maximize(powers, weights)
+
+
+def _maximize(powers, weights: np.ndarray) -> list[tuple[float, float]]:
+    """:func:`maximize_likelihoods` of the kernel's weights (2R, B), one
+    column per record set, every set's records having the powers ``powers``."""
+    multipliers = _multipliers(powers)
     grid = _grid()
-    indices, coarse_values = _bounded_scan(powers, weights)  # first occurrence wins ties
-    brackets = zip(grid[np.maximum(indices - 1, 0)].tolist(),
-                   grid[np.minimum(indices + 1, GRID_POINTS - 1)].tolist())
-    refined = _lockstep([_golden_max(lo, hi, _REFINE_TOL) for lo, hi in brackets],
-                        multipliers, weights)
-    refined_values = _log_likelihoods(multipliers, weights, refined)
-    coarse = grid[indices]
-    use_coarse = refined_values < coarse_values
-    use_coarse |= (refined_values == coarse_values) & (coarse < refined)
-    return list(zip(np.where(use_coarse, coarse, refined).tolist(),
-                    np.where(use_coarse, coarse_values, refined_values).tolist()))
+    results = []
+    for start in range(0, weights.shape[1], _CHUNK):
+        chunk = weights[:, start:start + _CHUNK]
+        indices, coarse_values = _bounded_scan(powers, chunk)  # first occurrence wins ties
+        brackets = zip(grid[np.maximum(indices - 1, 0)].tolist(),
+                       grid[np.minimum(indices + 1, GRID_POINTS - 1)].tolist())
+        refined = _lockstep([_golden_max(lo, hi, _REFINE_TOL) for lo, hi in brackets],
+                            multipliers, chunk)
+        refined_values = _log_likelihoods(multipliers, chunk, refined)
+        coarse = grid[indices]
+        use_coarse = refined_values < coarse_values
+        use_coarse |= (refined_values == coarse_values) & (coarse < refined)
+        results += zip(np.where(use_coarse, coarse, refined).tolist(),
+                       np.where(use_coarse, coarse_values, refined_values).tolist())
+    return results
 
 
 def maximize_likelihood(records) -> float:
@@ -345,32 +390,39 @@ def run_mlqae_cell(
     backend: Backend | None = None,
     rngs,
 ) -> list[MlqaeReport]:
-    """One :func:`run_mlqae` per generator in ``rngs``, maximized together.
+    """One :func:`run_mlqae` per generator of the iterable ``rngs``,
+    maximized together.
 
-    Every repetition's records are drawn first, repetition by repetition in
-    schedule order, as one run after another would draw them; then
-    :func:`maximize_likelihoods` maximizes all of them at once.
+    The backend is asked once per power of the schedule, before the first
+    draw, and not at all when ``rngs`` is empty.  Each generator then draws
+    its hits for every power in schedule order, as one run after another
+    would, and all of them are maximized together, as
+    :func:`maximize_likelihoods` does.
     """
     powers = make_schedule(kind, depth)
+    rngs = iter(rngs)
+    first = next(rngs, None)
+    if first is None:
+        return []
+    check_shots(shots)
     if backend is None:
         backend = AnalyticBackend()
-    record_sets = [
-        tuple(
-            MeasurementRecord(power, shots, measure_flag(backend, oracle, power, shots, rng))
-            for power in powers
-        )
-        for rng in rngs
-    ]
+    probabilities = [_draw_probability(backend, oracle, power) for power in powers]
+    hits = np.array([[rng.binomial(shots, p) for p in probabilities]
+                     for rng in itertools.chain((first,), rngs)], dtype=np.int64)
+    weights = np.empty((2 * len(powers), len(hits)))
+    weights[0::2] = hits.T
+    weights[1::2] = shots - hits.T
     calls = oracle_call_count(powers, shots)
     return [
         MlqaeReport(
             theta_hat=theta_hat,
             a_hat=math.sin(theta_hat) ** 2,
             oracle_calls=calls,
-            records=records,
+            records=tuple(map(MeasurementRecord, powers, itertools.repeat(shots), row)),
             log_likelihood_at_max=value,
         )
-        for records, (theta_hat, value) in zip(record_sets, maximize_likelihoods(record_sets))
+        for row, (theta_hat, value) in zip(hits.tolist(), _maximize(powers, weights))
     ]
 
 

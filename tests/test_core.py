@@ -755,6 +755,16 @@ class TestMeasure:
         with pytest.raises(ValueError, match=rf"^shots must be at most 2\*\*63 - 1, got {2**63}$"):
             measure_flag(AnalyticBackend(), OracleSpec(2, 1), 0, 2**63, rng)
 
+    @pytest.mark.parametrize("p", [-1e-17, -0.0, 0.0, 5e-324, 0.3, 1.0 - 2**-53, 1.0,
+                                   1.0 + 2**-52, math.nan, math.inf])
+    def test_draw_probability_is_the_min_max_clamp(self, p):
+        class Fixed(AnalyticBackend):
+            def flag_probability(self, oracle, m):
+                return p
+
+        got = core_mod._draw_probability(Fixed(), OracleSpec(2, 1), 0)
+        assert got.hex() == min(1.0, max(0.0, p)).hex()
+
 
 class TestSumOfSquares:
     @settings(max_examples=200, deadline=None)

@@ -1,25 +1,30 @@
 """Schedules, the joint likelihood, its maximizer, and full estimation runs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qaelab.core import AnalyticBackend, OracleSpec, StatevectorBackend
+from qaelab.bench import derive_rngs
+from qaelab.core import AnalyticBackend, OracleSpec, StatevectorBackend, measure_flag
 from qaelab.mlqae import (
     GRID_POINTS,
     MeasurementRecord,
     _BLOCK_POINTS,
     _BLOCKS,
+    _CHUNK,
     _SUB_POINTS,
+    _SUBS,
     _bounded_scan,
     _golden_max,
     _grid,
     _likelihood_columns,
     _log_likelihoods,
     _log_tables,
+    _scores,
     log_likelihood,
     make_schedule,
     maximize_likelihood,
@@ -410,6 +415,31 @@ class TestMaximize:
         # a set's index does not depend on its batchmates
         assert [grid_argmaxes([records])[0] for records in batch] == want
 
+    def test_reach_below_the_top_blocks_maximum(self):
+        # found by seeded searches: table 2's 16-shot cell, repetition 19 at
+        # seed 1729 + 2, whose best-bound block holds its maximum outside its
+        # best-bound sub-block; and EIS depth 18 at a = 1/8 (n = 20), 100
+        # shots, np.random.default_rng(34), outside its two best-bound ones
+        sets = [
+            [MeasurementRecord(p, 16, h) for p, h in zip((0, 1, 2, 4), (3, 14, 15, 0))],
+            [MeasurementRecord(p, 100, h) for p, h in zip(
+                make_schedule("eis", 18),
+                (5, 73, 96, 1, 2, 33, 96, 29, 98, 0, 13, 70, 56, 98, 71, 74, 100, 10, 71))],
+        ]
+        for records, missed in zip(sets, (1, 2)):
+            values = reference_grid_log_likelihood(records)
+            powers, _, weights = _likelihood_columns([records])
+            _, sub_maxima, block_maxima = zip(*(_log_tables(power) for power in powers))
+            top = int(_scores(weights, block_maxima, _BLOCKS, [0], [0]).argmax())
+            sub_bounds = _scores(weights, sub_maxima, _SUBS, [0], [top])[0]
+            block = values[top * _BLOCK_POINTS:(top + 1) * _BLOCK_POINTS]
+            holder = int(block.reshape(_SUBS, _SUB_POINTS).max(axis=1).argmax())
+            # so many sub-blocks bound above the one holding the block's maximum
+            assert (sub_bounds > sub_bounds[holder]).sum() >= missed
+            index, best = _bounded_scan(powers, weights)
+            assert index.tolist() == [int(np.argmax(values))]
+            assert best.tolist() == [float(values.max())]
+
     def test_batched_scan_edges(self):
         # all misses, all hits, peaks inside the last block (grid indices
         # 99600-99999) and elsewhere, in one batch per schedule of 5
@@ -460,6 +490,25 @@ class TestMaximize:
         with pytest.raises(ValueError):
             maximize_likelihood([])
 
+    def test_chunks_bound_the_transient_memory(self):
+        # three chunks and a partial one of EIS depth 4 sets: unchunked, the
+        # scan's gathers would peak near 50 MiB here, one chunk near 14 MiB
+        oracle = OracleSpec(10, 128)
+        sets = [report.records for report in run_mlqae_cell(
+            oracle, 4, 100, rngs=[np.random.default_rng(seed) for seed in range(32)])]
+        batch = sets * (7 * _CHUNK // 64)
+        want = maximize_likelihoods(sets)
+        tracemalloc.start()
+        try:
+            got = maximize_likelihoods(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == 3 * _CHUNK + _CHUNK // 2
+        assert peak < 24 * 2**20
+        # a set's result does not depend on its batch or its chunk
+        assert got == want * (len(batch) // len(sets))
+
     def test_deep_schedule_tables_stay_cached(self):
         # LIS depth 40 uses 41 powers, more than a 32-entry cache holds
         recs = [MeasurementRecord(p, 100, 12) for p in make_schedule("lis", 40)]
@@ -470,22 +519,47 @@ class TestMaximize:
 
 
 class TestRunMlqaeCell:
-    def test_backend_sees_the_calls_of_run_after_run(self):
-        class Logged(AnalyticBackend):
+    @staticmethod
+    def logged(backend_class):
+        """A ``backend_class`` instance that logs the power of every call."""
+
+        class Logged(backend_class):
             def __init__(self):
+                super().__init__()
                 self.calls = []
 
             def flag_probability(self, oracle, m):
                 self.calls.append(m)
                 return super().flag_probability(oracle, m)
 
+        return Logged()
+
+    @pytest.mark.parametrize("backend_class", [AnalyticBackend, StatevectorBackend])
+    def test_backend_is_asked_once_per_power(self, backend_class):
+        oracle, powers = OracleSpec(10, 128), make_schedule("eis", 3)
+        backend = self.logged(backend_class)
+        reports = run_mlqae_cell(oracle, 3, 16, backend=backend,
+                                 rngs=[np.random.default_rng(r) for r in range(4)])
+        assert backend.calls == list(powers)
+        for r, report in enumerate(reports):
+            alone = run_mlqae(oracle, 3, 16, backend=backend_class(), rng=np.random.default_rng(r))
+            assert report.records == alone.records
+            # the draws of run after run, one measure_flag per power
+            rng = np.random.default_rng(r)
+            assert [rec.hits for rec in report.records] == [
+                measure_flag(backend_class(), oracle, power, 16, rng) for power in powers]
+
+    def test_no_generators(self):
+        backend = self.logged(AnalyticBackend)
+        assert run_mlqae_cell(OracleSpec(10, 128), 3, 16, backend=backend, rngs=[]) == []
+        assert backend.calls == []
+
+    def test_one_shot_iterator_of_generators(self):
         oracle = OracleSpec(10, 128)
-        cell, runs = Logged(), Logged()
-        run_mlqae_cell(oracle, 3, 16, backend=cell,
-                       rngs=[np.random.default_rng(r) for r in range(4)])
-        for r in range(4):
-            run_mlqae(oracle, 3, 16, backend=runs, rng=np.random.default_rng(r))
-        assert cell.calls == runs.calls == list(make_schedule("eis", 3)) * 4
+        cell = run_mlqae_cell(oracle, 4, 100, rngs=derive_rngs(1731, "mlqae", 100, 5))
+        assert cell == run_mlqae_cell(oracle, 4, 100,
+                                      rngs=list(derive_rngs(1731, "mlqae", 100, 5)))
+        assert len(cell) == 5
 
 
 class TestRunMlqae:
