@@ -48,7 +48,7 @@ class ReproduceCapError(RuntimeError):
     """A reproduction sweep hit the iteration cap; its table is not emitted."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: an estimator, its parameters, and the shots ladder.
 
@@ -76,7 +76,7 @@ class ExperimentConfig:
             raise ValueError(f"qubits must be positive, got {self.qubits}")
         if not 0.0 < self.a_true <= 1.0:
             raise ValueError(f"a_true={self.a_true} outside (0, 1]")
-        self.shots_list = tuple(int(s) for s in self.shots_list)
+        object.__setattr__(self, "shots_list", tuple(int(s) for s in self.shots_list))
         if not self.shots_list or any(s < 1 for s in self.shots_list):
             raise ValueError(f"bad shots ladder {self.shots_list}")
         check_shots(max(self.shots_list))

@@ -1,13 +1,13 @@
 """Maximum-likelihood amplitude estimation over a ladder of amplified circuits.
 
-One circuit is run per entry of a power schedule; the flag hit counts from
-all circuits are combined into a joint Bernoulli log-likelihood in the
-rotation angle, which is maximized by a bounded coarse grid scan followed
-by golden-section refinement.  A sweep cell asks its backend for each
-power's flag probability once and draws every repetition's hits from it;
-the scan and the refinement then run all of the cell's repetitions
-together, the refinement in lockstep with one vectorized likelihood
-evaluation per step.
+A run measures one circuit per power of a schedule, all with the same
+shots, and keeps the flag hit counts as one :class:`MeasurementRecord`,
+whose joint Bernoulli log-likelihood in the rotation angle is maximized
+by a bounded coarse grid scan and golden-section refinement.  A sweep
+cell asks its backend for each power's flag probability once and draws
+every repetition's hits from it; the scan and the refinement then run all
+of the cell's repetitions together, the refinement in lockstep with one
+vectorized likelihood evaluation per step.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ _SUBS = _BLOCK_POINTS // _SUB_POINTS
 #: block does on both
 _REACH_SUBS = 2
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-#: record sets maximized at once.  The scan's gathers grow with the batch, so
+#: records maximized at once.  The scan's gathers grow with the batch, so
 #: one chunk's transient arrays peak at about 14 MiB at EIS depth 4, 80 MiB
 #: at depth 14 and 650 MiB at depth 18, where a block spans many lobes and
 #: about 165 sub-blocks per set are scored (tracemalloc, n = 20, a = 1/8,
@@ -93,37 +93,44 @@ def oracle_call_count(powers, shots: int) -> int:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Flag-1 hit count observed for one circuit of the schedule."""
+    """One run of a power schedule: each power's flag-1 hit count, floats
+    allowed, out of the run's ``shots``, stored as tuples aligned by power."""
 
-    power: int
+    powers: tuple[int, ...]
     shots: int
-    hits: int
+    hits: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.power < 0:
-            raise ValueError(f"power must be non-negative, got {self.power}")
+        object.__setattr__(self, "powers", tuple(self.powers))
+        object.__setattr__(self, "hits", tuple(self.hits))
+        if not self.powers or min(self.powers) < 0:
+            raise ValueError(f"need at least one power, none negative, got {self.powers}")
+        if len(self.hits) != len(self.powers):
+            raise ValueError(f"{len(self.hits)} hit counts for {len(self.powers)} powers")
         check_shots(self.shots)
-        if not 0 <= self.hits <= self.shots:
-            raise ValueError(f"hits={self.hits} outside [0, {self.shots}]")
+        if not all(0 <= hits <= self.shots for hits in self.hits):
+            raise ValueError(f"hits {self.hits} outside [0, {self.shots}]")
 
 
-def _likelihood_columns(record_sets) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """The record sets' ``powers`` and the kernel's ``(multipliers, weights)``.
+def _weights(hits: np.ndarray, shots) -> np.ndarray:
+    """The kernel's weights (2R, B) of B runs' hits (B, R) and ``shots``, one
+    count or a (B, 1) column: column b reads run b's hits_0, misses_0,
+    hits_1, and so on, the misses taken as ``shots - hits`` before floats."""
+    weights = np.empty((2 * hits.shape[1], len(hits)))
+    weights[0::2] = hits.T
+    weights[1::2] = (shots - hits).T
+    return weights
 
-    Every record set must have the same powers.  Row j of the (R, 1)
-    multipliers holds ``2m + 1`` of record j's power.  Rows 2j and 2j + 1 of
-    weights hold each set's record j hits and misses, one column per set,
-    so a column reads hits_0, misses_0, hits_1, and so on.
-    """
-    powers = tuple(rec.power for rec in record_sets[0])
-    if any(tuple(rec.power for rec in records) != powers for records in record_sets):
+
+def _likelihood_columns(records) -> tuple[tuple[int, ...], np.ndarray]:
+    """The records' ``powers`` and the kernel's weights, one column per record
+    (see :func:`_weights`).  Every record must have the same powers."""
+    powers = records[0].powers
+    if any(record.powers != powers for record in records):
         raise ValueError("record sets of one batch must have the same powers")
-    weights = np.array(
-        [row for recs in zip(*record_sets)
-         for row in ([rec.hits for rec in recs], [rec.shots - rec.hits for rec in recs])],
-        dtype=float,
-    )
-    return powers, _multipliers(powers), weights
+    hits = np.array([record.hits for record in records])
+    shots = np.array([[record.shots] for record in records])
+    return powers, _weights(hits, shots)
 
 
 def _multipliers(powers) -> np.ndarray:
@@ -149,10 +156,10 @@ def _log_terms(angles: np.ndarray, out: np.ndarray) -> None:
 
 
 def _log_likelihoods(multipliers: np.ndarray, weights: np.ndarray, thetas) -> np.ndarray:
-    """Joint log-likelihood of column b's records at the angle ``thetas[b]``.
+    """Joint log-likelihood of column b's run at the angle ``thetas[b]``.
 
-    The columns are :func:`_likelihood_columns`'.  Each value is bit for bit
-    that of the per-record loop ``verify.reference_scalar_log_likelihood``:
+    The weights are :func:`_weights`'.  Each value is bit for bit that of
+    the per-power loop ``verify.reference_scalar_log_likelihood``:
     :func:`_log_terms` rounds as the loop does, and ``np.add.accumulate``
     adds down each column in the loop's order.
     """
@@ -162,10 +169,10 @@ def _log_likelihoods(multipliers: np.ndarray, weights: np.ndarray, thetas) -> np
     return np.add.accumulate(terms)[-1]
 
 
-def log_likelihood(records, theta: float) -> float:
-    """Joint log-likelihood of the records at the rotation angle ``theta``.
+def log_likelihood(record: MeasurementRecord, theta: float) -> float:
+    """Joint log-likelihood of the record at the rotation angle ``theta``.
 
-    Each record with power ``m`` contributes
+    Each power ``m`` with ``hits`` of the record's ``shots`` contributes
 
         hits * log(sin^2((2m+1) theta)) + (shots - hits) * log(cos^2((2m+1) theta))
 
@@ -173,10 +180,8 @@ def log_likelihood(records, theta: float) -> float:
     the likelihood kernel on a batch of one; the coarse grid scan sums
     cached tables of the same terms instead (see :func:`_bounded_scan`).
     """
-    if not records:
-        return 0.0
-    _, multipliers, weights = _likelihood_columns([records])
-    return float(_log_likelihoods(multipliers, weights, [theta])[0])
+    powers, weights = _likelihood_columns([record])
+    return float(_log_likelihoods(_multipliers(powers), weights, [theta])[0])
 
 
 @functools.cache
@@ -209,9 +214,9 @@ def _log_tables(power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _scores(weights: np.ndarray, rows, width: int, sets, nodes) -> np.ndarray:
     """Weighted sums over K nodes, as (K, ``width``): node k is the
     ``nodes[k]``-th run of ``width`` values of each row of ``rows`` (one
-    (2, n) array of log sin^2 and log cos^2 values per record), the rows
+    (2, n) array of log sin^2 and log cos^2 values per power), the rows
     weighted by column ``sets[k]`` of ``weights`` (2R, B), whose rows 2j and
-    2j + 1 are record j's hits and misses.  On table values the sums are bit
+    2j + 1 are power j's hits and misses.  On table values the sums are bit
     for bit ``verify.reference_log_likelihood``'s: ``np.add.reduce`` over
     the first axis adds row after row in order when a row has more than one
     element (over one column it would sum pairwise), and every width here
@@ -228,7 +233,7 @@ def _scores(weights: np.ndarray, rows, width: int, sets, nodes) -> np.ndarray:
 
 def _bounded_scan(powers, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First grid index of the largest joint log-likelihood of each column of
-    ``weights`` (2R, B), every column's records having the powers ``powers``,
+    ``weights`` (2R, B), every column's run having the powers ``powers``,
     and that largest value: bit for bit :func:`log_likelihood` at the index's
     angle, since the tables hold the kernel's terms and :func:`_scores` adds
     them in the kernel's order.
@@ -311,40 +316,37 @@ def _lockstep(refines, multipliers: np.ndarray, weights: np.ndarray) -> list[flo
     return results
 
 
-def maximize_likelihoods(record_sets) -> list[tuple[float, float]]:
-    """``(theta, value)`` for each record set of the sequence ``record_sets``:
-    the angle in [0, pi/2] that maximizes its joint log-likelihood, and the
-    log-likelihood there.
+def maximize_likelihoods(records) -> list[tuple[float, float]]:
+    """``(theta, value)`` for each :class:`MeasurementRecord` of the sequence
+    ``records``, which must have the same powers: the angle in [0, pi/2]
+    that maximizes its joint log-likelihood, and the log-likelihood there.
 
-    Stage one finds the best of a uniform grid of ``GRID_POINTS`` angles by
-    a bounded scan, all record sets together (see
-    :func:`_bounded_scan`): upper bounds per block of ``_BLOCK_POINTS``
-    angles, then per sub-block of ``_SUB_POINTS``, rule out most of the
-    grid, and only the rest is scored exactly.  The value to prune against
-    comes from scoring the two best-bound sub-blocks of each set's
-    best-bound block.  Stage two refines between the grid neighbours of the
-    best point by golden section down to 1e-10, all record sets in lockstep
-    (see :func:`_lockstep`).  Ties go to the smaller angle, and the result
-    never scores below the best grid point.  The record sets must have the
-    same powers.  They are maximized ``_CHUNK`` at a time, which bounds the
-    scan's and the refine's transient arrays; a set's result does not
-    depend on the others.
+    Stage one finds the first best of 100,000 uniform grid angles, the index
+    ``np.argmax`` gives, by a bounded scan of all records together (see
+    :func:`_bounded_scan`): the grid splits into 250 blocks of 400 angles,
+    each of 16 sub-blocks of 25, and bounds per block, then per sub-block,
+    rule out most of it against a value each record's maximum reaches, the
+    best score in the two best-bound sub-blocks of its best-bound block.
+    Stage two refines between the grid neighbours of the best point by
+    golden section down to 1e-10, all records in lockstep (see
+    :func:`_lockstep`).  Ties go to the smaller angle, and the result never
+    scores below the best grid point.  The grid tables and the kernel share
+    one formula, so each value is bit for bit one scalar evaluation at its
+    angle.  Records go ``_CHUNK`` = 512 at a time, which bounds the
+    transient arrays; a record's result does not depend on the others.
 
     The grid's log sin^2 and log cos^2 tables and their block and sub-block
     maxima are built once per power and cached for the life of the process:
-    1.6 MB plus 68 KB per distinct power at 100,000 points.
+    1.6 MB plus 68 KB per distinct power.
     """
-    if not all(record_sets):
-        raise ValueError("need at least one measurement record")
-    if not record_sets:
+    if not records:
         return []
-    powers, _, weights = _likelihood_columns(record_sets)
-    return _maximize(powers, weights)
+    return _maximize(*_likelihood_columns(records))
 
 
 def _maximize(powers, weights: np.ndarray) -> list[tuple[float, float]]:
     """:func:`maximize_likelihoods` of the kernel's weights (2R, B), one
-    column per record set, every set's records having the powers ``powers``."""
+    column per run, every run having the powers ``powers``."""
     multipliers = _multipliers(powers)
     grid = _grid()
     results = []
@@ -364,10 +366,10 @@ def _maximize(powers, weights: np.ndarray) -> list[tuple[float, float]]:
     return results
 
 
-def maximize_likelihood(records) -> float:
-    """Angle in [0, pi/2] maximizing the joint log-likelihood: the angle of
-    :func:`maximize_likelihoods` on a batch of one."""
-    return maximize_likelihoods([records])[0][0]
+def maximize_likelihood(record: MeasurementRecord) -> float:
+    """Angle in [0, pi/2] maximizing the record's joint log-likelihood: the
+    angle of :func:`maximize_likelihoods` on a batch of one."""
+    return maximize_likelihoods([record])[0][0]
 
 
 @dataclass(frozen=True)
@@ -377,7 +379,7 @@ class MlqaeReport:
     theta_hat: float
     a_hat: float
     oracle_calls: int
-    records: tuple[MeasurementRecord, ...]
+    record: MeasurementRecord
     log_likelihood_at_max: float
 
 
@@ -400,29 +402,26 @@ def run_mlqae_cell(
     :func:`maximize_likelihoods` does.
     """
     powers = make_schedule(kind, depth)
+    check_shots(shots)
     rngs = iter(rngs)
     first = next(rngs, None)
     if first is None:
         return []
-    check_shots(shots)
     if backend is None:
         backend = AnalyticBackend()
     probabilities = [_draw_probability(backend, oracle, power) for power in powers]
     hits = np.array([[rng.binomial(shots, p) for p in probabilities]
                      for rng in itertools.chain((first,), rngs)], dtype=np.int64)
-    weights = np.empty((2 * len(powers), len(hits)))
-    weights[0::2] = hits.T
-    weights[1::2] = shots - hits.T
     calls = oracle_call_count(powers, shots)
     return [
         MlqaeReport(
             theta_hat=theta_hat,
             a_hat=math.sin(theta_hat) ** 2,
             oracle_calls=calls,
-            records=tuple(map(MeasurementRecord, powers, itertools.repeat(shots), row)),
+            record=MeasurementRecord(powers, shots, row),
             log_likelihood_at_max=value,
         )
-        for row, (theta_hat, value) in zip(hits.tolist(), _maximize(powers, weights))
+        for row, (theta_hat, value) in zip(hits.tolist(), _maximize(powers, _weights(hits, shots)))
     ]
 
 

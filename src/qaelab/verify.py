@@ -5,7 +5,7 @@ explicit permutation matrices, the iterate's update over the whole array,
 the oracle angle from an integer square root and the arcsine's series,
 direct binomial tail sums, power scans in exact rational arithmetic, one
 numpy SeedSequence per repetition, a golden section that evaluates the
-likelihood one point and one record at a time — precisely so it shares no
+likelihood one point and one power at a time — precisely so it shares no
 code path with the implementations it checks.
 The CLI ``verify`` subcommand runs :func:`run_checks`.
 """
@@ -210,47 +210,47 @@ def _reference_grid_logs(power: int) -> tuple[np.ndarray, np.ndarray]:
     return logs
 
 
-def _reference_sum(records, logs, total):
-    """``total`` plus each record's hits and misses times its floored logs,
-    ``logs(power)``, added one record after another."""
-    for rec in records:
-        log_s2, log_c2 = logs(rec.power)
-        total = total + rec.hits * log_s2
-        total = total + (rec.shots - rec.hits) * log_c2
+def _reference_sum(record, logs, total):
+    """``total`` plus each power's hits and misses times its floored logs,
+    ``logs(power)``, added one power after another."""
+    for power, hits in zip(record.powers, record.hits):
+        log_s2, log_c2 = logs(power)
+        total = total + hits * log_s2
+        total = total + (record.shots - hits) * log_c2
     return total
 
 
-def reference_log_likelihood(records, theta):
+def reference_log_likelihood(record, theta):
     """Joint log-likelihood by the plain array formulation: sin, cos and log
-    recomputed for every record at every angle, with no cached tables."""
+    recomputed for every power at every angle, with no cached tables."""
     angles = np.asarray(theta, dtype=float)
-    total = _reference_sum(records, lambda power: _reference_logs(power, angles),
+    total = _reference_sum(record, lambda power: _reference_logs(power, angles),
                            np.zeros(angles.shape))
     if np.ndim(theta) == 0:
         return float(total)
     return total
 
 
-def reference_grid_log_likelihood(records) -> np.ndarray:
-    """``reference_log_likelihood(records, _grid())`` bit for bit, from each
+def reference_grid_log_likelihood(record) -> np.ndarray:
+    """``reference_log_likelihood(record, _grid())`` bit for bit, from each
     power's grid logs computed once: the same terms summed in the same
     order."""
-    return _reference_sum(records, _reference_grid_logs, np.zeros(GRID_POINTS))
+    return _reference_sum(record, _reference_grid_logs, np.zeros(GRID_POINTS))
 
 
-def reference_scalar_log_likelihood(records, theta: float) -> float:
-    """Joint log-likelihood one record and one Python float at a time: the
-    per-record loop the likelihood kernel batches.  ``** 2`` on a float and
+def reference_scalar_log_likelihood(record, theta: float) -> float:
+    """Joint log-likelihood one power and one Python float at a time: the
+    per-power loop the likelihood kernel batches.  ``** 2`` on a float and
     ``np.log`` of one value round as the kernel's ``np.float_power`` and
     ``np.log`` do, where ``s * s`` and ``math.log`` would not."""
     t = float(theta)
     value = 0.0
-    for rec in records:
-        c = 2 * rec.power + 1
+    for power, hits in zip(record.powers, record.hits):
+        c = 2 * power + 1
         s2 = math.sin(c * t) ** 2
         c2 = math.cos(c * t) ** 2
-        value = value + rec.hits * np.log(max(s2, LIKELIHOOD_FLOOR))
-        value = value + (rec.shots - rec.hits) * np.log(max(c2, LIKELIHOOD_FLOOR))
+        value = value + hits * np.log(max(s2, LIKELIHOOD_FLOOR))
+        value = value + (record.shots - hits) * np.log(max(c2, LIKELIHOOD_FLOOR))
     return float(value)
 
 
@@ -271,24 +271,24 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def reference_maximize_likelihood(records) -> tuple[float, float]:
-    """``(theta, value)`` of one record set by the scalar refinement: the
+def reference_maximize_likelihood(record) -> tuple[float, float]:
+    """``(theta, value)`` of one record by the scalar refinement: the
     argmax of :func:`reference_grid_log_likelihood` over the whole grid, then
     golden section over :func:`reference_scalar_log_likelihood`, one point
     per call."""
     grid = _grid()
-    best = int(np.argmax(reference_grid_log_likelihood(records)))  # first occurrence wins ties
+    best = int(np.argmax(reference_grid_log_likelihood(record)))  # first occurrence wins ties
     lo = float(grid[best - 1]) if best > 0 else float(grid[0])
     hi = float(grid[best + 1]) if best + 1 < GRID_POINTS else float(grid[-1])
     theta = _golden_max(
-        lambda t: reference_scalar_log_likelihood(records, t), lo, hi, _REFINE_TOL
+        lambda t: reference_scalar_log_likelihood(record, t), lo, hi, _REFINE_TOL
     )
     coarse_theta = float(grid[best])
-    coarse_value = reference_scalar_log_likelihood(records, coarse_theta)
-    refined_value = reference_scalar_log_likelihood(records, theta)
+    coarse_value = reference_scalar_log_likelihood(record, coarse_theta)
+    refined_value = reference_scalar_log_likelihood(record, theta)
     if refined_value < coarse_value or (refined_value == coarse_value and coarse_theta < theta):
         theta = coarse_theta
-    return float(theta), reference_scalar_log_likelihood(records, theta)
+    return float(theta), reference_scalar_log_likelihood(record, theta)
 
 
 def _rng() -> np.random.Generator:
@@ -424,20 +424,20 @@ def _check_power_selection() -> CheckResult:
     return CheckResult("next-power search vs exact rational scan", ok, detail)
 
 
-def _table_scores(records) -> np.ndarray:
+def _table_scores(record) -> np.ndarray:
     """The joint log-likelihood on the whole grid as the bounded scan scores
-    it: the weighted row sum of the records' cached tables."""
-    powers, _, weights = _likelihood_columns([records])
+    it: the weighted row sum of the record's cached tables."""
+    powers, weights = _likelihood_columns([record])
     node = np.zeros(1, dtype=np.intp)
     tables = [_log_tables(power)[0] for power in powers]
     return _scores(weights, tables, GRID_POINTS, node, node)[0]
 
 
-def _edge_records(powers, shots: int, rng) -> list[MeasurementRecord]:
-    """Records of ``powers`` with hits of 0 and of N on alternating records,
-    random in between: one draw from ``rng`` per record."""
-    return [MeasurementRecord(power, shots, (0, shots, int(rng.integers(0, shots + 1)))[i % 3])
-            for i, power in enumerate(powers)]
+def _edge_record(powers, shots: int, rng) -> MeasurementRecord:
+    """A record of ``powers`` with hits of 0, N and random in turn: one draw
+    from ``rng`` per power."""
+    hits = [(0, shots, int(rng.integers(0, shots + 1)))[i % 3] for i in range(len(powers))]
+    return MeasurementRecord(powers, shots, hits)
 
 
 def _check_log_likelihood() -> CheckResult:
@@ -446,16 +446,17 @@ def _check_log_likelihood() -> CheckResult:
     grid_bad = argmax_bad = scalar_bad = 0
     for schedule in [make_schedule(kind, depth) for depth in (18, 4) for kind in ("eis", "lis")]:
         for shots in (1, 3, 1024):
-            records = _edge_records(schedule, shots, rng)
-            # each record alone too: in a long sum a last-bit slip can round away
-            for subset in [records] + [[rec] for rec in records]:
+            record = _edge_record(schedule, shots, rng)
+            # each power alone too: in a long sum a last-bit slip can round away
+            singles = [MeasurementRecord((p,), shots, (h,)) for p, h in zip(schedule, record.hits)]
+            for subset in [record] + singles:
                 want = reference_grid_log_likelihood(subset)
                 grid_bad += not np.array_equal(_table_scores(subset), want)
                 scalar_bad += sum(
                     log_likelihood(subset, t) != reference_log_likelihood(subset, t)
                     for t in angles
                 )
-                powers, _, weights = _likelihood_columns([subset])
+                powers, weights = _likelihood_columns([subset])
                 argmax_bad += int(_bounded_scan(powers, weights)[0][0]) != int(np.argmax(want))
     return CheckResult(
         "log-likelihood fast paths and bounded grid argmax vs array reference, "
@@ -466,8 +467,8 @@ def _check_log_likelihood() -> CheckResult:
 
 
 def _check_lockstep_maximizer() -> CheckResult:
-    # (records, (theta, value)) pairs: every repetition of tables 2-4 as the
-    # sweeps refine them, then batches of depth-18 record sets
+    # (record, (theta, value)) pairs: every repetition of tables 2-4 as the
+    # sweeps refine them, then batches of depth-18 records
     results = []
     for table in (2, 3, 4):
         for _, config in table_configs(table):
@@ -475,7 +476,7 @@ def _check_lockstep_maximizer() -> CheckResult:
             for shots in config.shots_list:
                 rngs = derive_rngs(config.base_seed, "mlqae", shots, config.repetitions)
                 results += [
-                    (report.records, (report.theta_hat, report.log_likelihood_at_max))
+                    (report.record, (report.theta_hat, report.log_likelihood_at_max))
                     for report in run_mlqae_cell(config.oracle(), config.depth, shots,
                                                  kind=config.schedule, backend=backend,
                                                  rngs=rngs)
@@ -483,9 +484,9 @@ def _check_lockstep_maximizer() -> CheckResult:
     rng = _rng()
     for kind in ("eis", "lis"):
         schedule = make_schedule(kind, 18)
-        batch = [_edge_records(schedule, shots, rng) for shots in (1, 3, 1024) for _ in range(3)]
+        batch = [_edge_record(schedule, shots, rng) for shots in (1, 3, 1024) for _ in range(3)]
         results += zip(batch, maximize_likelihoods(batch))
-    differ = sum(got != reference_maximize_likelihood(records) for records, got in results)
+    differ = sum(got != reference_maximize_likelihood(record) for record, got in results)
     return CheckResult(
         "lockstep likelihood maximizer vs full-grid argmax and scalar golden section, "
         "bit for bit (tables 2-4, depth 18)",

@@ -308,11 +308,9 @@ def test_09_likelihood_estimator_consistency():
     worst = 0.0
     for _ in range(50):
         theta = rng.uniform(0.05, math.pi / 2 - 0.05)
-        records = [
-            MeasurementRecord(m, shots, shots * math.sin((2 * m + 1) * theta) ** 2)
-            for m in powers
-        ]
-        theta_hat = maximize_likelihood(records)
+        record = MeasurementRecord(
+            powers, shots, [shots * math.sin((2 * m + 1) * theta) ** 2 for m in powers])
+        theta_hat = maximize_likelihood(record)
         worst = max(worst, abs(math.sin(theta_hat) ** 2 - math.sin(theta) ** 2))
     passed = worst < 1e-3
     _report("09 estimator consistency", passed, f"worst |a_hat - a*| = {worst:.2e}")

@@ -200,6 +200,18 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=r"^depth 1019 at 16 shots and 1 rep"):
             dataclasses.replace(cfg, depth=1019)
 
+    def test_frozen_so_every_change_is_checked(self):
+        # assigning would skip the checks, and a depth-1023 sweep would then
+        # overflow its call statistics mid-run; a replaced copy is checked
+        cfg = ExperimentConfig("mlqae", repetitions=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.depth = 1023
+        assert cfg.depth == 3
+        message = (r"^depth 1023 at 1024 shots and 1 repetitions makes at least "
+                   r"2\*\*1034 oracle calls, more than a float holds$")
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(cfg, depth=1023)
+
     def test_any_amplitude_fine_for_baseline(self):
         assert ExperimentConfig("mci", qubits=4, a_true=0.1).a_true == 0.1
 

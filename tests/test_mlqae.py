@@ -1,5 +1,6 @@
 """Schedules, the joint likelihood, its maximizer, and full estimation runs."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -24,6 +25,7 @@ from qaelab.mlqae import (
     _likelihood_columns,
     _log_likelihoods,
     _log_tables,
+    _multipliers,
     _scores,
     log_likelihood,
     make_schedule,
@@ -46,12 +48,11 @@ from qaelab.verify import (
 THETA_EIGHTH = math.asin(math.sqrt(0.125))  # 0.36136712390670783
 
 
-def exact_records(theta_star, depth, shots):
-    """Records whose hit counts equal their exact expectations (floats)."""
-    return [
-        MeasurementRecord(p, shots, shots * math.sin((2 * p + 1) * theta_star) ** 2)
-        for p in make_schedule("eis", depth)
-    ]
+def exact_record(theta_star, depth, shots):
+    """A record whose hit counts equal their exact expectations (floats)."""
+    powers = make_schedule("eis", depth)
+    return MeasurementRecord(
+        powers, shots, [shots * math.sin((2 * p + 1) * theta_star) ** 2 for p in powers])
 
 
 class TestSchedules:
@@ -105,55 +106,70 @@ class TestSchedules:
 
 class TestMeasurementRecord:
     def test_validation(self):
-        MeasurementRecord(0, 16, 0)
-        MeasurementRecord(4, 16, 16)
-        with pytest.raises(ValueError):
-            MeasurementRecord(-1, 16, 3)
-        with pytest.raises(ValueError):
-            MeasurementRecord(0, 0, 0)
-        with pytest.raises(ValueError):
-            MeasurementRecord(0, 16, 17)
+        MeasurementRecord((0,), 16, (0,))
+        MeasurementRecord((4,), 16, (16,))
+        MeasurementRecord((0, 1, 2), 16, (0, 7.5, 16))
+        with pytest.raises(ValueError, match=r"^need at least one power, none negative, "
+                                             r"got \(0, -1\)$"):
+            MeasurementRecord((0, -1), 16, (3, 3))
+        with pytest.raises(ValueError, match=r"^shots must be positive, got 0$"):
+            MeasurementRecord((0,), 0, (0,))
+        with pytest.raises(ValueError, match=r"^hits \(3, 17\) outside \[0, 16\]$"):
+            MeasurementRecord((0, 1), 16, (3, 17))
+        with pytest.raises(ValueError, match=r"^hits \(-1,\) outside \[0, 16\]$"):
+            MeasurementRecord((0,), 16, (-1,))
+        with pytest.raises(ValueError, match=r"^need at least one power, none negative, got \(\)$"):
+            MeasurementRecord((), 16, ())
+        with pytest.raises(ValueError, match=r"^2 hit counts for 3 powers$"):
+            MeasurementRecord((0, 1, 2), 16, (3, 3))
+
+    def test_one_frozen_record_per_run(self):
+        record = MeasurementRecord([0, 1, 2], 16, [3, 4, 5])
+        assert record.powers == (0, 1, 2) and record.hits == (3, 4, 5)
+        assert record == MeasurementRecord((0, 1, 2), 16, (3, 4, 5))
+        assert hash(record) == hash(MeasurementRecord((0, 1, 2), 16, (3, 4, 5)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.shots = 32
 
 
 class TestLogLikelihood:
     def test_single_record_closed_form(self):
-        rec = [MeasurementRecord(0, 100, 25)]
+        rec = MeasurementRecord((0,), 100, (25,))
         theta = math.pi / 6
         expected = 25 * math.log(0.25) + 75 * math.log(0.75)
         assert log_likelihood(rec, theta) == pytest.approx(expected, abs=1e-10)
 
     def test_finite_at_boundaries(self):
-        assert math.isfinite(log_likelihood([MeasurementRecord(0, 100, 0)], math.pi / 2))
-        assert math.isfinite(log_likelihood([MeasurementRecord(0, 100, 100)], 0.0))
-        assert math.isfinite(log_likelihood([MeasurementRecord(2, 64, 64)], 0.0))
+        assert math.isfinite(log_likelihood(MeasurementRecord((0,), 100, (0,)), math.pi / 2))
+        assert math.isfinite(log_likelihood(MeasurementRecord((0,), 100, (100,)), 0.0))
+        assert math.isfinite(log_likelihood(MeasurementRecord((2,), 64, (64,)), 0.0))
 
     def test_exact_records_peak_at_truth(self):
         # independent oracle: dense million-point scan of the same function
-        recs = exact_records(THETA_EIGHTH, 3, 1_000_000)
+        rec = exact_record(THETA_EIGHTH, 3, 1_000_000)
         grid = np.linspace(0.0, math.pi / 2, 1_000_000)
-        best = float(grid[np.argmax(reference_log_likelihood(recs, grid))])
+        best = float(grid[np.argmax(reference_log_likelihood(rec, grid))])
         assert abs(best - THETA_EIGHTH) < 1e-4
 
 
 @st.composite
-def schedule_records(draw):
-    """Records of an EIS or LIS schedule of depth <= 18.  Depth 18, whose EIS
+def schedule_record(draw):
+    """A record of an EIS or LIS schedule of depth <= 18.  Depth 18, whose EIS
     top power 2**17 makes the grid tables oscillate fastest, is drawn often,
     as are hits of 0 and of N, which hit the likelihood floor, and tiny shot
     counts, whose sums keep a last-bit slip from rounding away."""
     depth = draw(st.one_of(st.just(18), st.integers(0, 18)))
     kind = draw(st.sampled_from(("eis", "lis")))
-    records = []
-    for power in make_schedule(kind, depth):
-        shots = draw(st.one_of(st.integers(1, 3), st.integers(1, 4096)))
-        hits = draw(st.one_of(st.just(0), st.just(shots), st.integers(0, shots)))
-        records.append(MeasurementRecord(power, shots, hits))
-    return records
+    powers = make_schedule(kind, depth)
+    shots = draw(st.one_of(st.integers(1, 3), st.integers(1, 4096)))
+    hits = st.one_of(st.just(0), st.just(shots), st.integers(0, shots))
+    return MeasurementRecord(powers, shots, [draw(hits) for _ in powers])
 
 
-def with_singles(records):
-    """The records together, then each alone."""
-    return [records] + [[rec] for rec in records]
+def with_singles(record):
+    """The record, then a one-power record of each of its powers."""
+    return [record] + [MeasurementRecord((power,), record.shots, (hits,))
+                       for power, hits in zip(record.powers, record.hits)]
 
 
 class TestLogLikelihoodBitwise:
@@ -162,7 +178,7 @@ class TestLogLikelihoodBitwise:
     the reproduction CSVs."""
 
     def test_grid_reference_caches_fresh_logs(self):
-        # every power schedule_records can draw: EIS and LIS at depth 18 hold
+        # every power schedule_record can draw: EIS and LIS at depth 18 hold
         # those of every shallower depth
         powers = {p for kind in ("eis", "lis") for p in make_schedule(kind, 18)}
         for power in powers:
@@ -170,23 +186,23 @@ class TestLogLikelihoodBitwise:
                 assert np.array_equal(cached, fresh), power
 
     @settings(max_examples=30, deadline=None)
-    @given(records=schedule_records())
-    def test_grid_tables(self, records):
+    @given(record=schedule_record())
+    def test_grid_tables(self, record):
         # the grid reference sums each power's cached logs as
         # reference_log_likelihood(subset, _grid()) does
-        for subset in with_singles(records):
+        for subset in with_singles(record):
             assert np.array_equal(_table_scores(subset), reference_grid_log_likelihood(subset))
 
     @settings(max_examples=30, deadline=None)
-    @given(records=schedule_records())
-    def test_tables_score_as_the_kernel(self, records):
+    @given(record=schedule_record())
+    def test_tables_score_as_the_kernel(self, record):
         # one formula: a table score at grid index i is the kernel's value at
         # grid[i], so the scan's best value needs no second evaluation
-        powers, multipliers, weights = _likelihood_columns([records])
-        want = _log_likelihoods(multipliers, weights, _grid())
-        assert np.array_equal(_table_scores(records), want)
+        powers, weights = _likelihood_columns([record])
+        want = _log_likelihoods(_multipliers(powers), weights, _grid())
+        assert np.array_equal(_table_scores(record), want)
         (index,), (best,) = _bounded_scan(powers, weights)
-        assert best == log_likelihood(records, float(_grid()[index]))
+        assert best == log_likelihood(record, float(_grid()[index]))
 
     @pytest.mark.parametrize("power", [0, 3, 2**17])
     def test_table_padding_and_maxima(self, power):
@@ -201,12 +217,12 @@ class TestLogLikelihoodBitwise:
         assert not any(part.flags.writeable for part in (table, sub_maxima, block_maxima))
 
     @settings(max_examples=100, deadline=None)
-    @given(records=schedule_records(), seed=st.integers(0, 2**32 - 1))
-    def test_scalar_angles(self, records, seed):
+    @given(record=schedule_record(), seed=st.integers(0, 2**32 - 1))
+    def test_scalar_angles(self, record, seed):
         # many angles per example: a wrong rounding shows in ~0.1% of terms
         angles = [0.0, math.pi / 2]
         angles += [float(t) for t in np.random.default_rng(seed).uniform(0.0, math.pi / 2, 32)]
-        for subset in with_singles(records):
+        for subset in with_singles(record):
             for theta in angles:
                 assert log_likelihood(subset, theta) == reference_log_likelihood(subset, theta)
 
@@ -280,21 +296,20 @@ class TestKernelArithmetic:
         assert differ
 
 
-def peak_records(powers, shots, index):
-    """Records of ``powers``, with ``shots[j]`` shots for ``powers[j]``, whose
-    hits round the expected counts at the grid angle ``index``, so that their
-    likelihood peaks near it."""
+def peak_record(powers, shots, index):
+    """A record of ``powers`` whose hits round the expected counts at the
+    grid angle ``index``, so that its likelihood peaks near it."""
     theta = float(_grid()[index])
-    return [MeasurementRecord(p, n, round(n * math.sin((2 * p + 1) * theta) ** 2))
-            for p, n in zip(powers, shots)]
+    return MeasurementRecord(
+        powers, shots, [round(shots * math.sin((2 * p + 1) * theta) ** 2) for p in powers])
 
 
 @st.composite
 def record_batches(draw):
-    """1-40 record sets of one powers tuple of length 1-9, EIS, LIS or other
-    increasing powers; each set draws one shot count, or in about half the
-    sets one per record, and hits at random with 0 and N drawn often, all
-    misses, all hits, or around a peak drawn often from the last grid block."""
+    """1-40 records of one powers tuple of length 1-9, EIS, LIS or other
+    increasing powers; each record draws one shot count, and hits at random
+    with 0 and N drawn often, all misses, all hits, or around a peak drawn
+    often from the last grid block."""
     length = draw(st.integers(1, 9))
     powers = draw(st.one_of(
         st.just(make_schedule("eis", length - 1)),
@@ -306,25 +321,22 @@ def record_batches(draw):
     batch = []
     counts = st.one_of(st.integers(1, 3), st.integers(1, 4096))
     for _ in range(draw(st.integers(1, 40))):
-        if draw(st.booleans()):
-            shots = [draw(counts) for _ in powers]
-        else:
-            shots = [draw(counts)] * len(powers)
+        shots = draw(counts)
         kind = draw(st.sampled_from(("random", "misses", "hits", "peak")))
         if kind == "peak":
             index = draw(st.one_of(st.integers((_BLOCKS - 1) * _BLOCK_POINTS, GRID_POINTS - 1),
                                    st.integers(0, GRID_POINTS - 1)))
-            batch.append(peak_records(powers, shots, index))
+            batch.append(peak_record(powers, shots, index))
         else:
-            hits = {"random": lambda n: st.one_of(st.just(0), st.just(n), st.integers(0, n)),
-                    "misses": lambda n: st.just(0), "hits": st.just}[kind]
-            batch.append([MeasurementRecord(p, n, draw(hits(n))) for p, n in zip(powers, shots)])
+            hits = {"random": st.one_of(st.just(0), st.just(shots), st.integers(0, shots)),
+                    "misses": st.just(0), "hits": st.just(shots)}[kind]
+            batch.append(MeasurementRecord(powers, shots, [draw(hits) for _ in powers]))
     return batch
 
 
 def grid_argmaxes(batch):
-    """The bounded scan's grid index of each record set of ``batch``."""
-    powers, _, weights = _likelihood_columns(batch)
+    """The bounded scan's grid index of each record of ``batch``."""
+    powers, weights = _likelihood_columns(batch)
     return _bounded_scan(powers, weights)[0].tolist()
 
 
@@ -347,13 +359,13 @@ class TestLockstep:
     @settings(max_examples=20, deadline=None)
     @given(batch=record_batches(), seed=st.integers(0, 2**32 - 1))
     def test_kernel_columns_match_scalar_loop(self, batch, seed):
-        _, multipliers, weights = _likelihood_columns(batch)
+        powers, weights = _likelihood_columns(batch)
         thetas = np.random.default_rng(seed).uniform(0.0, math.pi / 2, len(batch)).tolist()
         thetas[0] = 0.0
         thetas[-1] = math.pi / 2
-        got = _log_likelihoods(multipliers, weights, thetas).tolist()
-        assert got == [reference_scalar_log_likelihood(records, theta)
-                       for records, theta in zip(batch, thetas)]
+        got = _log_likelihoods(_multipliers(powers), weights, thetas).tolist()
+        assert got == [reference_scalar_log_likelihood(record, theta)
+                       for record, theta in zip(batch, thetas)]
 
     @settings(max_examples=30, deadline=None)
     @given(batch=record_batches())
@@ -363,10 +375,10 @@ class TestLockstep:
     def test_rows_stop_after_different_step_counts(self):
         # brackets one grid step wide at both ends of the grid, between inner ones
         batch = [
-            [MeasurementRecord(p, 16, 0) for p in (0, 1, 2)],
-            [MeasurementRecord(p, 16, 4) for p in (0, 1, 2)],
-            [MeasurementRecord(p, 16, 16) for p in (0, 1, 2)],
-            [MeasurementRecord(0, 64, 40), MeasurementRecord(1, 64, 9), MeasurementRecord(2, 64, 30)],
+            MeasurementRecord((0, 1, 2), 16, (0, 0, 0)),
+            MeasurementRecord((0, 1, 2), 16, (4, 4, 4)),
+            MeasurementRecord((0, 1, 2), 16, (16, 16, 16)),
+            MeasurementRecord((0, 1, 2), 64, (40, 9, 30)),
         ]
         assert grid_argmaxes(batch)[::2] == [0, GRID_POINTS - 1]
         grid = _grid()
@@ -376,34 +388,35 @@ class TestLockstep:
         assert maximize_likelihoods(batch) == [reference_maximize_likelihood(r) for r in batch]
 
     def test_value_is_the_likelihood_at_the_angle(self):
-        batch = [[MeasurementRecord(p, 100, h) for p, h in zip((0, 1, 2, 4), hits)]
+        batch = [MeasurementRecord((0, 1, 2, 4), 100, hits)
                  for hits in ((12, 60, 98, 3), (0, 0, 0, 0), (50, 50, 50, 50))]
-        for records, (theta, value) in zip(batch, maximize_likelihoods(batch)):
-            assert theta == maximize_likelihood(records)
-            assert value == log_likelihood(records, theta)
+        for record, (theta, value) in zip(batch, maximize_likelihoods(batch)):
+            assert theta == maximize_likelihood(record)
+            assert value == log_likelihood(record, theta)
 
     def test_batch_validation(self):
         assert maximize_likelihoods([]) == []
+        # a record of no powers is refused when it is built
         with pytest.raises(ValueError, match="at least one"):
-            maximize_likelihoods([[MeasurementRecord(0, 16, 3)], []])
+            MeasurementRecord((), 16, ())
         message = "^record sets of one batch must have the same powers$"
         with pytest.raises(ValueError, match=message):
-            maximize_likelihoods([[MeasurementRecord(0, 16, 3)],
-                                  [MeasurementRecord(0, 16, 3), MeasurementRecord(1, 16, 3)]])
+            maximize_likelihoods([MeasurementRecord((0,), 16, (3,)),
+                                  MeasurementRecord((0, 1), 16, (3, 3))])
         # the same length, different powers
         with pytest.raises(ValueError, match=message):
-            maximize_likelihoods([[MeasurementRecord(0, 16, 3), MeasurementRecord(1, 16, 3)],
-                                  [MeasurementRecord(0, 16, 3), MeasurementRecord(2, 16, 3)]])
+            maximize_likelihoods([MeasurementRecord((0, 1), 16, (3, 3)),
+                                  MeasurementRecord((0, 2), 16, (3, 3))])
 
 
 class TestMaximize:
     @settings(max_examples=30, deadline=None)
-    @given(records=schedule_records())
-    @example(records=[MeasurementRecord(0, 16, 16)])  # float-flat near pi/2
-    @example(records=[MeasurementRecord(0, 16, 0)])  # float-flat near 0
-    def test_bounded_scan_matches_full_argmax(self, records):
-        # the set alone, then each record alone, a batch of one each
-        for subset in with_singles(records):
+    @given(record=schedule_record())
+    @example(record=MeasurementRecord((0,), 16, (16,)))  # float-flat near pi/2
+    @example(record=MeasurementRecord((0,), 16, (0,)))  # float-flat near 0
+    def test_bounded_scan_matches_full_argmax(self, record):
+        # the record, then each power alone, a batch of one each
+        for subset in with_singles(record):
             want = int(np.argmax(reference_grid_log_likelihood(subset)))
             assert grid_argmaxes([subset]) == [want]
 
@@ -413,7 +426,7 @@ class TestMaximize:
         want = [int(np.argmax(reference_grid_log_likelihood(r))) for r in batch]
         assert grid_argmaxes(batch) == want
         # a set's index does not depend on its batchmates
-        assert [grid_argmaxes([records])[0] for records in batch] == want
+        assert [grid_argmaxes([record])[0] for record in batch] == want
 
     def test_reach_below_the_top_blocks_maximum(self):
         # found by seeded searches: table 2's 16-shot cell, repetition 19 at
@@ -421,14 +434,14 @@ class TestMaximize:
         # best-bound sub-block; and EIS depth 18 at a = 1/8 (n = 20), 100
         # shots, np.random.default_rng(34), outside its two best-bound ones
         sets = [
-            [MeasurementRecord(p, 16, h) for p, h in zip((0, 1, 2, 4), (3, 14, 15, 0))],
-            [MeasurementRecord(p, 100, h) for p, h in zip(
-                make_schedule("eis", 18),
-                (5, 73, 96, 1, 2, 33, 96, 29, 98, 0, 13, 70, 56, 98, 71, 74, 100, 10, 71))],
+            MeasurementRecord((0, 1, 2, 4), 16, (3, 14, 15, 0)),
+            MeasurementRecord(
+                make_schedule("eis", 18), 100,
+                (5, 73, 96, 1, 2, 33, 96, 29, 98, 0, 13, 70, 56, 98, 71, 74, 100, 10, 71)),
         ]
-        for records, missed in zip(sets, (1, 2)):
-            values = reference_grid_log_likelihood(records)
-            powers, _, weights = _likelihood_columns([records])
+        for record, missed in zip(sets, (1, 2)):
+            values = reference_grid_log_likelihood(record)
+            powers, weights = _likelihood_columns([record])
             _, sub_maxima, block_maxima = zip(*(_log_tables(power) for power in powers))
             top = int(_scores(weights, block_maxima, _BLOCKS, [0], [0]).argmax())
             sub_bounds = _scores(weights, sub_maxima, _SUBS, [0], [top])[0]
@@ -447,9 +460,9 @@ class TestMaximize:
         targets = [99_840, 99_871, 99_950, 99_998, 12_345, 50_000, 0, GRID_POINTS - 1]
         last_block = []
         for powers in schedules:
-            batch = [[MeasurementRecord(p, 64, 0) for p in powers],
-                     [MeasurementRecord(p, 64, 64) for p in powers]]
-            batch += [peak_records(powers, [4096] * len(powers), target) for target in targets]
+            batch = [MeasurementRecord(powers, 64, [0] * len(powers)),
+                     MeasurementRecord(powers, 64, [64] * len(powers))]
+            batch += [peak_record(powers, 4096, target) for target in targets]
             want = [int(np.argmax(reference_grid_log_likelihood(r))) for r in batch]
             assert want[:2] == [0, GRID_POINTS - 1]
             last_block += [w for w in want if w >= (_BLOCKS - 1) * _BLOCK_POINTS]
@@ -458,43 +471,41 @@ class TestMaximize:
         assert len(last_block) >= 9 and min(last_block) < GRID_POINTS - 1
 
     def test_all_misses_gives_zero(self):
-        assert maximize_likelihood([MeasurementRecord(0, 16, 0)]) == 0.0
+        assert maximize_likelihood(MeasurementRecord((0,), 16, (0,))) == 0.0
 
     def test_all_hits_gives_right_angle(self):
         # the likelihood is float-flat on [pi/2 - 1e-8, pi/2]; anywhere there is a maximizer
-        theta = maximize_likelihood([MeasurementRecord(0, 16, 16)])
+        theta = maximize_likelihood(MeasurementRecord((0,), 16, (16,)))
         assert theta == pytest.approx(math.pi / 2, abs=2e-8)
         assert math.sin(theta) ** 2 == 1.0
 
     def test_single_record_quarter(self):
-        theta = maximize_likelihood([MeasurementRecord(0, 100, 25)])
+        theta = maximize_likelihood(MeasurementRecord((0,), 100, (25,)))
         assert theta == pytest.approx(math.pi / 6, abs=1e-6)
 
     def test_consistency_on_exact_records(self):
-        theta = maximize_likelihood(exact_records(THETA_EIGHTH, 4, 4096))
+        theta = maximize_likelihood(exact_record(THETA_EIGHTH, 4, 4096))
         assert abs(math.sin(theta) ** 2 - 0.125) < 1e-4
 
     def test_never_below_coarse_grid(self):
         rng = np.random.default_rng(99)
         for _ in range(5):
-            recs = [
-                MeasurementRecord(p, 64, int(rng.integers(0, 65)))
-                for p in (0, 1, 2, 4)
-            ]
-            theta = maximize_likelihood(recs)
-            assert log_likelihood(recs, theta) >= float(
-                np.max(reference_log_likelihood(recs, _grid()))
+            rec = MeasurementRecord((0, 1, 2, 4), 64, [int(rng.integers(0, 65)) for _ in range(4)])
+            theta = maximize_likelihood(rec)
+            assert log_likelihood(rec, theta) >= float(
+                np.max(reference_log_likelihood(rec, _grid()))
             )
 
     def test_requires_records(self):
+        # a maximizer needs a power to score: a record of none is refused
         with pytest.raises(ValueError):
-            maximize_likelihood([])
+            MeasurementRecord((), 16, ())
 
     def test_chunks_bound_the_transient_memory(self):
-        # three chunks and a partial one of EIS depth 4 sets: unchunked, the
-        # scan's gathers would peak near 50 MiB here, one chunk near 14 MiB
+        # three chunks and a partial one of EIS depth 4 records: unchunked,
+        # the scan's gathers would peak near 50 MiB here, one chunk near 14 MiB
         oracle = OracleSpec(10, 128)
-        sets = [report.records for report in run_mlqae_cell(
+        sets = [report.record for report in run_mlqae_cell(
             oracle, 4, 100, rngs=[np.random.default_rng(seed) for seed in range(32)])]
         batch = sets * (7 * _CHUNK // 64)
         want = maximize_likelihoods(sets)
@@ -506,15 +517,15 @@ class TestMaximize:
             tracemalloc.stop()
         assert len(batch) == 3 * _CHUNK + _CHUNK // 2
         assert peak < 24 * 2**20
-        # a set's result does not depend on its batch or its chunk
+        # a record's result does not depend on its batch or its chunk
         assert got == want * (len(batch) // len(sets))
 
     def test_deep_schedule_tables_stay_cached(self):
         # LIS depth 40 uses 41 powers, more than a 32-entry cache holds
-        recs = [MeasurementRecord(p, 100, 12) for p in make_schedule("lis", 40)]
-        maximize_likelihood(recs)
+        rec = MeasurementRecord(make_schedule("lis", 40), 100, [12] * 41)
+        maximize_likelihood(rec)
         misses = _log_tables.cache_info().misses
-        maximize_likelihood(recs)
+        maximize_likelihood(rec)
         assert _log_tables.cache_info().misses == misses
 
 
@@ -543,16 +554,20 @@ class TestRunMlqaeCell:
         assert backend.calls == list(powers)
         for r, report in enumerate(reports):
             alone = run_mlqae(oracle, 3, 16, backend=backend_class(), rng=np.random.default_rng(r))
-            assert report.records == alone.records
+            assert report.record == alone.record
             # the draws of run after run, one measure_flag per power
             rng = np.random.default_rng(r)
-            assert [rec.hits for rec in report.records] == [
+            assert list(report.record.hits) == [
                 measure_flag(backend_class(), oracle, power, 16, rng) for power in powers]
 
     def test_no_generators(self):
         backend = self.logged(AnalyticBackend)
         assert run_mlqae_cell(OracleSpec(10, 128), 3, 16, backend=backend, rngs=[]) == []
         assert backend.calls == []
+        # the shot count is checked with no generator to draw, as with one
+        for rngs in ([], [np.random.default_rng(0)]):
+            with pytest.raises(ValueError, match=r"^shots must be positive, got 0$"):
+                run_mlqae_cell(OracleSpec(10, 128), 3, 0, rngs=rngs)
 
     def test_one_shot_iterator_of_generators(self):
         oracle = OracleSpec(10, 128)
@@ -573,9 +588,10 @@ class TestRunMlqae:
     def test_report_records_follow_schedule(self):
         oracle = OracleSpec(10, 128)
         report = run_mlqae(oracle, 4, 64, rng=np.random.default_rng(3))
-        assert tuple(rec.power for rec in report.records) == (0, 1, 2, 4, 8)
-        assert all(rec.shots == 64 for rec in report.records)
-        assert all(0 <= rec.hits <= 64 for rec in report.records)
+        assert report.record.powers == (0, 1, 2, 4, 8)
+        assert report.record.shots == 64
+        assert len(report.record.hits) == 5
+        assert all(0 <= hits <= 64 for hits in report.record.hits)
         assert report.a_hat == pytest.approx(math.sin(report.theta_hat) ** 2, abs=1e-15)
 
     def test_empty_oracle_estimates_zero_exactly(self):

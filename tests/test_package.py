@@ -1,4 +1,8 @@
-"""Tests for the package namespace: it re-exports each module's ``__all__``."""
+"""Tests for the package namespace: it re-exports each module's ``__all__``,
+and the README's library examples run."""
+
+import re
+from pathlib import Path
 
 import qaelab
 import qaelab.bench
@@ -29,3 +33,12 @@ def test_flag_probabilities_come_from_the_backends():
     for name in ("prepare_a", "apply_q"):
         assert name not in qaelab.__all__, name
         assert callable(getattr(qaelab.core, name)), name
+
+
+def test_readme_python_blocks_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 2
+    for number, block in enumerate(blocks, 1):
+        # each block stands alone, as a reader would paste it
+        exec(compile(block, f"README.md python block {number}", "exec"), {})
