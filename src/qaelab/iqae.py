@@ -70,10 +70,29 @@ class ConfidenceInterval:
     def intersect(self, other: "ConfidenceInterval") -> "ConfidenceInterval":
         """Intersection with ``other``, collapsed onto the nearest edge of
         ``self`` when the two are disjoint (the result is never empty and
-        never leaves ``self``)."""
-        lo = min(max(other.theta_lo, self.theta_lo), self.theta_hi)
-        hi = max(min(other.theta_hi, self.theta_hi), self.theta_lo)
-        return ConfidenceInterval(lo, hi)
+        never leaves ``self``).
+
+        The ends are ``lo = min(max(other.lo, self.lo), self.hi)`` and
+        ``hi = max(min(other.hi, self.hi), self.lo)``, each picked by the
+        comparisons those builtins make, ties included, so every end is the
+        very float they return.  When that pair is ``other`` (nested in
+        ``self``, ends may touch) or ``self`` (strictly inside ``other``),
+        the operand itself is returned: both are frozen and equal by value.
+        Only a partial overlap or a collapse builds a new interval.
+        """
+        lo, hi = self.theta_lo, self.theta_hi
+        other_lo, other_hi = other.theta_lo, other.theta_hi
+        if lo <= other_lo:
+            if other_hi <= hi:
+                return other
+            if other_lo <= hi:
+                return ConfidenceInterval(other_lo, hi)
+            return ConfidenceInterval(hi, hi)  # disjoint above
+        if hi < other_hi:
+            return self
+        if lo <= other_hi:
+            return ConfidenceInterval(lo, other_hi)
+        return ConfidenceInterval(lo, lo)  # disjoint below
 
 
 def _half_turns(theta: float, k: int) -> int:
@@ -106,15 +125,16 @@ def find_next_k(interval: ConfidenceInterval, k_current: int) -> tuple[int, int]
     """
     if k_current < 0:
         raise ValueError(f"current power must be non-negative, got {k_current}")
-    width = interval.width
+    lo, hi = interval.theta_lo, interval.theta_hi
+    width = hi - lo
     if width > 0.0:
         # largest k with (4k+2) * width <= pi
         k_cap = int((math.pi / width - 2.0) / 4.0)
         for k in range(k_cap, 2 * k_current - 1, -1):
-            h = _half_turns(interval.theta_lo, k)
-            if (4 * k + 2) * interval.theta_hi <= (h + 1) * math.pi:
+            h = _half_turns(lo, k)
+            if (4 * k + 2) * hi <= (h + 1) * math.pi:
                 return k, h
-    return k_current, _half_turns(interval.midpoint, k_current)
+    return k_current, _half_turns(0.5 * (lo + hi), k_current)
 
 
 class ConfidenceBoundError(ValueError):
@@ -174,15 +194,25 @@ def invert_to_theta(
     With ``phi = (4k+2) theta`` the probability is ``p = (1 - cos(phi)) / 2``.
     ``half_turn`` is h = floor(phi / pi), from :func:`find_next_k`: even h is
     the upper cosine branch, and h // 2 restores the lost multiple of 2*pi
-    before dividing the scaling out.  Results are clipped into [0, pi/2].
+    before dividing the scaling out.  Results above pi/2 are capped there.
+
+    Only that cap is needed.  For ``0 <= p <= 1``, ``2p`` is exact and
+    ``1 - 2p`` rounds into [-1, 1], whose ends are floats, so ``acos`` needs
+    no clamp.  The arcs are >= 0, ``2*pi - arc`` is >= pi, and with
+    ``k >= 0`` and ``h >= 0`` the angles are >= 0, so no floor is needed.
+    Both angles grow with their arc, so ``theta_lo <= theta_hi``; the cap
+    does bind when the winding h overshoots, e.g. ``invert_to_theta(0.4,
+    0.6, 0, 2)`` is [pi/2, pi/2].
     """
     if not 0.0 <= p_lo <= p_hi <= 1.0:
         raise ValueError(f"bad probability interval [{p_lo}, {p_hi}]")
+    if k < 0:
+        raise ValueError(f"power must be non-negative, got {k}")
     if half_turn < 0:
         raise ValueError(f"half_turn must be non-negative, got {half_turn}")
     scale = 4 * k + 2
-    lo_arc = math.acos(max(-1.0, min(1.0, 1.0 - 2.0 * p_lo)))
-    hi_arc = math.acos(max(-1.0, min(1.0, 1.0 - 2.0 * p_hi)))
+    lo_arc = math.acos(1.0 - 2.0 * p_lo)
+    hi_arc = math.acos(1.0 - 2.0 * p_hi)
     if half_turn % 2 == 0:
         scaled_lo, scaled_hi = lo_arc, hi_arc
     else:
@@ -190,10 +220,11 @@ def invert_to_theta(
     base = _TWO_PI * (half_turn // 2)
     theta_lo = (base + scaled_lo) / scale
     theta_hi = (base + scaled_hi) / scale
-    return ConfidenceInterval(
-        max(0.0, min(theta_lo, _HALF_PI)),
-        max(0.0, min(theta_hi, _HALF_PI)),
-    )
+    if theta_hi > _HALF_PI:
+        theta_hi = _HALF_PI
+        if theta_lo > _HALF_PI:
+            theta_lo = _HALF_PI
+    return ConfidenceInterval(theta_lo, theta_hi)
 
 
 @dataclass(frozen=True)
@@ -304,8 +335,9 @@ def run_iqae(
     if backend is None:
         backend = AnalyticBackend()
     while True:
-        a_lo = math.sin(interval.theta_lo) ** 2
-        a_hi = math.sin(interval.theta_hi) ** 2
+        theta_lo, theta_hi = interval.theta_lo, interval.theta_hi
+        a_lo = math.sin(theta_lo) ** 2
+        a_hi = math.sin(theta_hi) ** 2
         if a_hi - a_lo <= 2.0 * epsilon:
             break
         if len(rounds) >= cap:
@@ -323,8 +355,7 @@ def run_iqae(
         pooled_hits += hits
         p_lo, p_hi = binomial_confidence(pooled_hits, pooled_shots, alpha_round)
         contribution = invert_to_theta(p_lo, p_hi, k, half_turn)
-        if (contribution.theta_hi < interval.theta_lo
-                or contribution.theta_lo > interval.theta_hi):
+        if contribution.theta_hi < theta_lo or contribution.theta_lo > theta_hi:
             collapse_round = len(rounds) + 1  # the width-0 interval ends the run
         interval = interval.intersect(contribution)
         rounds.append(RoundRecord(k, half_turn, pooled_shots, pooled_hits, interval))

@@ -64,6 +64,69 @@ def cp_arguments(draw):
     return hits, shots, alpha
 
 
+def clamped_intersect(interval, other):
+    """``ConfidenceInterval.intersect`` as the builtin ``min``/``max``
+    expression it replaced, whose ends it must return bit for bit."""
+    lo = min(max(other.theta_lo, interval.theta_lo), interval.theta_hi)
+    hi = max(min(other.theta_hi, interval.theta_hi), interval.theta_lo)
+    return lo, hi
+
+
+def clamped_invert_to_theta(p_lo, p_hi, k, half_turn):
+    """``invert_to_theta`` with every clamp it once had: each ``acos``
+    argument clipped into [-1, 1] and each angle into [0, pi/2]."""
+    scale = 4 * k + 2
+    lo_arc = math.acos(max(-1.0, min(1.0, 1.0 - 2.0 * p_lo)))
+    hi_arc = math.acos(max(-1.0, min(1.0, 1.0 - 2.0 * p_hi)))
+    if half_turn % 2 == 0:
+        scaled_lo, scaled_hi = lo_arc, hi_arc
+    else:
+        scaled_lo, scaled_hi = 2.0 * math.pi - hi_arc, 2.0 * math.pi - lo_arc
+    base = 2.0 * math.pi * (half_turn // 2)
+    theta_lo = (base + scaled_lo) / scale
+    theta_hi = (base + scaled_hi) / scale
+    return max(0.0, min(theta_lo, HALF_PI)), max(0.0, min(theta_hi, HALF_PI))
+
+
+def bits(*values):
+    """Floats as their hex strings, which tell -0.0 from 0.0."""
+    return tuple(float(v).hex() for v in values)
+
+
+#: interval ends, with both zeros and pi/2 drawn often so that ends tie
+ANGLES = st.one_of(st.sampled_from((0.0, -0.0, HALF_PI)), st.floats(0.0, HALF_PI))
+
+
+@st.composite
+def interval_pairs(draw):
+    """``(interval, other)`` nested, partially overlapping, touching at one
+    end, sharing one end or disjoint, in either order, from four drawn ends."""
+    a, b, c, d = sorted(draw(st.lists(ANGLES, min_size=4, max_size=4)))
+    pair = draw(st.sampled_from((
+        ((a, d), (b, c)),  # nested
+        ((a, c), (b, d)),  # partial
+        ((a, b), (b, d)),  # touching: one's upper end is the other's lower
+        ((a, b), (a, d)),  # shared lower end
+        ((a, d), (c, d)),  # shared upper end
+        ((a, b), (c, d)),  # disjoint, or touching when b == c
+    )))
+    if draw(st.booleans()):
+        pair = pair[::-1]
+    return ConfidenceInterval(*pair[0]), ConfidenceInterval(*pair[1])
+
+
+@st.composite
+def probability_intervals(draw):
+    """``(p_lo, p_hi, k, h)``: p_lo <= p_hi in [0, 1], 0 and 1 drawn often;
+    h of either parity, up to four half-turns past the top one, 2k + 1, so
+    that the pi/2 cap binds."""
+    p = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+    p_lo, p_hi = sorted((draw(p), draw(p)))
+    k = draw(st.one_of(st.integers(0, 8), st.integers(0, 10**6)))
+    h = draw(st.one_of(st.integers(0, 2 * k + 1), st.integers(2 * k + 2, 2 * k + 5)))
+    return p_lo, p_hi, k, h
+
+
 @st.composite
 def search_intervals(draw):
     """``(lo, hi)`` of width 1e-6 to 1, clipped at pi/2 or at 0 two times in
@@ -118,6 +181,27 @@ class TestConfidenceInterval:
     def test_intersect_disjoint_below_collapses_to_lower_edge(self):
         got = ConfidenceInterval(0.2, 0.5).intersect(ConfidenceInterval(0.0, 0.1))
         assert (got.theta_lo, got.theta_hi) == (0.2, 0.2)
+
+    @settings(max_examples=500, deadline=None)
+    @given(pair=interval_pairs())
+    @example(pair=(ConfidenceInterval(0.0, 0.5), ConfidenceInterval(-0.0, 0.5)))
+    @example(pair=(ConfidenceInterval(-0.0, 0.5), ConfidenceInterval(0.0, 0.0)))
+    def test_intersect_equals_min_max_bitwise(self, pair):
+        """The comparisons pick the very float the ``min``/``max`` expression
+        picks, signed zeros included, and the result is never wider than
+        either operand."""
+        interval, other = pair
+        got = interval.intersect(other)
+        assert bits(got.theta_lo, got.theta_hi) == bits(*clamped_intersect(interval, other))
+        assert got.width <= interval.width
+        assert got.width <= other.width
+
+    def test_intersect_returns_an_operand_that_already_is_the_result(self):
+        base = ConfidenceInterval(0.2, 0.5)
+        inner = ConfidenceInterval(0.3, 0.4)
+        assert base.intersect(inner) is inner
+        assert base.intersect(ConfidenceInterval(0.1, 0.9)) is base
+        assert base.intersect(base) is base
 
     def test_intersect_never_escapes_self(self):
         rng = np.random.default_rng(42)
@@ -373,6 +457,17 @@ class TestInvertToTheta:
         assert abs(iv.theta_lo - theta) <= tol
         assert abs(iv.theta_hi - theta) <= tol
 
+    @settings(max_examples=500, deadline=None)
+    @given(args=probability_intervals())
+    @example(args=(0.4, 0.6, 0, 2))  # both ends capped
+    @example(args=(0.0, 1.0, 0, 1))  # p = 0 and 1 on the lower branch
+    @example(args=(1.0, 1.0, 3, 7))  # the top half-turn ends at pi/2
+    def test_equals_clamped_formula_bitwise(self, args):
+        """Dropping the acos clamps and the floor at 0 moves no bit: only the
+        cap at pi/2 can bind."""
+        iv = invert_to_theta(*args)
+        assert bits(iv.theta_lo, iv.theta_hi) == bits(*clamped_invert_to_theta(*args))
+
     def test_ordering_preserved_across_branches(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -391,6 +486,8 @@ class TestInvertToTheta:
             invert_to_theta(0.1, 1.1, 1, 0)
         with pytest.raises(ValueError):
             invert_to_theta(0.1, 0.4, 1, -1)
+        with pytest.raises(ValueError):
+            invert_to_theta(0.1, 0.4, -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -660,3 +757,44 @@ class TestCollapse:
             assert report.a_lo == report.a_hi
         else:
             assert report.collapse_round is None
+
+
+# ---------------------------------------------------------------------------
+# calls per round
+# ---------------------------------------------------------------------------
+
+
+#: one round's calls, in order, at the names perfbench's tracer rebinds; its
+#: IQAE spans and counters count one of each per round
+ROUND_CALLS = (
+    (iqae_mod, "find_next_k"),
+    (iqae_mod, "measure_flag"),
+    (iqae_mod, "binomial_confidence"),
+    (iqae_mod, "invert_to_theta"),
+    (ConfidenceInterval, "intersect"),
+)
+
+
+class TestRoundCalls:
+    @pytest.mark.parametrize("table,shots,rep", [
+        (5, 1024, 15),  # collapses in round 2
+        (6, 64, 3),
+        (8, 512, 0),
+    ])
+    def test_each_round_makes_one_call_of_each_step(self, table, shots, rep):
+        ((_, config),) = table_configs(table)
+        calls = []
+
+        def spy(name, original):
+            def called(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return called
+
+        with pytest.MonkeyPatch.context() as patch:
+            for owner, name in ROUND_CALLS:
+                patch.setattr(owner, name, spy(name, vars(owner)[name]))
+            report = run_iqae(config.oracle(), config.epsilon, config.alpha, shots,
+                              rng=derive_rng(config.base_seed, "iqae", shots, rep))
+        assert len(report.rounds) >= 2
+        assert calls == [name for _, name in ROUND_CALLS] * len(report.rounds)
