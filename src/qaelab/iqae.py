@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -227,9 +228,17 @@ def invert_to_theta(
     return ConfidenceInterval(theta_lo, theta_hi)
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """State after one measurement round."""
+#: every run starts from the whole range; frozen, so all runs share it
+_FULL_RANGE = ConfidenceInterval(0.0, _HALF_PI)
+
+
+class RoundRecord(NamedTuple):
+    """State after one measurement round.
+
+    A NamedTuple because one is built per round, and it builds in well
+    under half the time of a frozen dataclass.  It unpacks, and it equals
+    a plain tuple of the same values.
+    """
 
     k: int
     half_turn: int  # index h of the half-turn [h*pi, (h+1)*pi] holding (4k+2)*theta
@@ -325,7 +334,7 @@ def run_iqae(
     budget = max_rounds(epsilon)
     alpha_round = alpha / budget
     cap = CAP_MULTIPLIER * budget
-    interval = ConfidenceInterval(0.0, _HALF_PI)
+    interval = _FULL_RANGE
     k = 0
     pooled_shots = 0
     pooled_hits = 0

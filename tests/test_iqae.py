@@ -14,6 +14,7 @@ from qaelab import (
     ConfidenceInterval,
     IterationCapError,
     OracleSpec,
+    RoundRecord,
     StatevectorBackend,
     binomial_confidence,
     find_next_k,
@@ -757,6 +758,38 @@ class TestCollapse:
             assert report.a_lo == report.a_hi
         else:
             assert report.collapse_round is None
+
+
+class TestRoundRecord:
+    INTERVAL = ConfidenceInterval(0.1, 0.2)
+
+    def test_positional_and_keyword_construction(self):
+        # the argument shape perfbench's self-test builds a record with
+        rec = RoundRecord(1, True, 64, 10, self.INTERVAL)
+        assert RoundRecord._fields == ("k", "half_turn", "shots", "hits", "interval_after")
+        assert (rec.k, rec.half_turn, rec.shots, rec.hits, rec.interval_after) == (
+            1, True, 64, 10, self.INTERVAL)
+        assert rec == RoundRecord(k=1, half_turn=True, shots=64, hits=10,
+                                  interval_after=self.INTERVAL)
+        assert repr(rec) == (
+            "RoundRecord(k=1, half_turn=True, shots=64, hits=10, "
+            "interval_after=ConfidenceInterval(theta_lo=0.1, theta_hi=0.2))")
+
+    def test_immutable_and_equal_by_value(self):
+        rec = RoundRecord(2, 1, 128, 40, self.INTERVAL)
+        with pytest.raises(AttributeError):
+            rec.hits = 41
+        twin = RoundRecord(2, 1, 128, 40, ConfidenceInterval(0.1, 0.2))
+        assert rec == twin and hash(rec) == hash(twin)
+        assert rec == (2, 1, 128, 40, self.INTERVAL)
+        assert rec != RoundRecord(2, 1, 128, 41, self.INTERVAL)
+
+    def test_runs_record_rounds_and_share_an_unchanged_start(self):
+        for seed in range(5):
+            rep = run_iqae(ORACLE, 0.01, 0.05, 64, rng=np.random.default_rng(seed))
+            assert type(rep.rounds) is tuple and rep.rounds
+            assert all(type(rec) is RoundRecord for rec in rep.rounds)
+        assert iqae_mod._FULL_RANGE == ConfidenceInterval(0.0, math.pi / 2)
 
 
 # ---------------------------------------------------------------------------
