@@ -3,7 +3,8 @@
 A sweep runs one estimator at several shot counts, repeats each cell with
 independently derived generators, and reduces every cell to max/avg/min/std
 summaries of the estimate, its relative error, and the oracle query count.
-Summaries serialize to a fixed 13-column CSV.
+Summaries serialize to a fixed 13-column CSV.  This module computes and
+serializes rows only; the command line opens files and prints diagnostics.
 """
 
 from __future__ import annotations
@@ -11,13 +12,12 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .core import Backend, OracleSpec, check_shots, make_backend
-from .iqae import IterationCapError, check_alpha, max_rounds, run_iqae
+from .iqae import IterationCapError, _max_power, check_alpha, max_rounds, run_iqae
 from .mci import MciConfig, run_mci
 # run_mlqae is not called here; perfbench's tracer rebinds it under this name
 from .mlqae import make_schedule, oracle_call_count, run_mlqae, run_mlqae_cell  # noqa: F401
@@ -28,24 +28,18 @@ __all__ = [
     "DEFAULT_SEED_BASE",
     "ExperimentConfig",
     "SummaryRow",
-    "ReproduceCapError",
     "derive_rng",
     "derive_rngs",
     "summarize",
     "run_sweep",
     "emit_csv",
     "table_configs",
-    "run_table",
 ]
 
 SHOTS_LADDER = (16, 32, 64, 128, 256, 512, 1024)
 DEFAULT_SEED_BASE = 1729
 
 _ALGORITHM_IDS = {"mlqae": 1, "iqae": 2, "mci": 3}
-
-
-class ReproduceCapError(RuntimeError):
-    """A reproduction sweep hit the iteration cap; its table is not emitted."""
 
 
 @dataclass(frozen=True)
@@ -85,13 +79,14 @@ class ExperimentConfig:
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
         backend = make_backend(self.backend)  # raises on an unknown name
-        if self.algorithm != "mci":
-            # raises unless a_true * 2**qubits is an integer
-            oracle = OracleSpec.from_amplitude(self.qubits, self.a_true)
-            try:
-                backend.check_oracle(oracle)
-            except ValueError as exc:
-                raise ValueError(f"qubits: {exc}") from None
+        if self.algorithm == "mci":
+            return
+        # raises unless a_true * 2**qubits is an integer
+        oracle = OracleSpec.from_amplitude(self.qubits, self.a_true)
+        try:
+            backend.check_oracle(oracle)
+        except ValueError as exc:
+            raise ValueError(f"qubits: {exc}") from None
         if self.algorithm == "mlqae":
             schedule = make_schedule(self.schedule, self.depth)
             shots = max(self.shots_list)
@@ -103,9 +98,15 @@ class ExperimentConfig:
                     f"repetitions makes at least 2**{calls.bit_length() - 1} oracle "
                     "calls, more than a float holds"
                 )
-        elif self.algorithm == "iqae":
+            knob, iterates = f"m = {self.depth}", schedule[-1]
+        else:
             max_rounds(self.epsilon)
             check_alpha(self.alpha)
+            knob, iterates = f"epsilon = {self.epsilon:g}", _max_power(self.epsilon)
+        try:
+            backend.check_work(oracle, iterates)
+        except ValueError as exc:
+            raise ValueError(f"{knob}: {exc}") from None
 
     def oracle(self) -> OracleSpec:
         return OracleSpec.from_amplitude(self.qubits, self.a_true)
@@ -386,27 +387,3 @@ def table_configs(table: int) -> list[tuple[str, ExperimentConfig]]:
     return [
         (name, ExperimentConfig(**kw, base_seed=seed)) for name, kw in _TABLES[table]
     ]
-
-
-def run_table(table: int, out_dir) -> list[Path]:
-    """Run the sweeps behind one reproduction table and write their CSVs.
-
-    Raises ReproduceCapError if any repetition hit the iteration cap: the
-    reference parameters never trigger it, so a cap means the run is not
-    comparable and nothing partial is written for that sweep.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for filename, config in table_configs(table):
-        rows = run_sweep(config)
-        capped = sum(row.capped for row in rows)
-        if capped:
-            raise ReproduceCapError(
-                f"{filename}: {capped} repetitions hit the iteration cap"
-            )
-        path = out / filename
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            emit_csv(rows, fh)
-        written.append(path)
-    return written

@@ -15,17 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import (
-    ExperimentConfig,
-    ReproduceCapError,
-    emit_csv,
-    run_sweep,
-    run_table,
-)
+from .bench import ExperimentConfig, emit_csv, run_sweep, table_configs
 from .core import BACKENDS, Backend, OracleSpec, check_shots, make_backend
 from .iqae import (
     ConfidenceBoundError,
     IterationCapError,
+    _max_power,
     check_alpha,
     max_rounds,
     run_iqae,
@@ -78,7 +73,8 @@ def _backend(args, oracle: OracleSpec) -> Backend:
 def _cmd_mlqae(args) -> int:
     oracle = _oracle(args)
     backend = _backend(args, oracle)
-    _checked("--m", make_schedule, args.schedule, args.m)
+    schedule = _checked("--m", make_schedule, args.schedule, args.m)
+    _checked(f"--m {args.m}", backend.check_work, oracle, schedule[-1])
     _checked("--shots", check_shots, args.shots)
     rng = _rng(args)
     report = run_mlqae(
@@ -124,6 +120,8 @@ def _cmd_iqae(args) -> int:
     oracle = _oracle(args)
     backend = _backend(args, oracle)
     _checked("--epsilon", max_rounds, args.epsilon)
+    _checked(f"--epsilon {args.epsilon:g}", backend.check_work, oracle,
+             _max_power(args.epsilon))
     _checked("--alpha", check_alpha, args.alpha)
     _checked("--shots", check_shots, args.shots)
     rng = _rng(args)
@@ -255,17 +253,23 @@ def _cmd_sweep(args) -> int:
         emit_csv(rows, fh)
     if args.out:
         print(f"wrote {args.out}")
+    return _report_counts("sweep", rows)
+
+
+def _report_counts(prefix: str, rows) -> int:
+    """Name a written sweep's collapsed IQAE runs and capped repetitions on
+    stderr, each line headed by ``prefix``; the exit code follows the cap."""
     collapsed = sum(row.collapsed for row in rows)
     if collapsed:
         print(
-            f"sweep: {collapsed} IQAE runs stopped on a zero-width interval "
+            f"{prefix}: {collapsed} IQAE runs stopped on a zero-width interval "
             "after a disjoint round; their estimates are included",
             file=sys.stderr,
         )
     capped = sum(row.capped for row in rows)
     if capped:
         print(
-            f"sweep: {capped} repetitions hit the iteration cap; "
+            f"{prefix}: {capped} repetitions hit the iteration cap; "
             "their partial estimates are included",
             file=sys.stderr,
         )
@@ -289,15 +293,25 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    try:
-        paths = run_table(args.table, args.out)
-    except ReproduceCapError as exc:
-        print(f"reproduce: {exc}", file=sys.stderr)
-        return EXIT_ITERATION_CAP
-    except OSError as exc:
-        raise UsageError(f"--out: {exc}") from None
-    for path in paths:
+    """Run and write each sweep of one reference table.  The reference
+    parameters never reach the iteration cap, so a capped sweep is not
+    comparable: it writes no file and ends the command."""
+    out = Path(args.out)
+    _checked("--out", out.mkdir, parents=True, exist_ok=True)
+    for filename, config in table_configs(args.table):
+        rows = run_sweep(config)
+        capped = sum(row.capped for row in rows)
+        if capped:
+            print(
+                f"reproduce: {filename}: {capped} repetitions hit the iteration cap",
+                file=sys.stderr,
+            )
+            return EXIT_ITERATION_CAP
+        path = out / filename
+        with _checked("--out", open, path, "w", encoding="utf-8", newline="\n") as fh:
+            emit_csv(rows, fh)
         print(f"wrote {path}")
+        _report_counts(f"reproduce: {filename}", rows)
     return EXIT_OK
 
 

@@ -285,6 +285,16 @@ def max_rounds(epsilon: float) -> int:
     return math.ceil(math.log2(math.pi / (8.0 * epsilon))) + 1
 
 
+def _max_power(epsilon: float) -> int:
+    """Bound on the powers a run at ``epsilon`` reaches: about pi / (8 epsilon).
+
+    :func:`find_next_k` caps ``k`` at ``(pi / w - 2) / 4`` for an angle
+    width ``w``, and while a run goes on ``w`` exceeds its amplitude width,
+    which exceeds ``2 epsilon`` (``sin^2 hi - sin^2 lo <= hi - lo``).
+    """
+    return int(math.pi / (8.0 * epsilon) - 0.5)
+
+
 def _report(
     interval: ConfidenceInterval,
     calls: int,

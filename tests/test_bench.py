@@ -1,8 +1,9 @@
 """Tests for the benchmark harness: seed derivation, sweeps, serialization,
-and the table runner."""
+and the reference tables, run as ``qaelab reproduce`` runs them."""
 
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -11,22 +12,21 @@ from hypothesis import strategies as st
 
 import qaelab.bench as bench_mod
 import qaelab.iqae as iqae_mod
+from qaelab import cli
 from qaelab.bench import (
     CSV_HEADER,
     DEFAULT_SEED_BASE,
     SHOTS_LADDER,
     ExperimentConfig,
-    ReproduceCapError,
     SummaryRow,
     derive_rng,
     derive_rngs,
     emit_csv,
     run_sweep,
-    run_table,
     summarize,
     table_configs,
 )
-from qaelab.core import make_backend
+from qaelab.core import _ITERATE_OVERHEAD, _WORK_BUDGET, make_backend
 from qaelab.iqae import run_iqae
 from qaelab.mci import MciConfig, run_mci
 from qaelab.mlqae import run_mlqae
@@ -199,6 +199,27 @@ class TestExperimentConfig:
         assert cfg.depth == 1018
         with pytest.raises(ValueError, match=r"^depth 1019 at 16 shots and 1 rep"):
             dataclasses.replace(cfg, depth=1019)
+
+    def test_statevector_work_boundary_in_depth(self):
+        # at n = 12 an iterate is 2**12 + 2**12 = 2**13 updates, so EIS depth
+        # 25 (top power 2**24) needs the budget, 2**37, and depth 26 twice it
+        assert _ITERATE_OVERHEAD == 1 << 12 and _WORK_BUDGET == 1 << 37
+        cfg = ExperimentConfig("mlqae", qubits=12, backend="sv", depth=25)
+        assert cfg.depth == 25
+        with pytest.raises(ValueError, match=r"^m = 26: n=12 needs up to 33554432 iterates"):
+            dataclasses.replace(cfg, depth=26)
+        assert dataclasses.replace(cfg, depth=26, backend="analytic").depth == 26
+
+    def test_statevector_work_boundary_in_epsilon(self):
+        # an epsilon whose power bound pi / (8 epsilon) - 1/2 lies a quarter
+        # above k: k = 2**24 iterates of 2**13 updates at n = 12 is the budget
+        def epsilon(k):
+            return math.pi / (8 * (k + 0.75))
+
+        cfg = ExperimentConfig("iqae", qubits=12, backend="sv", epsilon=epsilon(1 << 24))
+        with pytest.raises(ValueError, match=r"^epsilon = [0-9.e-]+: n=12 needs up to 16777217 it"):
+            dataclasses.replace(cfg, epsilon=epsilon((1 << 24) + 1))
+        dataclasses.replace(cfg, epsilon=epsilon((1 << 24) + 1), backend="analytic")
 
     def test_frozen_so_every_change_is_checked(self):
         # assigning would skip the checks, and a depth-1023 sweep would then
@@ -565,10 +586,19 @@ PINNED_SHA256 = {
     "table8.csv": "4082934e917c2b73a1c73b3a7caf0008aabf655f450721a57e580a6af53223b9",
 }
 
+#: the IQAE runs of each reproduction that stop on a zero-width interval
+COLLAPSED_RUNS = {"table5.csv": 1, "table7.csv": 2}
+
 
 class TestRunTable:
+    """The reference tables as ``qaelab reproduce --table N`` writes them."""
+
+    def reproduce(self, capsys, table, out):
+        rc = cli.main(["reproduce", "--table", str(table), "--out", str(out)])
+        return rc, capsys.readouterr()
+
     @pytest.mark.parametrize("table", range(1, 9))
-    def test_csv_bytes_are_pinned(self, tmp_path, table):
+    def test_csv_bytes_are_pinned(self, capsys, tmp_path, table):
         """Each reproduction CSV has its recorded sha256.
 
         The digests were taken in ``digest.RECORDED``'s environment.  Like
@@ -576,21 +606,37 @@ class TestRunTable:
         last-bit difference in a likelihood table or a binomial draw
         changes the bytes.
         """
-        for path in run_table(table, tmp_path):
-            assert_sha256(path.read_bytes(), PINNED_SHA256[path.name], path.name)
+        rc, captured = self.reproduce(capsys, table, tmp_path)
+        assert rc == 0
+        names = [name for name, _ in table_configs(table)]
+        assert captured.out == "".join(f"wrote {tmp_path / name}\n" for name in names)
+        assert captured.err == "".join(
+            f"reproduce: {name}: {COLLAPSED_RUNS[name]} IQAE runs stopped on a "
+            "zero-width interval after a disjoint round; their estimates are included\n"
+            for name in names if name in COLLAPSED_RUNS
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+        for name in names:
+            assert_sha256((tmp_path / name).read_bytes(), PINNED_SHA256[name], name)
 
-    def test_writes_expected_file(self, tmp_path):
+    def test_writes_expected_file(self, capsys, tmp_path):
         out = tmp_path / "nested" / "dir"
-        written = run_table(5, out)
-        assert [p.name for p in written] == ["table5.csv"]
-        text = written[0].read_text()
+        rc, captured = self.reproduce(capsys, 5, out)
+        assert rc == 0
+        assert captured.out == f"wrote {out / 'table5.csv'}\n"
+        assert [p.name for p in out.iterdir()] == ["table5.csv"]
+        text = (out / "table5.csv").read_text()
         lines = text.splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + len(SHOTS_LADDER)
         assert text.endswith("\n")
 
-    def test_cap_aborts_without_output(self, tmp_path, monkeypatch):
+    def test_cap_aborts_without_output(self, capsys, tmp_path, monkeypatch):
+        # at a cap of 0 rounds every repetition of the 7 x 30 cells is capped
         monkeypatch.setattr(iqae_mod, "CAP_MULTIPLIER", 0)
-        with pytest.raises(ReproduceCapError, match="table5.csv"):
-            run_table(5, tmp_path)
+        rc, captured = self.reproduce(capsys, 5, tmp_path)
+        assert rc == 3 and captured.out == ""
+        assert captured.err == (
+            "reproduce: table5.csv: 210 repetitions hit the iteration cap\n"
+        )
         assert list(tmp_path.iterdir()) == []

@@ -11,7 +11,7 @@ import pytest
 import qaelab.core as core_mod
 import qaelab.iqae as iqae_mod
 from qaelab import cli
-from qaelab.bench import CSV_HEADER
+from qaelab.bench import CSV_HEADER, table_configs
 
 from digest import assert_sha256
 
@@ -147,6 +147,26 @@ class TestMlqaeCommand:
         assert rc == 1 and out == ""
         assert f"--qubits: n={n} needs 2**{n} * 8 bytes" in err
         assert "physical memory" in err
+
+    @pytest.mark.parametrize("knob,need", [
+        (("mlqae", "--m", "40"), "--m 40: n=4 needs up to 549755813888 iterates"),
+        (("mlqae", "--m", "30"), "--m 30: n=4 needs up to 536870912 iterates"),
+        (("iqae", "--epsilon", "1e-9", "--alpha", "0.05"),
+         "--epsilon 1e-09: n=4 needs up to 392699081 iterates"),
+    ])
+    def test_statevector_beyond_the_work_budget_blames_the_knob(
+            self, capsys, monkeypatch, knob, need):
+        def no_allocation(*args):  # fail here, not after hours of iterates
+            raise AssertionError("the refused run reached an allocation")
+
+        monkeypatch.setattr(core_mod, "_prepare_slice", no_allocation)
+        rc, out, err = run_cli(
+            capsys, *knob, "--qubits", "4", "--a", "0.25", "--shots", "16",
+            "--seed", "0", "--backend", "sv",
+        )
+        assert rc == 1 and out == ""
+        assert err.startswith(f"qaelab: error: {need}, about 2**")
+        assert "more than the statevector budget of 2**37" in err
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +556,32 @@ class TestReproduceCommand:
         assert rc == 0
         assert "wrote" in out
         assert (tmp_path / "table5.csv").exists()
-        assert err == ""  # table 5's collapsed run is not reported here
+        assert err == (
+            "reproduce: table5.csv: 1 IQAE runs stopped on a zero-width interval "
+            "after a disjoint round; their estimates are included\n"
+        )
+
+    @pytest.mark.parametrize("table,collapsed", [(5, 1), (7, 2)])
+    def test_sweep_of_a_tables_config_writes_what_reproduce_writes(
+            self, capsys, tmp_path, table, collapsed):
+        [(filename, config)] = table_configs(table)
+        conf = tmp_path / f"table{table}.conf"
+        conf.write_text("".join(
+            f"{key} = {','.join(map(str, value)) if key == 'shots' else value}\n"
+            for key, (field, _) in cli._CONFIG_KEYS.items()
+            for value in [getattr(config, field)]
+        ), encoding="utf-8")
+        assert cli.parse_config_file(conf) == config
+        counts = (f"{collapsed} IQAE runs stopped on a zero-width interval after a "
+                  "disjoint round; their estimates are included\n")
+
+        rc, out, err = run_cli(capsys, "reproduce", "--table", str(table),
+                               "--out", str(tmp_path / "reproduced"))
+        assert (rc, err) == (0, f"reproduce: {filename}: {counts}")
+        swept = tmp_path / "swept.csv"
+        rc, out, err = run_cli(capsys, "sweep", "--config", str(conf), "--out", str(swept))
+        assert (rc, out, err) == (0, f"wrote {swept}\n", f"sweep: {counts}")
+        assert swept.read_bytes() == (tmp_path / "reproduced" / filename).read_bytes()
 
     def test_out_that_is_a_file_names_the_flag(self, capsys, tmp_path):
         out_path = tmp_path / "table.csv"

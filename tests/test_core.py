@@ -520,6 +520,19 @@ class TestBackends:
         oracle = OracleSpec(n, 1 << (n - 3))
         assert_refused_without_allocating(message, lambda: run(oracle))
 
+    def test_statevector_work_budget_counts_each_iterates_fixed_cost(self):
+        # at n = 4 an iterate is 16 amplitude updates plus the fixed cost,
+        # so the budget admits 2**37 // 4112 iterates, not 2**33
+        oracle = OracleSpec(4, 4)
+        most = core_mod._WORK_BUDGET // (16 + core_mod._ITERATE_OVERHEAD)
+        assert most == 33_423_870
+        StatevectorBackend().check_work(oracle, most)
+        with pytest.raises(ValueError, match=(
+                r"^n=4 needs up to 33423871 iterates, about 2\*\*37\.0 amplitude "
+                r"updates, more than the statevector budget of 2\*\*37$")):
+            StatevectorBackend().check_work(oracle, most + 1)
+        AnalyticBackend().check_work(oracle, 1 << 60)
+
     def test_statevector_checks_the_oracle_on_each_restart_only(self, monkeypatch):
         backend = StatevectorBackend()
         checked = []
