@@ -337,11 +337,16 @@ def run_iqae(
         rng: seeded generator used for every draw, in round order.
 
     Raises:
+        ValueError: before the first round, if the backend cannot run the
+            powers a run at ``epsilon`` may reach (``Backend.check_work``).
         IterationCapError: after ``10 * max_rounds(epsilon)`` rounds without
             reaching the target width.
     """
     check_alpha(alpha)
     budget = max_rounds(epsilon)
+    if backend is None:
+        backend = AnalyticBackend()
+    backend.check_work(oracle, _max_power(epsilon))
     alpha_round = alpha / budget
     cap = CAP_MULTIPLIER * budget
     interval = _FULL_RANGE
@@ -351,8 +356,6 @@ def run_iqae(
     calls = 0
     rounds: list[RoundRecord] = []
     collapse_round = None
-    if backend is None:
-        backend = AnalyticBackend()
     while True:
         theta_lo, theta_hi = interval.theta_lo, interval.theta_hi
         a_lo = math.sin(theta_lo) ** 2

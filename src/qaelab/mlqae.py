@@ -112,13 +112,12 @@ class MeasurementRecord:
             raise ValueError(f"hits {self.hits} outside [0, {self.shots}]")
 
 
-def _weights(hits: np.ndarray, shots) -> np.ndarray:
-    """The kernel's weights (2R, B) of B runs' hits (B, R) and ``shots``, one
-    count or a (B, 1) column: column b reads run b's hits_0, misses_0,
-    hits_1, and so on, the misses taken as ``shots - hits`` before floats."""
+def _weights(hits: np.ndarray, misses: np.ndarray) -> np.ndarray:
+    """The kernel's weights (2R, B) of B runs' hits and misses (B, R): column
+    b reads run b's hits_0, misses_0, hits_1, and so on."""
     weights = np.empty((2 * hits.shape[1], len(hits)))
     weights[0::2] = hits.T
-    weights[1::2] = (shots - hits).T
+    weights[1::2] = misses.T
     return weights
 
 
@@ -129,8 +128,11 @@ def _likelihood_columns(records) -> tuple[tuple[int, ...], np.ndarray]:
     if any(record.powers != powers for record in records):
         raise ValueError("record sets of one batch must have the same powers")
     hits = np.array([record.hits for record in records])
-    shots = np.array([[record.shots] for record in records])
-    return powers, _weights(hits, shots)
+    # misses per record before floats, as the scalar loop takes them: past
+    # 2**53 shots an integer count beside float ones in one array would
+    # round first, and a column would depend on the other records
+    misses = np.array([[record.shots - count for count in record.hits] for record in records])
+    return powers, _weights(hits, misses)
 
 
 def _multipliers(powers) -> np.ndarray:
@@ -155,14 +157,48 @@ def _log_terms(angles: np.ndarray, out: np.ndarray) -> None:
     np.log(out, out)
 
 
+def _log_likelihood_at(multipliers: list, weights: list, theta: float) -> float:
+    """One run's joint log-likelihood at ``theta`` in Python floats: the
+    one-angle path of :func:`_log_likelihoods`, given the multipliers and
+    the run's weights as lists of R and 2R floats.
+
+    It rounds as the array path does.  ``math.sin`` and ``math.cos`` round
+    as numpy's float64 ``sin`` and ``cos``; ``x ** 2`` on a float is libm's
+    ``pow``, as ``np.float_power`` is, where ``x * x`` is not; the floor is
+    the same comparison; one ``np.log`` call takes the 2R terms, since
+    ``math.log`` differs from it in the last bit now and then; and the
+    weighted terms are added one after another from the first, the order
+    of ``np.add.accumulate`` down a column.
+    """
+    terms = []
+    for multiplier in multipliers:
+        angle = multiplier * theta
+        s2 = math.sin(angle) ** 2
+        c2 = math.cos(angle) ** 2
+        terms += (s2 if s2 > LIKELIHOOD_FLOOR else LIKELIHOOD_FLOOR,
+                  c2 if c2 > LIKELIHOOD_FLOOR else LIKELIHOOD_FLOOR)
+    logs = np.log(terms).tolist()
+    value = logs[0] * weights[0]
+    for j in range(1, len(logs)):
+        value = value + logs[j] * weights[j]
+    return value
+
+
 def _log_likelihoods(multipliers: np.ndarray, weights: np.ndarray, thetas) -> np.ndarray:
     """Joint log-likelihood of column b's run at the angle ``thetas[b]``.
 
     The weights are :func:`_weights`'.  Each value is bit for bit that of
-    the per-power loop ``verify.reference_scalar_log_likelihood``:
-    :func:`_log_terms` rounds as the loop does, and ``np.add.accumulate``
-    adds down each column in the loop's order.
+    the per-power loop ``verify.reference_scalar_log_likelihood``.  One
+    angle takes :func:`_log_likelihood_at`, in Python floats: about 10
+    numpy calls per point cost more than the arithmetic for one column.
+    Two or more take the array path: :func:`_log_terms` rounds as the loop
+    does, and ``np.add.accumulate`` adds down each column in the loop's
+    order.
     """
+    if len(thetas) == 1:
+        value = _log_likelihood_at(multipliers.ravel().tolist(), weights.ravel().tolist(),
+                                   float(thetas[0]))
+        return np.array([value])
     terms = np.empty((2 * len(multipliers), len(thetas)))
     _log_terms(multipliers * np.array(thetas), terms)
     terms *= weights
@@ -302,8 +338,19 @@ def _lockstep(refines, multipliers: np.ndarray, weights: np.ndarray) -> list[flo
     All generators step together: each step evaluates every one's next point
     in one kernel call.  A finished generator's column stays in the batch at
     its last point and is sent nothing more; the one multipliers column
-    serves every set.
+    serves every set.  A lone generator takes the kernel's one-angle path,
+    its lists built once.
     """
+    if len(refines) == 1:
+        refine = refines[0]
+        kernel = functools.partial(_log_likelihood_at, multipliers.ravel().tolist(),
+                                   weights.ravel().tolist())
+        point = next(refine)
+        while True:
+            try:
+                point = refine.send(kernel(point))
+            except StopIteration as done:
+                return [done.value]
     results = [None] * len(refines)
     points = [next(refine) for refine in refines]
     while None in results:
@@ -329,11 +376,13 @@ def maximize_likelihoods(records) -> list[tuple[float, float]]:
     best score in the two best-bound sub-blocks of its best-bound block.
     Stage two refines between the grid neighbours of the best point by
     golden section down to 1e-10, all records in lockstep (see
-    :func:`_lockstep`).  Ties go to the smaller angle, and the result never
-    scores below the best grid point.  The grid tables and the kernel share
-    one formula, so each value is bit for bit one scalar evaluation at its
-    angle.  Records go ``_CHUNK`` = 512 at a time, which bounds the
-    transient arrays; a record's result does not depend on the others.
+    :func:`_lockstep`); a lone record scores its points in Python floats,
+    bit for bit as the array kernel does.  Ties go to the smaller angle,
+    and the result never scores below the best grid point.  The grid
+    tables and the kernel share one formula, so each value is bit for bit
+    one scalar evaluation at its angle.  Records go ``_CHUNK`` = 512 at a
+    time, which bounds the transient arrays; a record's result does not
+    depend on the others.
 
     The grid's log sin^2 and log cos^2 tables and their block and sub-block
     maxima are built once per power and cached for the life of the process:
@@ -395,24 +444,27 @@ def run_mlqae_cell(
     """One :func:`run_mlqae` per generator of the iterable ``rngs``,
     maximized together.
 
-    The backend is asked once per power of the schedule, before the first
-    draw, and not at all when ``rngs`` is empty.  Each generator then draws
-    its hits for every power in schedule order, as one run after another
-    would, and all of them are maximized together, as
+    The backend first checks that it can run the schedule's top power
+    (``Backend.check_work``), then is asked once per power, before the
+    first draw, and not at all when ``rngs`` is empty.  Each generator then
+    draws its hits for every power in schedule order, as one run after
+    another would, and all of them are maximized together, as
     :func:`maximize_likelihoods` does.
     """
     powers = make_schedule(kind, depth)
     check_shots(shots)
+    if backend is None:
+        backend = AnalyticBackend()
+    backend.check_work(oracle, powers[-1])
     rngs = iter(rngs)
     first = next(rngs, None)
     if first is None:
         return []
-    if backend is None:
-        backend = AnalyticBackend()
     probabilities = [_draw_probability(backend, oracle, power) for power in powers]
     hits = np.array([[rng.binomial(shots, p) for p in probabilities]
                      for rng in itertools.chain((first,), rngs)], dtype=np.int64)
     calls = oracle_call_count(powers, shots)
+    results = _maximize(powers, _weights(hits, shots - hits))
     return [
         MlqaeReport(
             theta_hat=theta_hat,
@@ -421,7 +473,7 @@ def run_mlqae_cell(
             record=MeasurementRecord(powers, shots, row),
             log_likelihood_at_max=value,
         )
-        for row, (theta_hat, value) in zip(hits.tolist(), _maximize(powers, _weights(hits, shots)))
+        for row, (theta_hat, value) in zip(hits.tolist(), results)
     ]
 
 

@@ -468,8 +468,10 @@ def _check_log_likelihood() -> CheckResult:
 
 def _check_lockstep_maximizer() -> CheckResult:
     # (record, (theta, value)) pairs: every repetition of tables 2-4 as the
-    # sweeps refine them, then batches of depth-18 records
+    # sweeps refine them, the first and last of each cell again alone, then
+    # batches of depth-18 records and the first of each alone
     results = []
+    singles = []
     for table in (2, 3, 4):
         for _, config in table_configs(table):
             backend = make_backend(config.backend)
@@ -481,15 +483,19 @@ def _check_lockstep_maximizer() -> CheckResult:
                                                  kind=config.schedule, backend=backend,
                                                  rngs=rngs)
                 ]
+                singles += [results[-config.repetitions][0], results[-1][0]]
     rng = _rng()
     for kind in ("eis", "lis"):
         schedule = make_schedule(kind, 18)
         batch = [_edge_record(schedule, shots, rng) for shots in (1, 3, 1024) for _ in range(3)]
         results += zip(batch, maximize_likelihoods(batch))
+        singles += batch[::3]
+    # a batch of one takes the likelihood kernel's one-angle path
+    results += [(record, maximize_likelihoods([record])[0]) for record in singles]
     differ = sum(got != reference_maximize_likelihood(record) for record, got in results)
     return CheckResult(
         "lockstep likelihood maximizer vs full-grid argmax and scalar golden section, "
-        "bit for bit (tables 2-4, depth 18)",
+        "bit for bit (tables 2-4 and depth 18, in batches and one set at a time)",
         differ == 0,
         f"{differ} of {len(results)} record sets differ in theta or value",
     )

@@ -107,6 +107,9 @@ class TestDeriveRngs:
     @example(0, "mci", 1, 1)
     @example(2**32, "mlqae", 2**32, 64)
     @example(2**64, "iqae", 2**64 - 1, 33)
+    # the last cell seeded by derive_rng itself and the first batched one
+    @example(2**32 + 1, "mlqae", 16, bench_mod._BATCHED_FROM - 1)
+    @example(2**32 + 1, "mlqae", 16, bench_mod._BATCHED_FROM)
     def test_same_generators_as_derive_rng(self, base_seed, algorithm, shots, repetitions):
         assert_same_streams(base_seed, algorithm, shots, repetitions)
 
@@ -131,6 +134,15 @@ class TestDeriveRngs:
             want = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
             assert np.array_equal(seed, want)
 
+    @pytest.mark.parametrize("first", [0, 7, bench_mod._BATCH])
+    def test_a_batch_of_one(self, first):
+        # a cell of 2**14 + 1 repetitions ends in one, though small cells
+        # are seeded by derive_rng
+        head = bench_mod._words(1729) + [1] + bench_mod._words(1024)
+        (got,) = bench_mod._batch_seeds(head, first, 1)
+        want = np.random.SeedSequence([1729, 1, 1024, first]).generate_state(4, np.uint64)
+        assert np.array_equal(got, want)
+
     def test_generators_are_built_as_iterated(self):
         # a trillion repetitions: only the first batch is ever seeded
         rngs = derive_rngs(5, "mci", 64, 10**12)
@@ -138,7 +150,8 @@ class TestDeriveRngs:
         assert first.bit_generator.state == derive_rng(5, "mci", 64, 0).bit_generator.state
 
     def test_the_preset_seed_serves_pcg64_only(self):
-        seed = next(derive_rngs(5, "mci", 64, 1)).bit_generator.seed_seq
+        # the smallest cell that the batched hash seeds
+        seed = next(derive_rngs(5, "mci", 64, bench_mod._BATCHED_FROM)).bit_generator.seed_seq
         with pytest.raises(ValueError):
             seed.generate_state(8)
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import beta, binom
 
+import qaelab.core as core_mod
 import qaelab.iqae as iqae_mod
 from qaelab import (
     ConfidenceInterval,
@@ -683,6 +684,16 @@ class TestRunIqae:
         )
         assert rep.a_hi - rep.a_lo <= 0.04
         assert rep.a_lo <= 0.125 <= rep.a_hi
+
+    def test_statevector_beyond_the_work_budget_is_refused(self, monkeypatch):
+        def no_iterate(*args):  # fail here, not after hours of iterates
+            raise AssertionError("the refused run reached an iterate")
+
+        monkeypatch.setattr(core_mod, "_iterate", no_iterate)
+        with pytest.raises(ValueError, match=r"^n=4 needs up to 392699081 iterates, "
+                                             r".* statevector budget of 2\*\*37$"):
+            run_iqae(OracleSpec(4, 4), 1e-9, 0.05, 16, backend=StatevectorBackend(),
+                     rng=np.random.default_rng(0))
 
     def test_rejects_bad_arguments(self):
         rng = np.random.default_rng(0)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qaelab.core as core_mod
 from qaelab.bench import derive_rngs
 from qaelab.core import AnalyticBackend, OracleSpec, StatevectorBackend, measure_flag
 from qaelab.mlqae import (
@@ -352,6 +353,69 @@ def golden_steps(lo, hi):
         return steps
 
 
+@st.composite
+def one_angle_cases(draw):
+    """A record of an EIS or LIS schedule to depth 18 and an angle.  Shots
+    run to 2**63 - 1; hits are 0, N or any count, or each power's float
+    expectation at a drawn angle; the angle is 0, pi/2, a grid point or any
+    in between."""
+    powers = make_schedule(draw(st.sampled_from(("eis", "lis"))), draw(st.integers(0, 18)))
+    shots = draw(st.one_of(st.integers(1, 4096), st.integers(2**53 - 2, 2**53 + 2),
+                           st.integers(1, 2**63 - 1), st.just(2**63 - 1)))
+    counts = st.one_of(st.just(0), st.just(shots), st.integers(0, shots))
+    if draw(st.booleans()):
+        hits = [draw(counts) for _ in powers]
+    else:
+        truth = draw(st.floats(0.0, math.pi / 2))
+        # float(shots) may round above shots
+        hits = [min(shots * math.sin((2 * p + 1) * truth) ** 2, shots) for p in powers]
+    theta = draw(st.one_of(
+        st.sampled_from((0.0, math.pi / 2)),
+        st.integers(0, GRID_POINTS - 1).map(lambda i: float(_grid()[i])),
+        st.floats(0.0, math.pi / 2),
+    ))
+    return MeasurementRecord(powers, shots, hits), theta
+
+
+class TestOneAngle:
+    """The kernel's one-angle path, in Python floats, rounds as its array
+    path and as the scalar loop in ``verify`` do."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=one_angle_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_array_path_and_the_scalar_loop(self, case, seed):
+        record, theta = case
+        # more angles, and each power alone: a last-bit slip in one term
+        # shows in about 1% of the sums
+        angles = [theta] + np.random.default_rng(seed).uniform(0.0, math.pi / 2, 16).tolist()
+        for subset in with_singles(record):
+            powers, weights = _likelihood_columns([subset])
+            multipliers = _multipliers(powers)
+            alone = [_log_likelihoods(multipliers, weights, [t])[0].hex() for t in angles]
+            # a batch of the record at every angle takes the array path
+            batch = _likelihood_columns([subset] * len(angles))[1]
+            columns = [v.hex() for v in _log_likelihoods(multipliers, batch, angles).tolist()]
+            want = [reference_scalar_log_likelihood(subset, t).hex() for t in angles]
+            assert alone == columns == want
+            assert log_likelihood(subset, theta).hex() == want[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=one_angle_cases())
+    def test_a_batch_of_one_maximizes_as_a_batch_of_two(self, case):
+        record, _ = case
+        assert maximize_likelihoods([record])[0] == maximize_likelihoods([record, record])[0]
+
+    def test_a_records_column_ignores_the_other_records_hit_types(self):
+        # past 2**53 shots an integer count beside float ones in one array
+        # would be rounded before its misses are taken
+        shots = 2**53 + 1
+        ints = MeasurementRecord((0, 1), shots, (2, 3))
+        floats = MeasurementRecord((0, 1), shots, (2.0, 3.0))
+        alone = _likelihood_columns([ints])[1]
+        assert alone[:, 0].tolist() == [2.0, 2**53 - 1, 3.0, 2**53 - 2]
+        assert np.array_equal(_likelihood_columns([ints, floats])[1][:, :1], alone)
+
+
 class TestLockstep:
     """The lockstep maximizer equals the scalar one in ``verify`` bit for bit,
     in the angle and in the log-likelihood there."""
@@ -634,6 +698,16 @@ class TestRunMlqae:
             oracle, 3, 2048, backend=StatevectorBackend(), rng=np.random.default_rng(9)
         )
         assert abs(report.a_hat - oracle.a) < 0.05
+
+    def test_statevector_beyond_the_work_budget_is_refused(self, monkeypatch):
+        def no_iterate(*args):  # fail here, not after hours of iterates
+            raise AssertionError("the refused run reached an iterate")
+
+        monkeypatch.setattr(core_mod, "_iterate", no_iterate)
+        with pytest.raises(ValueError, match=r"^n=4 needs up to 549755813888 iterates, "
+                                             r".* statevector budget of 2\*\*37$"):
+            run_mlqae(OracleSpec(4, 4), 40, 16, backend=StatevectorBackend(),
+                      rng=np.random.default_rng(0))
 
     def test_deterministic(self):
         oracle = OracleSpec(10, 128)
