@@ -386,7 +386,7 @@ class TestOneAngle:
     def test_matches_the_array_path_and_the_scalar_loop(self, case, seed):
         record, theta = case
         # more angles, and each power alone: a last-bit slip in one term
-        # shows in about 1% of the sums
+        # mostly rounds away in a sum
         angles = [theta] + np.random.default_rng(seed).uniform(0.0, math.pi / 2, 16).tolist()
         for subset in with_singles(record):
             powers, weights = _likelihood_columns([subset])
