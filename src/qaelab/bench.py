@@ -9,12 +9,13 @@ serializes rows only; the command line opens files and prints diagnostics.
 
 from __future__ import annotations
 
+import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 from .core import Backend, OracleSpec, check_shots, make_backend
 from .iqae import IterationCapError, _max_power, check_alpha, max_rounds, run_iqae
@@ -179,7 +180,7 @@ def derive_rngs(
     head = _words(base_seed) + [_ALGORITHM_IDS[algorithm]] + _words(shots)
     if repetitions < _BATCHED_FROM:
         return (derive_rng(base_seed, algorithm, shots, r) for r in range(repetitions))
-    return _batched_rngs(head, repetitions)
+    return _batched_rngs((base_seed, _ALGORITHM_IDS[algorithm], shots), head, repetitions)
 
 
 # numpy.random.SeedSequence (O'Neill's seed_seq_fe) with its default pool
@@ -265,35 +266,58 @@ def _batch_seeds(head: list[int], first: int, count: int) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-class _PresetSeed(ISeedSequence):
-    """Hands PCG64 the four uint64 state words computed for it in advance."""
-
-    __slots__ = ("_words",)
-
-    def __init__(self, words: np.ndarray) -> None:
-        self._words = words
+class _PresetSeed(tuple, ISpawnableSeedSequence):
+    """``(words, cell, repetition)``: hands PCG64 the four uint64 state
+    words computed for it in advance, and spawns as ``derive_rng``'s
+    generator does.  The first :meth:`spawn` builds that generator's
+    ``SeedSequence(cell + (repetition,))`` and every spawn is delegated to
+    it, so the children and their count match.  One is built per
+    repetition, and a tuple is built in C with no Python ``__init__``.
+    """
 
     def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        if (n_words, dtype) != (len(self._words), np.uint64):
-            raise ValueError(f"holds {len(self._words)} uint64 words only")
-        return self._words
+        words = self[0]
+        if (n_words, dtype) != (len(words), np.uint64):
+            raise ValueError(f"holds {len(words)} uint64 words only")
+        return words
+
+    def spawn(self, n_children: int) -> list[np.random.SeedSequence]:
+        seq = self.__dict__.get("seq")
+        if seq is None:
+            seq = self.__dict__["seq"] = np.random.SeedSequence([*self[1], self[2]])
+        return seq.spawn(n_children)
 
 
-def _batched_rngs(head: list[int], repetitions: int) -> Iterator[np.random.Generator]:
+def _batched_rngs(cell: tuple[int, int, int], head: list[int],
+                  repetitions: int) -> Iterator[np.random.Generator]:
+    """The generators of a cell's repetitions; ``cell`` is its (base seed,
+    algorithm id, shots) and ``head`` their 32-bit words."""
     for first in range(0, repetitions, _BATCH):
-        for words in _batch_seeds(head, first, min(_BATCH, repetitions - first)):
-            yield np.random.Generator(np.random.PCG64(_PresetSeed(words)))
+        seeds = _batch_seeds(head, first, min(_BATCH, repetitions - first))
+        for repetition, words in enumerate(seeds, first):
+            yield np.random.Generator(np.random.PCG64(_PresetSeed((words, cell, repetition))))
 
 
 def summarize(values) -> tuple[float, ...]:
     """(max, mean, min, population std) along the last axis of non-empty values.
 
     One sequence gives those four floats; a stack of rows gives four per
-    row, in row order, each bit for bit the row's own summary.
+    row, in row order, each bit for bit the row's own summary.  Rows of one
+    value skip numpy's reductions and take numpy's arithmetic for one
+    element in Python floats: its sum starts from 0.0, so -0.0 has mean
+    0.0; its std squares the deviation from the mean, so inf or NaN has std
+    NaN.  Dividing by a count of one changes no float.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("nothing to summarize")
+    if arr.ndim and arr.shape[-1] == 1:
+        stats = []
+        for value in arr.ravel().tolist():
+            mean = 0.0 + value
+            deviation = value - mean
+            stats += (value, mean, value, math.sqrt(deviation * deviation))
+        return tuple(stats)
     stats = np.empty(arr.shape[:-1] + (4,))
     arr.max(-1, out=stats[..., 0])
     arr.mean(-1, out=stats[..., 1])

@@ -7,7 +7,10 @@ by a bounded coarse grid scan and golden-section refinement.  A sweep
 cell asks its backend for each power's flag probability once and draws
 every repetition's hits from it; the scan and the refinement then run all
 of the cell's repetitions together, the refinement in lockstep with one
-vectorized likelihood evaluation per step.
+vectorized likelihood evaluation per step.  A lone record, as from
+``run_mlqae`` or a one-repetition cell, takes a scalar path instead: a
+scan over slices of its schedule's stacked bounds, and a refinement in
+Python floats, with the same results bit for bit.
 """
 
 from __future__ import annotations
@@ -158,17 +161,19 @@ def _log_terms(angles: np.ndarray, out: np.ndarray) -> None:
 
 
 def _log_likelihood_at(multipliers: list, weights: list, theta: float) -> float:
-    """One run's joint log-likelihood at ``theta`` in Python floats: the
-    one-angle path of :func:`_log_likelihoods`, given the multipliers and
-    the run's weights as lists of R and 2R floats.
+    """One run's joint log-likelihood at ``theta`` in Python floats, given
+    the multipliers and the run's weights as lists of R and 2R floats: the
+    kernel's one-run path, which :func:`log_likelihood` and the lone-record
+    maximizer take, since about 10 numpy calls per point cost more than the
+    arithmetic for one run.
 
-    It rounds as the array path does.  ``math.sin`` and ``math.cos`` round
-    as numpy's float64 ``sin`` and ``cos``; ``x ** 2`` on a float is libm's
-    ``pow``, as ``np.float_power`` is, where ``x * x`` is not; the floor is
-    the same comparison; one ``np.log`` call takes the 2R terms, since
-    ``math.log`` differs from it in the last bit now and then; and the
-    weighted terms are added one after another from the first, the order
-    of ``np.add.accumulate`` down a column.
+    It rounds as the array path :func:`_log_likelihoods` does.  ``math.sin``
+    and ``math.cos`` round as numpy's float64 ``sin`` and ``cos``; ``x ** 2``
+    on a float is libm's ``pow``, as ``np.float_power`` is, where ``x * x``
+    is not; the floor is the same comparison; one ``np.log`` call takes the
+    2R terms, since ``math.log`` differs from it in the last bit now and
+    then; and the weighted terms are added one after another from the
+    first, the order of ``np.add.accumulate`` down a column.
     """
     terms = []
     for multiplier in multipliers:
@@ -188,17 +193,11 @@ def _log_likelihoods(multipliers: np.ndarray, weights: np.ndarray, thetas) -> np
     """Joint log-likelihood of column b's run at the angle ``thetas[b]``.
 
     The weights are :func:`_weights`'.  Each value is bit for bit that of
-    the per-power loop ``verify.reference_scalar_log_likelihood``.  One
-    angle takes :func:`_log_likelihood_at`, in Python floats: about 10
-    numpy calls per point cost more than the arithmetic for one column.
-    Two or more take the array path: :func:`_log_terms` rounds as the loop
-    does, and ``np.add.accumulate`` adds down each column in the loop's
-    order.
+    the per-power loop ``verify.reference_scalar_log_likelihood``:
+    :func:`_log_terms` rounds as the loop does, and ``np.add.accumulate``
+    adds down each column in the loop's order.  A lone run is scored by
+    :func:`_log_likelihood_at` instead.
     """
-    if len(thetas) == 1:
-        value = _log_likelihood_at(multipliers.ravel().tolist(), weights.ravel().tolist(),
-                                   float(thetas[0]))
-        return np.array([value])
     terms = np.empty((2 * len(multipliers), len(thetas)))
     _log_terms(multipliers * np.array(thetas), terms)
     terms *= weights
@@ -213,11 +212,13 @@ def log_likelihood(record: MeasurementRecord, theta: float) -> float:
         hits * log(sin^2((2m+1) theta)) + (shots - hits) * log(cos^2((2m+1) theta))
 
     with both squared terms clamped below at ``LIKELIHOOD_FLOOR``.  It is
-    the likelihood kernel on a batch of one; the coarse grid scan sums
-    cached tables of the same terms instead (see :func:`_bounded_scan`).
+    the likelihood kernel's one-run path, :func:`_log_likelihood_at`; the
+    coarse grid scan sums cached tables of the same terms instead (see
+    :func:`_bounded_scan`).
     """
     powers, weights = _likelihood_columns([record])
-    return float(_log_likelihoods(_multipliers(powers), weights, [theta])[0])
+    return _log_likelihood_at(_multipliers(powers).ravel().tolist(), weights.ravel().tolist(),
+                              float(theta))
 
 
 @functools.cache
@@ -247,22 +248,42 @@ def _log_tables(power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table, sub_maxima, block_maxima
 
 
+@functools.cache
+def _maxima(powers: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The block and the sub-block maxima of the tables of ``powers`` (see
+    :func:`_log_tables`), each stacked as one read-only (2R, n) array whose
+    rows 2j and 2j + 1 are power j's: (2R, ``_BLOCKS``) and (2R,
+    ``GRID_POINTS // _SUB_POINTS``).  Cached per powers tuple for the life
+    of the process: 68 KB per power of each schedule.
+    """
+    _, sub_maxima, block_maxima = zip(*(_log_tables(power) for power in powers))
+    stacks = np.concatenate(block_maxima), np.concatenate(sub_maxima)
+    for stack in stacks:
+        stack.flags.writeable = False
+    return stacks
+
+
 def _scores(weights: np.ndarray, rows, width: int, sets, nodes) -> np.ndarray:
     """Weighted sums over K nodes, as (K, ``width``): node k is the
     ``nodes[k]``-th run of ``width`` values of each row of ``rows`` (one
-    (2, n) array of log sin^2 and log cos^2 values per power), the rows
-    weighted by column ``sets[k]`` of ``weights`` (2R, B), whose rows 2j and
-    2j + 1 are power j's hits and misses.  On table values the sums are bit
-    for bit ``verify.reference_log_likelihood``'s: ``np.add.reduce`` over
-    the first axis adds row after row in order when a row has more than one
-    element (over one column it would sum pairwise), and every width here
-    is at least 16.
+    (2, n) array of log sin^2 and log cos^2 values per power, or all of
+    them stacked as one (2R, n) array), the rows weighted by column
+    ``sets[k]`` of ``weights`` (2R, B), whose rows 2j and 2j + 1 are power
+    j's hits and misses; ``sets`` = ``slice(None)`` weights every node by a
+    lone column.  On table values the sums are bit for bit
+    ``verify.reference_log_likelihood``'s: ``np.add.reduce`` over the first
+    axis adds row after row in order when a row has more than one element
+    (over one column it would sum pairwise), and every width here is at
+    least 16.
     """
     parts = np.empty((len(weights), len(nodes), width))
     # each take gathers straight into its rows of ``parts``: mode="clip" skips
     # the buffered copy that the default mode makes (the indices are in range)
-    for j, row in enumerate(rows):
-        row.reshape(2, -1, width).take(nodes, axis=1, out=parts[2 * j:2 * j + 2], mode="clip")
+    start = 0
+    for row in rows:
+        stop = start + len(row)
+        row.reshape(len(row), -1, width).take(nodes, axis=1, out=parts[start:stop], mode="clip")
+        start = stop
     parts *= weights[:, sets, None]
     return np.add.reduce(parts, axis=0)
 
@@ -284,18 +305,22 @@ def _bounded_scan(powers, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bounds are then taken only in the blocks whose bound reaches it, and
     only the sub-blocks whose bound reaches it are scored.  Any angle left
     out scores below the reach, so ties still go to the smallest angle.
+    Each bound stage gathers from the stacked maxima (:func:`_maxima`) with
+    one take; each table stage takes once per power.
     """
-    tables, sub_maxima, block_maxima = zip(*(_log_tables(power) for power in powers))
+    block_maxima, sub_maxima = _maxima(powers)
+    tables = [_log_tables(power)[0] for power in powers]
     order = np.arange(weights.shape[1])
-    bounds = _scores(weights, block_maxima, _BLOCKS, order, np.zeros_like(order))
+    bounds = _scores(weights, (block_maxima,), _BLOCKS, order, np.zeros_like(order))
     top = bounds.argmax(axis=1)
-    subs = np.argpartition(_scores(weights, sub_maxima, _SUBS, order, top), -_REACH_SUBS, axis=1)
+    subs = np.argpartition(_scores(weights, (sub_maxima,), _SUBS, order, top), -_REACH_SUBS,
+                           axis=1)
     subs = top[:, None] * _SUBS + subs[:, -_REACH_SUBS:]
     reach = _scores(weights, tables, _SUB_POINTS, order.repeat(_REACH_SUBS), subs.ravel())
     reach = reach.reshape(len(order), -1).max(axis=1)
 
     sets, kept = (bounds >= reach[:, None]).nonzero()
-    bounds = _scores(weights, sub_maxima, _SUBS, sets, kept)
+    bounds = _scores(weights, (sub_maxima,), _SUBS, sets, kept)
     pairs, subs = (bounds >= reach[sets, None]).nonzero()
     sets = sets[pairs]
     kept = kept[pairs] * _SUBS + subs
@@ -307,6 +332,34 @@ def _bounded_scan(powers, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     points = (scores == best[sets, None]).ravel().nonzero()[0]
     first = points[sets[points // _SUB_POINTS].searchsorted(order)]
     return kept[first // _SUB_POINTS] * _SUB_POINTS + first % _SUB_POINTS, best
+
+
+def _lone_scan(powers, weights: np.ndarray) -> tuple[int, float]:
+    """:func:`_bounded_scan` of one column ``weights`` (2R, 1), as an int
+    index and a float, bit for bit.  Each bound stage is a slice or a
+    gather of the stacked maxima and one product by the column, summed down
+    the rows as :func:`_scores` sums them; the table stages score through
+    :func:`_scores`.  The first maximum in the scored sub-blocks' flat order
+    is the one at the smallest angle, since the sub-blocks ascend.
+    """
+    block_maxima, sub_maxima = _maxima(powers)
+    tables = [_log_tables(power)[0] for power in powers]
+    bounds = np.add.reduce(block_maxima * weights)
+    top = int(bounds.argmax())
+    sub_bounds = np.add.reduce(sub_maxima[:, top * _SUBS:(top + 1) * _SUBS] * weights)
+    subs = top * _SUBS + np.argpartition(sub_bounds, -_REACH_SUBS)[-_REACH_SUBS:]
+    reach = _scores(weights, tables, _SUB_POINTS, slice(None), subs).max()
+
+    kept = (bounds >= reach).nonzero()[0]
+    sub_bounds = np.add.reduce(
+        sub_maxima.reshape(len(weights), _BLOCKS, _SUBS)[:, kept] * weights[:, :, None])
+    blocks, subs = (sub_bounds >= reach).nonzero()
+    kept = kept[blocks] * _SUBS + subs
+
+    scores = _scores(weights, tables, _SUB_POINTS, slice(None), kept).ravel()
+    first = int(scores.argmax())
+    return int(kept[first // _SUB_POINTS]) * _SUB_POINTS + first % _SUB_POINTS, \
+        float(scores[first])
 
 
 def _golden_max(lo: float, hi: float, tol: float):
@@ -338,19 +391,8 @@ def _lockstep(refines, multipliers: np.ndarray, weights: np.ndarray) -> list[flo
     All generators step together: each step evaluates every one's next point
     in one kernel call.  A finished generator's column stays in the batch at
     its last point and is sent nothing more; the one multipliers column
-    serves every set.  A lone generator takes the kernel's one-angle path,
-    its lists built once.
+    serves every set.
     """
-    if len(refines) == 1:
-        refine = refines[0]
-        kernel = functools.partial(_log_likelihood_at, multipliers.ravel().tolist(),
-                                   weights.ravel().tolist())
-        point = next(refine)
-        while True:
-            try:
-                point = refine.send(kernel(point))
-            except StopIteration as done:
-                return [done.value]
     results = [None] * len(refines)
     points = [next(refine) for refine in refines]
     while None in results:
@@ -376,17 +418,20 @@ def maximize_likelihoods(records) -> list[tuple[float, float]]:
     best score in the two best-bound sub-blocks of its best-bound block.
     Stage two refines between the grid neighbours of the best point by
     golden section down to 1e-10, all records in lockstep (see
-    :func:`_lockstep`); a lone record scores its points in Python floats,
-    bit for bit as the array kernel does.  Ties go to the smaller angle,
-    and the result never scores below the best grid point.  The grid
-    tables and the kernel share one formula, so each value is bit for bit
-    one scalar evaluation at its angle.  Records go ``_CHUNK`` = 512 at a
-    time, which bounds the transient arrays; a record's result does not
-    depend on the others.
+    :func:`_lockstep`).  Ties go to the smaller angle, and the result never
+    scores below the best grid point.  The grid tables and the kernel share
+    one formula, so each value is bit for bit one scalar evaluation at its
+    angle.  Records go ``_CHUNK`` = 512 at a time, which bounds the
+    transient arrays; a record's result does not depend on the others.  A
+    chunk of one record, as every one-run call makes, takes a scalar path
+    with the same results bit for bit (see :func:`_maximize_lone`): the
+    scan's bound stages are slices of the stacked maxima, and the refine
+    runs in Python floats.
 
     The grid's log sin^2 and log cos^2 tables and their block and sub-block
-    maxima are built once per power and cached for the life of the process:
-    1.6 MB plus 68 KB per distinct power.
+    maxima are built once per power, and the maxima are stacked once per
+    powers tuple; all are cached for the life of the process: 1.6 MB plus
+    68 KB per distinct power, and 68 KB per power of each schedule.
     """
     if not records:
         return []
@@ -395,12 +440,16 @@ def maximize_likelihoods(records) -> list[tuple[float, float]]:
 
 def _maximize(powers, weights: np.ndarray) -> list[tuple[float, float]]:
     """:func:`maximize_likelihoods` of the kernel's weights (2R, B), one
-    column per run, every run having the powers ``powers``."""
+    column per run, every run having the powers ``powers``.  A chunk of one
+    run takes :func:`_maximize_lone`."""
     multipliers = _multipliers(powers)
     grid = _grid()
     results = []
     for start in range(0, weights.shape[1], _CHUNK):
         chunk = weights[:, start:start + _CHUNK]
+        if chunk.shape[1] == 1:
+            results.append(_maximize_lone(powers, multipliers, chunk))
+            continue
         indices, coarse_values = _bounded_scan(powers, chunk)  # first occurrence wins ties
         brackets = zip(grid[np.maximum(indices - 1, 0)].tolist(),
                        grid[np.minimum(indices + 1, GRID_POINTS - 1)].tolist())
@@ -413,6 +462,31 @@ def _maximize(powers, weights: np.ndarray) -> list[tuple[float, float]]:
         results += zip(np.where(use_coarse, coarse, refined).tolist(),
                        np.where(use_coarse, coarse_values, refined_values).tolist())
     return results
+
+
+def _maximize_lone(powers, multipliers: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
+    """:func:`_maximize` of one column ``weights`` (2R, 1), bit for bit, in
+    scalars: :func:`_lone_scan`, then the golden-section refine and the
+    coarse-versus-refined rule in Python floats through
+    :func:`_log_likelihood_at`."""
+    index, coarse_value = _lone_scan(powers, weights)
+    kernel = functools.partial(_log_likelihood_at, multipliers.ravel().tolist(),
+                               weights.ravel().tolist())
+    grid = _grid()
+    refine = _golden_max(float(grid[max(index - 1, 0)]),
+                         float(grid[min(index + 1, GRID_POINTS - 1)]), _REFINE_TOL)
+    point = next(refine)
+    while True:
+        try:
+            point = refine.send(kernel(point))
+        except StopIteration as done:
+            refined = done.value
+            break
+    refined_value = kernel(refined)
+    coarse = float(grid[index])
+    if refined_value < coarse_value or (refined_value == coarse_value and coarse < refined):
+        return coarse, coarse_value
+    return refined, refined_value
 
 
 def maximize_likelihood(record: MeasurementRecord) -> float:

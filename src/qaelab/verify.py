@@ -24,7 +24,7 @@ from .core import AnalyticBackend, OracleSpec, StatevectorBackend, apply_q, make
     prepare_a
 from .iqae import ConfidenceInterval, binomial_confidence, find_next_k
 from .mlqae import GRID_POINTS, LIKELIHOOD_FLOOR, MeasurementRecord, _INV_PHI, _REFINE_TOL, \
-    _bounded_scan, _grid, _likelihood_columns, _log_tables, _scores, log_likelihood, \
+    _bounded_scan, _grid, _likelihood_columns, _log_tables, _lone_scan, _scores, log_likelihood, \
     make_schedule, maximize_likelihoods, run_mlqae_cell
 
 __all__ = [
@@ -458,6 +458,7 @@ def _check_log_likelihood() -> CheckResult:
                 )
                 powers, weights = _likelihood_columns([subset])
                 argmax_bad += int(_bounded_scan(powers, weights)[0][0]) != int(np.argmax(want))
+                argmax_bad += _lone_scan(powers, weights)[0] != int(np.argmax(want))
     return CheckResult(
         "log-likelihood fast paths and bounded grid argmax vs array reference, "
         "bit for bit (depth <= 18)",
@@ -490,7 +491,8 @@ def _check_lockstep_maximizer() -> CheckResult:
         batch = [_edge_record(schedule, shots, rng) for shots in (1, 3, 1024) for _ in range(3)]
         results += zip(batch, maximize_likelihoods(batch))
         singles += batch[::3]
-    # a batch of one takes the likelihood kernel's one-angle path
+    # a lone record takes the maximizer's scalar path: the lone scan, then
+    # the refine and the tie rule in Python floats
     results += [(record, maximize_likelihoods([record])[0]) for record in singles]
     differ = sum(got != reference_maximize_likelihood(record) for record, got in results)
     return CheckResult(

@@ -50,6 +50,22 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                             -2.225073858507201e-308, 1e308, -1e308, math.inf, -math.inf,
+                             math.nan]),
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        ),
+        min_size=1, max_size=4,
+    ), stacked=st.booleans())
+    def test_one_value_rows_match_numpy(self, values, stacked):
+        arr = np.array(values)[:, None] if stacked else np.array(values[:1])
+        with np.errstate(invalid="ignore"):
+            want = np.stack([arr.max(-1), arr.mean(-1), arr.min(-1), arr.std(-1)], axis=-1)
+        assert [v.hex() for v in summarize(arr)] == [v.hex() for v in want.ravel().tolist()]
+
 
 class TestDeriveRng:
     def test_same_coordinates_same_stream(self):
@@ -154,6 +170,19 @@ class TestDeriveRngs:
         seed = next(derive_rngs(5, "mci", 64, bench_mod._BATCHED_FROM)).bit_generator.seed_seq
         with pytest.raises(ValueError):
             seed.generate_state(8)
+
+    @pytest.mark.parametrize("repetitions", [bench_mod._BATCHED_FROM - 1,
+                                             bench_mod._BATCHED_FROM, 10**4])
+    def test_spawned_children_draw_as_derive_rngs(self, repetitions):
+        rngs = list(derive_rngs(1, "mlqae", 16, repetitions))
+        for r in (0, repetitions - 1):
+            got, want = rngs[r], derive_rng(1, "mlqae", 16, r)
+            # a second spawn continues the first one's children
+            for n_children in (2, 1):
+                assert [child.integers(2**63, size=3).tolist()
+                        for child in got.spawn(n_children)] == \
+                    [child.integers(2**63, size=3).tolist() for child in want.spawn(n_children)]
+            assert got.integers(2**63, size=3).tolist() == want.integers(2**63, size=3).tolist()
 
     @pytest.mark.parametrize("args", [
         (-1, "mci", 64),

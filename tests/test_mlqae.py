@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qaelab.core as core_mod
+import qaelab.mlqae as mlqae_mod
 from qaelab.bench import derive_rngs
 from qaelab.core import AnalyticBackend, OracleSpec, StatevectorBackend, measure_flag
 from qaelab.mlqae import (
@@ -24,8 +25,10 @@ from qaelab.mlqae import (
     _golden_max,
     _grid,
     _likelihood_columns,
+    _log_likelihood_at,
     _log_likelihoods,
     _log_tables,
+    _lone_scan,
     _multipliers,
     _scores,
     log_likelihood,
@@ -378,8 +381,8 @@ def one_angle_cases(draw):
 
 
 class TestOneAngle:
-    """The kernel's one-angle path, in Python floats, rounds as its array
-    path and as the scalar loop in ``verify`` do."""
+    """The kernel's one-run path, in Python floats, rounds as its array path
+    and as the scalar loop in ``verify`` do."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=one_angle_cases(), seed=st.integers(0, 2**32 - 1))
@@ -391,7 +394,8 @@ class TestOneAngle:
         for subset in with_singles(record):
             powers, weights = _likelihood_columns([subset])
             multipliers = _multipliers(powers)
-            alone = [_log_likelihoods(multipliers, weights, [t])[0].hex() for t in angles]
+            lists = multipliers.ravel().tolist(), weights.ravel().tolist()
+            alone = [_log_likelihood_at(*lists, t).hex() for t in angles]
             # a batch of the record at every angle takes the array path
             batch = _likelihood_columns([subset] * len(angles))[1]
             columns = [v.hex() for v in _log_likelihoods(multipliers, batch, angles).tolist()]
@@ -414,6 +418,69 @@ class TestOneAngle:
         alone = _likelihood_columns([ints])[1]
         assert alone[:, 0].tolist() == [2.0, 2**53 - 1, 3.0, 2**53 - 2]
         assert np.array_equal(_likelihood_columns([ints, floats])[1][:, :1], alone)
+
+
+@st.composite
+def lone_records(draw):
+    """A record of an EIS or LIS schedule of depth 0-12: hits at random with
+    0 and N drawn often, all misses, all hits, or each power's float
+    expectation at an amplitude a, with a = 0 and a = 1 drawn often."""
+    powers = make_schedule(draw(st.sampled_from(("eis", "lis"))), draw(st.integers(0, 12)))
+    shots = draw(st.one_of(st.integers(1, 3), st.integers(1, 4096), st.integers(1, 2**63 - 1)))
+    kind = draw(st.sampled_from(("random", "misses", "hits", "expected")))
+    if kind == "expected":
+        theta = math.asin(math.sqrt(draw(st.one_of(st.sampled_from((0.0, 1.0)),
+                                                   st.floats(0.0, 1.0)))))
+        # float(shots) may round above shots
+        hits = [min(shots * math.sin((2 * p + 1) * theta) ** 2, shots) for p in powers]
+    else:
+        counts = {"random": st.one_of(st.just(0), st.just(shots), st.integers(0, shots)),
+                  "misses": st.just(0), "hits": st.just(shots)}[kind]
+        hits = [draw(counts) for _ in powers]
+    return MeasurementRecord(powers, shots, hits)
+
+
+class TestLoneRecord:
+    """A chunk of one record takes the maximizer's scalar path, bit for bit
+    the batched one and the scalar reference in ``verify``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(batch=record_batches())
+    # all hits at power 4 peak on five grid points at once: 9 divides 99999
+    @example(batch=[MeasurementRecord((4,), 16, (16,)), MeasurementRecord((4,), 3, (0,))])
+    def test_lone_scan_matches_the_batched_scan(self, batch):
+        powers, weights = _likelihood_columns(batch)
+        indices, values = _bounded_scan(powers, weights)
+        for b in range(len(batch)):
+            index, value = _lone_scan(powers, weights[:, b:b + 1])
+            assert (index, value.hex()) == (int(indices[b]), float(values[b]).hex())
+
+    @settings(max_examples=40, deadline=None)
+    @given(record=lone_records())
+    @example(record=MeasurementRecord(make_schedule("eis", 12), 16, [16] * 13))
+    @example(record=MeasurementRecord(make_schedule("lis", 12), 16, [0] * 13))
+    def test_lone_maximize_matches_a_batch_of_two_and_the_reference(self, record):
+        def hexes(result):
+            return tuple(value.hex() for value in result)
+
+        # each power alone too: all hits or all misses at powers 1 and 4
+        # tie on several grid points, and near 0 or pi/2 on a float-flat stretch
+        for subset in with_singles(record):
+            (alone,) = maximize_likelihoods([subset])
+            assert isinstance(alone[0], float) and isinstance(alone[1], float)
+            want = hexes(reference_maximize_likelihood(subset))
+            assert hexes(alone) == hexes(maximize_likelihoods([subset, subset])[0]) == want
+            assert maximize_likelihood(subset).hex() == want[0]
+
+    def test_a_last_chunk_of_one_takes_the_lone_path(self, monkeypatch):
+        records = [MeasurementRecord((0, 1, 2), 64, (h % 65, 64 - h % 65, 30))
+                   for h in range(_CHUNK + 1)]
+        want = maximize_likelihoods(records)
+        lone = []
+        monkeypatch.setattr(mlqae_mod, "_lone_scan",
+                            lambda *args: lone.append(1) or _lone_scan(*args))
+        assert maximize_likelihoods(records) == want
+        assert len(lone) == 1
 
 
 class TestLockstep:
