@@ -18,7 +18,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,12 +61,21 @@ _SUBS = _BLOCK_POINTS // _SUB_POINTS
 #: block does on both
 _REACH_SUBS = 2
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-#: records maximized at once.  The scan's gathers grow with the batch, so
-#: one chunk's transient arrays peak at about 14 MiB at EIS depth 4, 80 MiB
-#: at depth 14 and 650 MiB at depth 18, where a block spans many lobes and
-#: about 165 sub-blocks per set are scored (tracemalloc, n = 20, a = 1/8,
-#: 100 shots)
+#: records maximized at once.  The scan's gathered and multiplied arrays
+#: are bounded by ``_PIECE_BYTES``, and a chunk bounds what each stage keeps
+#: per set, such as the scored sub-blocks' sums.  A chunk peaks at about
+#: 6 MiB at EIS depth 4, 9 MiB at depth 14 and 43 MiB at depth 18, where a
+#: block spans many lobes and about 165 sub-blocks per set are scored
+#: (tracemalloc, n = 20, a = 1/8, 100 shots)
 _CHUNK = 512
+#: bytes of one piece of a scan stage: each take gathers, and stage one
+#: multiplies, at most this much at a time.  A 30-set cell of tables 2-4
+#: needs under 1 MiB per stage, so one piece; at EIS depth 18 a set's
+#: scored sub-blocks gather about 1.27 MiB, and 64 sets maximized in 36 ms
+#: in 2 MiB pieces against 54 ms in one (minima of 7)
+_PIECE_BYTES = 2 * 2**20
+#: the generators' ``send``, unbound, for ``map`` over a lockstep step
+_SEND = types.GeneratorType.send
 
 
 def make_schedule(kind: str, depth: int) -> tuple[int, ...]:
@@ -194,13 +205,17 @@ def _log_likelihoods(multipliers: np.ndarray, weights: np.ndarray, thetas) -> np
 
     The weights are :func:`_weights`'.  Each value is bit for bit that of
     the per-power loop ``verify.reference_scalar_log_likelihood``:
-    :func:`_log_terms` rounds as the loop does, and ``np.add.accumulate``
-    adds down each column in the loop's order.  A lone run is scored by
-    :func:`_log_likelihood_at` instead.
+    :func:`_log_terms` rounds as the loop does, and the weighted rows are
+    added in the loop's order: ``np.add.reduce`` over the first axis adds
+    row after row when a row has two or more columns, and over one column,
+    which it would sum pairwise, ``np.add.accumulate`` adds down it.  A
+    lone run is scored by :func:`_log_likelihood_at` instead.
     """
     terms = np.empty((2 * len(multipliers), len(thetas)))
-    _log_terms(multipliers * np.array(thetas), terms)
+    _log_terms(multipliers * thetas, terms)
     terms *= weights
+    if len(thetas) > 1:
+        return np.add.reduce(terms, axis=0)
     return np.add.accumulate(terms)[-1]
 
 
@@ -274,18 +289,39 @@ def _scores(weights: np.ndarray, rows, width: int, sets, nodes) -> np.ndarray:
     ``verify.reference_log_likelihood``'s: ``np.add.reduce`` over the first
     axis adds row after row in order when a row has more than one element
     (over one column it would sum pairwise), and every width here is at
-    least 16.
+    least 16.  The nodes are gathered and summed ``_PIECE_BYTES`` at a time.
     """
-    parts = np.empty((len(weights), len(nodes), width))
-    # each take gathers straight into its rows of ``parts``: mode="clip" skips
-    # the buffered copy that the default mode makes (the indices are in range)
-    start = 0
-    for row in rows:
-        stop = start + len(row)
-        row.reshape(len(row), -1, width).take(nodes, axis=1, out=parts[start:stop], mode="clip")
-        start = stop
-    parts *= weights[:, sets, None]
-    return np.add.reduce(parts, axis=0)
+    scores = []
+    for piece in _pieces(len(nodes), 8 * len(weights) * width):
+        piece_nodes = nodes[piece]
+        parts = np.empty((len(weights), len(piece_nodes), width))
+        # each take gathers straight into its rows of ``parts``: mode="clip"
+        # skips the buffered copy that the default mode makes (the indices
+        # are in range)
+        start = 0
+        for row in rows:
+            stop = start + len(row)
+            row.reshape(len(row), -1, width).take(piece_nodes, axis=1, out=parts[start:stop],
+                                                  mode="clip")
+            start = stop
+        parts *= weights[:, sets if isinstance(sets, slice) else sets[piece], None]
+        scores.append(np.add.reduce(parts, axis=0))
+    return _joined(scores)
+
+
+def _pieces(count: int, item_bytes: int) -> list[slice]:
+    """Slices that split ``count`` items of ``item_bytes`` each into runs of
+    at most ``_PIECE_BYTES`` and of one item at least; no items make one
+    empty run."""
+    step = max(1, _PIECE_BYTES // item_bytes)
+    return [slice(start, start + step) for start in range(0, count or 1, step)]
+
+
+def _joined(sums: list) -> np.ndarray:
+    """The pieces' sums as one array, the lone piece's without a copy: each
+    piece's ``np.add.reduce`` makes a new array, since reducing into a slice
+    of one result (``out=``) measured slower."""
+    return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
 
 def _bounded_scan(powers, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -305,13 +341,17 @@ def _bounded_scan(powers, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bounds are then taken only in the blocks whose bound reaches it, and
     only the sub-blocks whose bound reaches it are scored.  Any angle left
     out scores below the reach, so ties still go to the smallest angle.
-    Each bound stage gathers from the stacked maxima (:func:`_maxima`) with
-    one take; each table stage takes once per power.
+    Stage one is one broadcast product of the stacked block maxima
+    (:func:`_maxima`) by the weights, where a take would gather B copies
+    of the maxima; each later bound stage gathers from the stacked
+    sub-block maxima with one take, and each table stage takes once per
+    power.  Every stage works ``_PIECE_BYTES`` of its product at a time.
     """
     block_maxima, sub_maxima = _maxima(powers)
     tables = [_log_tables(power)[0] for power in powers]
     order = np.arange(weights.shape[1])
-    bounds = _scores(weights, (block_maxima,), _BLOCKS, order, np.zeros_like(order))
+    bounds = _joined([np.add.reduce(block_maxima[:, None, :] * weights[:, piece, None], axis=0)
+                      for piece in _pieces(len(order), block_maxima.nbytes)])
     top = bounds.argmax(axis=1)
     subs = np.argpartition(_scores(weights, (sub_maxima,), _SUBS, order, top), -_REACH_SUBS,
                            axis=1)
@@ -362,47 +402,57 @@ def _lone_scan(powers, weights: np.ndarray) -> tuple[int, float]:
         float(scores[first])
 
 
-def _golden_max(lo: float, hi: float, tol: float):
+def _golden_max(lo: float, hi: float, tol: float, done: list):
     """Golden-section maximizer on [lo, hi] for a unimodal f, as a generator.
 
-    It yields each point where it needs f and is sent f there; its return
-    value is the maximizer.
+    It yields each point where it needs f and is sent f there, and asks for
+    a value only when it is about to compare it: the bracket's first two
+    points, then one new point per comparison while the bracket is wider
+    than ``tol``.  Once it is not, the generator appends its maximizer, the
+    bracket's midpoint, to ``done`` and yields it for whatever it is sent.
     """
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
-    f1 = yield x1
-    f2 = yield x2
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = yield x2
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = yield x1
-    return 0.5 * (lo + hi)
+    if hi - lo > tol:
+        f1 = yield x1
+        f2 = yield x2
+        while True:
+            if f1 < f2:
+                lo, x1, f1 = x1, x2, f2
+                # not ``<=``: a NaN width stops the search too
+                if not hi - lo > tol:
+                    break
+                x2 = lo + _INV_PHI * (hi - lo)
+                f2 = yield x2
+            else:
+                hi, x2, f2 = x2, x1, f1
+                if not hi - lo > tol:
+                    break
+                x1 = hi - _INV_PHI * (hi - lo)
+                f1 = yield x1
+    result = 0.5 * (lo + hi)
+    done.append(result)
+    while True:
+        yield result
 
 
-def _lockstep(refines, multipliers: np.ndarray, weights: np.ndarray) -> list[float]:
-    """Results of the :func:`_golden_max` generators ``refines``, column b of
-    the kernel's weights belonging to ``refines[b]``.
+def _lockstep(brackets, multipliers: np.ndarray, weights: np.ndarray) -> list[float]:
+    """Maximizers of one :func:`_golden_max` per ``(lo, hi)`` of
+    ``brackets``, column b of the kernel's weights belonging to bracket b.
 
-    All generators step together: each step evaluates every one's next point
-    in one kernel call.  A finished generator's column stays in the batch at
-    its last point and is sent nothing more; the one multipliers column
-    serves every set.
+    All the generators step together: a step is one kernel call on every
+    one's current point and one ``map`` of their ``send`` over the values.
+    A finished generator yields its maximizer again, so its column is
+    scored there until the last one finishes, and the points are then the
+    maximizers; the one multipliers column serves every set.
     """
-    results = [None] * len(refines)
-    points = [next(refine) for refine in refines]
-    while None in results:
-        for b, value in enumerate(_log_likelihoods(multipliers, weights, points).tolist()):
-            if results[b] is None:
-                try:
-                    points[b] = refines[b].send(value)
-                except StopIteration as done:
-                    results[b] = done.value
-    return results
+    done = []
+    refines = [_golden_max(lo, hi, _REFINE_TOL, done) for lo, hi in brackets]
+    points = list(map(next, refines))
+    while len(done) < len(refines):
+        points = list(map(_SEND, refines,
+                          _log_likelihoods(multipliers, weights, points).tolist()))
+    return points
 
 
 def maximize_likelihoods(records) -> list[tuple[float, float]]:
@@ -418,15 +468,18 @@ def maximize_likelihoods(records) -> list[tuple[float, float]]:
     best score in the two best-bound sub-blocks of its best-bound block.
     Stage two refines between the grid neighbours of the best point by
     golden section down to 1e-10, all records in lockstep (see
-    :func:`_lockstep`).  Ties go to the smaller angle, and the result never
-    scores below the best grid point.  The grid tables and the kernel share
-    one formula, so each value is bit for bit one scalar evaluation at its
-    angle.  Records go ``_CHUNK`` = 512 at a time, which bounds the
-    transient arrays; a record's result does not depend on the others.  A
-    chunk of one record, as every one-run call makes, takes a scalar path
-    with the same results bit for bit (see :func:`_maximize_lone`): the
-    scan's bound stages are slices of the stacked maxima, and the refine
-    runs in Python floats.
+    :func:`_lockstep`), asking for no value the golden section does not
+    compare, then scores each result once more.  Ties go to the smaller
+    angle, and the result never scores below the best grid point.  The
+    grid tables and the kernel share one formula, so each value is bit for
+    bit one scalar evaluation at its angle.  Records go ``_CHUNK`` = 512 at
+    a time, and each scan stage gathers and multiplies ``_PIECE_BYTES`` =
+    2 MiB at a time, which bound the transient arrays at any depth; a
+    record's result does not depend on the others.  A chunk of one record,
+    as every one-run call makes, takes a scalar path with the same results
+    bit for bit (see :func:`_maximize_lone`): the scan's bound stages are
+    slices of the stacked maxima, and the same golden-section driver runs
+    in Python floats.
 
     The grid's log sin^2 and log cos^2 tables and their block and sub-block
     maxima are built once per power, and the maxima are stacked once per
@@ -453,8 +506,7 @@ def _maximize(powers, weights: np.ndarray) -> list[tuple[float, float]]:
         indices, coarse_values = _bounded_scan(powers, chunk)  # first occurrence wins ties
         brackets = zip(grid[np.maximum(indices - 1, 0)].tolist(),
                        grid[np.minimum(indices + 1, GRID_POINTS - 1)].tolist())
-        refined = _lockstep([_golden_max(lo, hi, _REFINE_TOL) for lo, hi in brackets],
-                            multipliers, chunk)
+        refined = _lockstep(brackets, multipliers, chunk)
         refined_values = _log_likelihoods(multipliers, chunk, refined)
         coarse = grid[indices]
         use_coarse = refined_values < coarse_values
@@ -473,15 +525,12 @@ def _maximize_lone(powers, multipliers: np.ndarray, weights: np.ndarray) -> tupl
     kernel = functools.partial(_log_likelihood_at, multipliers.ravel().tolist(),
                                weights.ravel().tolist())
     grid = _grid()
+    done = []
     refine = _golden_max(float(grid[max(index - 1, 0)]),
-                         float(grid[min(index + 1, GRID_POINTS - 1)]), _REFINE_TOL)
-    point = next(refine)
-    while True:
-        try:
-            point = refine.send(kernel(point))
-        except StopIteration as done:
-            refined = done.value
-            break
+                         float(grid[min(index + 1, GRID_POINTS - 1)]), _REFINE_TOL, done)
+    refined = next(refine)
+    while not done:
+        refined = refine.send(kernel(refined))
     refined_value = kernel(refined)
     coarse = float(grid[index])
     if refined_value < coarse_value or (refined_value == coarse_value and coarse < refined):
@@ -495,9 +544,13 @@ def maximize_likelihood(record: MeasurementRecord) -> float:
     return maximize_likelihoods([record])[0][0]
 
 
-@dataclass(frozen=True)
-class MlqaeReport:
-    """Outcome of one maximum-likelihood estimation run."""
+class MlqaeReport(NamedTuple):
+    """Outcome of one maximum-likelihood estimation run.
+
+    A NamedTuple because a sweep builds one per run, in well under half the
+    time of a frozen dataclass.  It unpacks, and it equals a plain tuple of
+    the same values.
+    """
 
     theta_hat: float
     a_hat: float
@@ -540,15 +593,19 @@ def run_mlqae_cell(
     calls = oracle_call_count(powers, shots)
     results = _maximize(powers, _weights(hits, shots - hits))
     return [
-        MlqaeReport(
-            theta_hat=theta_hat,
-            a_hat=math.sin(theta_hat) ** 2,
-            oracle_calls=calls,
-            record=MeasurementRecord(powers, shots, row),
-            log_likelihood_at_max=value,
-        )
-        for row, (theta_hat, value) in zip(hits.tolist(), results)
+        MlqaeReport(theta_hat, math.sin(theta_hat) ** 2, calls, _checked_record(powers, shots, row),
+                    value)
+        for row, (theta_hat, value) in zip(map(tuple, hits.tolist()), results)
     ]
+
+
+def _checked_record(powers: tuple[int, ...], shots: int, hits: tuple[int, ...]):
+    """The :class:`MeasurementRecord` of fields already checked, built without
+    running its checks again: a cell's schedule and shots are checked once,
+    and its hits are binomial draws in [0, shots], one per power."""
+    record = object.__new__(MeasurementRecord)
+    record.__dict__.update(powers=powers, shots=shots, hits=hits)
+    return record
 
 
 def run_mlqae(

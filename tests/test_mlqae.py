@@ -1,6 +1,7 @@
 """Schedules, the joint likelihood, its maximizer, and full estimation runs."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import qaelab.core as core_mod
 import qaelab.mlqae as mlqae_mod
-from qaelab.bench import derive_rngs
+from qaelab.bench import derive_rngs, run_sweep, table_configs
 from qaelab.core import AnalyticBackend, OracleSpec, StatevectorBackend, measure_flag
 from qaelab.mlqae import (
     GRID_POINTS,
@@ -30,6 +31,7 @@ from qaelab.mlqae import (
     _log_tables,
     _lone_scan,
     _multipliers,
+    _pieces,
     _scores,
     log_likelihood,
     make_schedule,
@@ -274,6 +276,15 @@ class TestKernelArithmetic:
                 value = value + term
             assert got[b] == value
 
+    @pytest.mark.parametrize("columns", [2, 3, 7, 30, 512])
+    def test_reduce_adds_down_two_or_more_columns_in_order(self, columns):
+        # the kernel's row sum at a batch of two or more: (2R, B) weighted terms
+        rng = np.random.default_rng(columns)
+        for rows in range(1, 39):
+            terms = rng.normal(size=(rows, columns)) * 10.0 ** rng.integers(-12, 13,
+                                                                          size=(rows, columns))
+            assert np.array_equal(np.add.reduce(terms, axis=0), np.add.accumulate(terms)[-1])
+
     @pytest.mark.parametrize("inner", [(1, 16), (1, 25), (2, 250), (3, 16), (30, 400), (30, 25)])
     def test_reduce_adds_rows_in_order(self, inner):
         # the bounded scan's sums: (2R, B, k) arrays with k the blocks (250),
@@ -344,16 +355,32 @@ def grid_argmaxes(batch):
     return _bounded_scan(powers, weights)[0].tolist()
 
 
-def golden_steps(lo, hi):
-    """Points the golden-section refine asks for on [lo, hi]."""
-    refine = _golden_max(lo, hi, 1e-10)
-    point, steps = next(refine), 1
-    try:
-        while True:
-            point = refine.send(-abs(point - lo))
-            steps += 1
-    except StopIteration:
-        return steps
+class Compared(float):
+    """A value sent to the golden section that notes when it is compared."""
+
+    read = False
+
+    def __lt__(self, other):
+        self.read = other.read = True
+        return float(self) < float(other)
+
+
+def golden_steps(lo, hi, f=None):
+    """Points the golden-section refine asks for on [lo, hi] before it is
+    done, each sent f there (by default a peak at lo).  It must compare
+    every value it is sent, then yield its maximizer for good."""
+    if f is None:
+        def f(theta):
+            return -abs(theta - lo)
+    done = []
+    refine = _golden_max(lo, hi, 1e-10, done)
+    point, sent = next(refine), []
+    while not done:
+        sent.append(Compared(f(point)))
+        point = refine.send(sent[-1])
+    assert all(value.read for value in sent)
+    assert done == [point] and refine.send(0.0) == refine.send(1.0) == point
+    return len(sent)
 
 
 @st.composite
@@ -518,6 +545,34 @@ class TestLockstep:
         assert edge < inner
         assert maximize_likelihoods(batch) == [reference_maximize_likelihood(r) for r in batch]
 
+    def test_the_refine_asks_for_no_value_it_never_compares(self, monkeypatch):
+        # a 30-set cell as tables 2-4 run it, then some of its sets alone
+        records = [report.record for report in run_mlqae_cell(
+            OracleSpec(10, 128), 4, 100, rngs=[np.random.default_rng(seed) for seed in range(30)])]
+        powers, weights = _likelihood_columns(records)
+        multipliers = _multipliers(powers).ravel().tolist()
+        grid = _grid()
+        steps = [
+            golden_steps(float(grid[max(index - 1, 0)]),
+                         float(grid[min(index + 1, GRID_POINTS - 1)]),
+                         functools.partial(_log_likelihood_at, multipliers, weights[:, b].tolist()))
+            for b, index in enumerate(grid_argmaxes(records))
+        ]
+        calls = []
+        for name in ("_log_likelihoods", "_log_likelihood_at"):
+            kernel = getattr(mlqae_mod, name)
+            monkeypatch.setattr(mlqae_mod, name, functools.partial(
+                lambda kernel, name, *args: calls.append(name) or kernel(*args), kernel, name))
+        # one kernel call per step of the longest refine, then one on the
+        # results: 29, where a refine that asked for its last point unread made 30
+        want = maximize_likelihoods(records)
+        assert calls == ["_log_likelihoods"] * (max(steps) + 1)
+        assert len(calls) == 29
+        for record, (theta, value), count in zip(records[:4], want, steps):
+            calls.clear()
+            assert maximize_likelihoods([record]) == [(theta, value)]
+            assert calls == ["_log_likelihood_at"] * (count + 1)
+
     def test_value_is_the_likelihood_at_the_angle(self):
         batch = [MeasurementRecord((0, 1, 2, 4), 100, hits)
                  for hits in ((12, 60, 98, 3), (0, 0, 0, 0), (50, 50, 50, 50))]
@@ -651,6 +706,39 @@ class TestMaximize:
         # a record's result does not depend on its batch or its chunk
         assert got == want * (len(batch) // len(sets))
 
+    def test_pieces_bound_the_transient_memory_at_depth(self):
+        # EIS depth 18, where about 165 sub-blocks per set are scored:
+        # gathered in one piece, 64 sets' sub-blocks would peak near 81 MiB
+        rngs = [np.random.default_rng(seed) for seed in range(64)]
+        sets = [report.record
+                for report in run_mlqae_cell(OracleSpec(20, 2**17), 18, 100, rngs=rngs)]
+        tracemalloc.start()
+        try:
+            maximize_likelihoods(sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("piece_bytes", [1, 3000])
+    def test_pieces_do_not_change_a_result(self, monkeypatch, piece_bytes):
+        # one node or set per piece, or a few, against the default pieces
+        sets = [report.record for report in run_mlqae_cell(
+            OracleSpec(10, 128), 6, 64, rngs=[np.random.default_rng(seed) for seed in range(20)])]
+        sets += [MeasurementRecord(sets[0].powers, 64, [hits] * 7) for hits in (0, 64)]
+        want = maximize_likelihoods(sets)
+        monkeypatch.setattr(mlqae_mod, "_PIECE_BYTES", piece_bytes)
+        assert maximize_likelihoods(sets) == want
+
+    def test_a_tables_cell_takes_one_piece_per_stage(self, monkeypatch):
+        pieces = []
+        monkeypatch.setattr(mlqae_mod, "_pieces",
+                            lambda *args: pieces.append(_pieces(*args)) or pieces[-1])
+        for table in (2, 3, 4):
+            for _, config in table_configs(table):
+                run_sweep(config)
+        assert pieces and all(len(stage) == 1 for stage in pieces)
+
     def test_deep_schedule_tables_stay_cached(self):
         # LIS depth 40 uses 41 powers, more than a 32-entry cache holds
         rec = MeasurementRecord(make_schedule("lis", 40), 100, [12] * 41)
@@ -699,6 +787,23 @@ class TestRunMlqaeCell:
         for rngs in ([], [np.random.default_rng(0)]):
             with pytest.raises(ValueError, match=r"^shots must be positive, got 0$"):
                 run_mlqae_cell(OracleSpec(10, 128), 3, 0, rngs=rngs)
+
+    def test_reports_are_tuples_of_checked_records(self):
+        oracle, powers = OracleSpec(10, 128), make_schedule("eis", 4)
+        reports = run_mlqae_cell(oracle, 4, 100,
+                                 rngs=[np.random.default_rng(seed) for seed in range(5)])
+        reports.append(run_mlqae(oracle, 4, 100, rng=np.random.default_rng(5)))
+        for report in reports:
+            record = report.record
+            assert type(record.powers) is tuple and type(record.hits) is tuple
+            assert all(type(hits) is int for hits in record.hits)
+            checked = MeasurementRecord(powers, 100, list(record.hits))
+            assert record == checked and hash(record) == hash(checked)
+            theta_hat, a_hat, calls, unpacked, value = report
+            assert report == (theta_hat, a_hat, calls, unpacked, value)
+            assert (theta_hat, a_hat, calls, unpacked, value) == (
+                report.theta_hat, report.a_hat, report.oracle_calls, record,
+                report.log_likelihood_at_max)
 
     def test_one_shot_iterator_of_generators(self):
         oracle = OracleSpec(10, 128)
