@@ -5,12 +5,14 @@ shots, and keeps the flag hit counts as one :class:`MeasurementRecord`,
 whose joint Bernoulli log-likelihood in the rotation angle is maximized
 by a bounded coarse grid scan and golden-section refinement.  A sweep
 cell asks its backend for each power's flag probability once and draws
-every repetition's hits from it; the scan and the refinement then run all
-of the cell's repetitions together, the refinement in lockstep with one
-vectorized likelihood evaluation per step.  A lone record, as from
-``run_mlqae`` or a one-repetition cell, takes a scalar path instead: a
-scan over slices of its schedule's stacked bounds, and a refinement in
-Python floats, with the same results bit for bit.
+every repetition's hits from it; the scan then runs all of the cell's
+repetitions together.  A chunk's width picks only its scan and its
+likelihood kernel: a lone record, as from ``run_mlqae`` or a
+one-repetition cell, is scanned over slices of its schedule's stacked
+bounds and scored in Python floats, and a batch is scanned and scored
+in numpy.  Everything after the scan, the brackets, the refinement in
+lockstep, the final scoring and the tie rule, is one pipeline in Python
+floats, with the same results bit for bit at any width.
 """
 
 from __future__ import annotations
@@ -200,23 +202,21 @@ def _log_likelihood_at(multipliers: list, weights: list, theta: float) -> float:
     return value
 
 
-def _log_likelihoods(multipliers: np.ndarray, weights: np.ndarray, thetas) -> np.ndarray:
-    """Joint log-likelihood of column b's run at the angle ``thetas[b]``.
+def _log_likelihoods(multipliers: np.ndarray, weights: np.ndarray, thetas) -> list[float]:
+    """Joint log-likelihood of column b's run at the angle ``thetas[b]``, at
+    two or more angles, as Python floats.
 
     The weights are :func:`_weights`'.  Each value is bit for bit that of
     the per-power loop ``verify.reference_scalar_log_likelihood``:
-    :func:`_log_terms` rounds as the loop does, and the weighted rows are
-    added in the loop's order: ``np.add.reduce`` over the first axis adds
-    row after row when a row has two or more columns, and over one column,
-    which it would sum pairwise, ``np.add.accumulate`` adds down it.  A
-    lone run is scored by :func:`_log_likelihood_at` instead.
+    :func:`_log_terms` rounds as the loop does, and ``np.add.reduce`` over
+    the first axis adds the weighted rows in the loop's order, row after
+    row, when a row has two or more columns.  Over one column it would sum
+    pairwise, so a lone run is scored by :func:`_log_likelihood_at`.
     """
     terms = np.empty((2 * len(multipliers), len(thetas)))
     _log_terms(multipliers * thetas, terms)
     terms *= weights
-    if len(thetas) > 1:
-        return np.add.reduce(terms, axis=0)
-    return np.add.accumulate(terms)[-1]
+    return np.add.reduce(terms, axis=0).tolist()
 
 
 def log_likelihood(record: MeasurementRecord, theta: float) -> float:
@@ -245,37 +245,35 @@ def _grid() -> np.ndarray:
 
 
 @functools.cache
-def _log_tables(power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only rows floored log sin^2 and log cos^2 of ``(2 power + 1) theta``
-    on the grid, by :func:`_log_terms` as the kernel computes them.
-
-    Returned as ``(table, sub_maxima, block_maxima)``: the (2,
-    ``GRID_POINTS``) table, its maxima over each sub-block, (2,
-    ``GRID_POINTS // _SUB_POINTS``), and over each block, (2, ``_BLOCKS``).
-    Cached for the life of the process: 1.6 MB plus 68 KB per distinct power.
+def _log_tables(power: int) -> np.ndarray:
+    """The read-only (2, ``GRID_POINTS``) table of floored log sin^2 and log
+    cos^2 of ``(2 power + 1) theta`` on the grid, by :func:`_log_terms` as
+    the kernel computes them.  Cached for the life of the process: 1.6 MB
+    per distinct power.
     """
     table = np.empty((2, GRID_POINTS))
     _log_terms((2 * power + 1) * _grid()[None, :], table)
-    sub_maxima = table.reshape(2, -1, _SUB_POINTS).max(axis=2)
-    block_maxima = sub_maxima.reshape(2, _BLOCKS, -1).max(axis=2)
-    for part in (table, sub_maxima, block_maxima):
-        part.flags.writeable = False
-    return table, sub_maxima, block_maxima
+    table.flags.writeable = False
+    return table
 
 
 @functools.cache
-def _maxima(powers: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The block and the sub-block maxima of the tables of ``powers`` (see
-    :func:`_log_tables`), each stacked as one read-only (2R, n) array whose
-    rows 2j and 2j + 1 are power j's: (2R, ``_BLOCKS``) and (2R,
-    ``GRID_POINTS // _SUB_POINTS``).  Cached per powers tuple for the life
-    of the process: 68 KB per power of each schedule.
+def _maxima(powers: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+    """What both scans read of the schedule ``powers``: ``(tables,
+    block_maxima, sub_maxima)``, its tables (see :func:`_log_tables`) and
+    their maxima over each block and each sub-block, each stacked as one
+    read-only (2R, n) array whose rows 2j and 2j + 1 are power j's: (2R,
+    ``_BLOCKS``) and (2R, ``GRID_POINTS // _SUB_POINTS``).  Cached per
+    powers tuple for the life of the process: 68 KB per power of each
+    schedule, beside the tables' own cache.
     """
-    _, sub_maxima, block_maxima = zip(*(_log_tables(power) for power in powers))
-    stacks = np.concatenate(block_maxima), np.concatenate(sub_maxima)
-    for stack in stacks:
+    tables = tuple(_log_tables(power) for power in powers)
+    sub_maxima = np.concatenate([table.reshape(2, -1, _SUB_POINTS).max(axis=2)
+                                 for table in tables])
+    block_maxima = sub_maxima.reshape(len(sub_maxima), _BLOCKS, _SUBS).max(axis=2)
+    for stack in (block_maxima, sub_maxima):
         stack.flags.writeable = False
-    return stacks
+    return tables, block_maxima, sub_maxima
 
 
 def _scores(weights: np.ndarray, rows, width: int, sets, nodes) -> np.ndarray:
@@ -347,8 +345,7 @@ def _bounded_scan(powers, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sub-block maxima with one take, and each table stage takes once per
     power.  Every stage works ``_PIECE_BYTES`` of its product at a time.
     """
-    block_maxima, sub_maxima = _maxima(powers)
-    tables = [_log_tables(power)[0] for power in powers]
+    tables, block_maxima, sub_maxima = _maxima(powers)
     order = np.arange(weights.shape[1])
     bounds = _joined([np.add.reduce(block_maxima[:, None, :] * weights[:, piece, None], axis=0)
                       for piece in _pieces(len(order), block_maxima.nbytes)])
@@ -382,8 +379,7 @@ def _lone_scan(powers, weights: np.ndarray) -> tuple[int, float]:
     :func:`_scores`.  The first maximum in the scored sub-blocks' flat order
     is the one at the smallest angle, since the sub-blocks ascend.
     """
-    block_maxima, sub_maxima = _maxima(powers)
-    tables = [_log_tables(power)[0] for power in powers]
+    tables, block_maxima, sub_maxima = _maxima(powers)
     bounds = np.add.reduce(block_maxima * weights)
     top = int(bounds.argmax())
     sub_bounds = np.add.reduce(sub_maxima[:, top * _SUBS:(top + 1) * _SUBS] * weights)
@@ -402,31 +398,32 @@ def _lone_scan(powers, weights: np.ndarray) -> tuple[int, float]:
         float(scores[first])
 
 
-def _golden_max(lo: float, hi: float, tol: float, done: list):
+def _golden_max(lo: float, hi: float, done: list):
     """Golden-section maximizer on [lo, hi] for a unimodal f, as a generator.
 
     It yields each point where it needs f and is sent f there, and asks for
     a value only when it is about to compare it: the bracket's first two
     points, then one new point per comparison while the bracket is wider
-    than ``tol``.  Once it is not, the generator appends its maximizer, the
-    bracket's midpoint, to ``done`` and yields it for whatever it is sent.
+    than ``_REFINE_TOL``.  Once it is not, the generator appends its
+    maximizer, the bracket's midpoint, to ``done`` and yields it for
+    whatever it is sent.
     """
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
-    if hi - lo > tol:
+    if hi - lo > _REFINE_TOL:
         f1 = yield x1
         f2 = yield x2
         while True:
             if f1 < f2:
                 lo, x1, f1 = x1, x2, f2
                 # not ``<=``: a NaN width stops the search too
-                if not hi - lo > tol:
+                if not hi - lo > _REFINE_TOL:
                     break
                 x2 = lo + _INV_PHI * (hi - lo)
                 f2 = yield x2
             else:
                 hi, x2, f2 = x2, x1, f1
-                if not hi - lo > tol:
+                if not hi - lo > _REFINE_TOL:
                     break
                 x1 = hi - _INV_PHI * (hi - lo)
                 f1 = yield x1
@@ -436,22 +433,22 @@ def _golden_max(lo: float, hi: float, tol: float, done: list):
         yield result
 
 
-def _lockstep(brackets, multipliers: np.ndarray, weights: np.ndarray) -> list[float]:
+def _lockstep(brackets, kernel) -> list[float]:
     """Maximizers of one :func:`_golden_max` per ``(lo, hi)`` of
-    ``brackets``, column b of the kernel's weights belonging to bracket b.
+    ``brackets``, where ``kernel`` maps a list of points, one per bracket,
+    to an iterable of the values there as Python floats.
 
     All the generators step together: a step is one kernel call on every
     one's current point and one ``map`` of their ``send`` over the values.
-    A finished generator yields its maximizer again, so its column is
-    scored there until the last one finishes, and the points are then the
-    maximizers; the one multipliers column serves every set.
+    A finished generator yields its maximizer again, so its run is scored
+    there until the last one finishes, and the points are then the
+    maximizers.
     """
     done = []
-    refines = [_golden_max(lo, hi, _REFINE_TOL, done) for lo, hi in brackets]
+    refines = [_golden_max(lo, hi, done) for lo, hi in brackets]
     points = list(map(next, refines))
     while len(done) < len(refines):
-        points = list(map(_SEND, refines,
-                          _log_likelihoods(multipliers, weights, points).tolist()))
+        points = list(map(_SEND, refines, kernel(points)))
     return points
 
 
@@ -475,16 +472,17 @@ def maximize_likelihoods(records) -> list[tuple[float, float]]:
     bit one scalar evaluation at its angle.  Records go ``_CHUNK`` = 512 at
     a time, and each scan stage gathers and multiplies ``_PIECE_BYTES`` =
     2 MiB at a time, which bound the transient arrays at any depth; a
-    record's result does not depend on the others.  A chunk of one record,
-    as every one-run call makes, takes a scalar path with the same results
-    bit for bit (see :func:`_maximize_lone`): the scan's bound stages are
-    slices of the stacked maxima, and the same golden-section driver runs
-    in Python floats.
+    record's result does not depend on the others.  A chunk's width picks
+    only its scan and its kernel: a chunk of one record, as every one-run
+    call makes, is scanned by :func:`_lone_scan`, whose bound stages are
+    slices of the stacked maxima, and scored in Python floats by
+    :func:`_log_likelihood_at`.  Everything after the scan is one pipeline
+    for any width, with the same results bit for bit.
 
-    The grid's log sin^2 and log cos^2 tables and their block and sub-block
-    maxima are built once per power, and the maxima are stacked once per
-    powers tuple; all are cached for the life of the process: 1.6 MB plus
-    68 KB per distinct power, and 68 KB per power of each schedule.
+    The grid's log sin^2 and log cos^2 tables are built once per power, and
+    their block and sub-block maxima once per powers tuple; all are cached
+    for the life of the process: 1.6 MB per distinct power, plus 68 KB per
+    power of each schedule.
     """
     if not records:
         return []
@@ -493,49 +491,33 @@ def maximize_likelihoods(records) -> list[tuple[float, float]]:
 
 def _maximize(powers, weights: np.ndarray) -> list[tuple[float, float]]:
     """:func:`maximize_likelihoods` of the kernel's weights (2R, B), one
-    column per run, every run having the powers ``powers``.  A chunk of one
-    run takes :func:`_maximize_lone`."""
+    column per run, every run having the powers ``powers``."""
     multipliers = _multipliers(powers)
     grid = _grid()
     results = []
     for start in range(0, weights.shape[1], _CHUNK):
         chunk = weights[:, start:start + _CHUNK]
+        # the width picks the scan, whose index is a set's first best grid
+        # point, and the kernel, from a list of angles, one per set, to
+        # their values as Python floats
         if chunk.shape[1] == 1:
-            results.append(_maximize_lone(powers, multipliers, chunk))
-            continue
-        indices, coarse_values = _bounded_scan(powers, chunk)  # first occurrence wins ties
-        brackets = zip(grid[np.maximum(indices - 1, 0)].tolist(),
-                       grid[np.minimum(indices + 1, GRID_POINTS - 1)].tolist())
-        refined = _lockstep(brackets, multipliers, chunk)
-        refined_values = _log_likelihoods(multipliers, chunk, refined)
-        coarse = grid[indices]
-        use_coarse = refined_values < coarse_values
-        use_coarse |= (refined_values == coarse_values) & (coarse < refined)
-        results += zip(np.where(use_coarse, coarse, refined).tolist(),
-                       np.where(use_coarse, coarse_values, refined_values).tolist())
+            index, value = _lone_scan(powers, chunk)
+            indices, coarse_values = [index], [value]
+            kernel = functools.partial(map, functools.partial(
+                _log_likelihood_at, multipliers.ravel().tolist(), chunk.ravel().tolist()))
+        else:
+            indices, coarse_values = (part.tolist() for part in _bounded_scan(powers, chunk))
+            kernel = functools.partial(_log_likelihoods, multipliers, chunk)
+        refined = _lockstep([(float(grid[max(index - 1, 0)]),
+                              float(grid[min(index + 1, GRID_POINTS - 1)])) for index in indices],
+                            kernel)
+        for index, coarse_value, theta, value in zip(indices, coarse_values, refined,
+                                                     kernel(refined)):
+            coarse = float(grid[index])
+            if value < coarse_value or (value == coarse_value and coarse < theta):
+                theta, value = coarse, coarse_value
+            results.append((theta, value))
     return results
-
-
-def _maximize_lone(powers, multipliers: np.ndarray, weights: np.ndarray) -> tuple[float, float]:
-    """:func:`_maximize` of one column ``weights`` (2R, 1), bit for bit, in
-    scalars: :func:`_lone_scan`, then the golden-section refine and the
-    coarse-versus-refined rule in Python floats through
-    :func:`_log_likelihood_at`."""
-    index, coarse_value = _lone_scan(powers, weights)
-    kernel = functools.partial(_log_likelihood_at, multipliers.ravel().tolist(),
-                               weights.ravel().tolist())
-    grid = _grid()
-    done = []
-    refine = _golden_max(float(grid[max(index - 1, 0)]),
-                         float(grid[min(index + 1, GRID_POINTS - 1)]), _REFINE_TOL, done)
-    refined = next(refine)
-    while not done:
-        refined = refine.send(kernel(refined))
-    refined_value = kernel(refined)
-    coarse = float(grid[index])
-    if refined_value < coarse_value or (refined_value == coarse_value and coarse < refined):
-        return coarse, coarse_value
-    return refined, refined_value
 
 
 def maximize_likelihood(record: MeasurementRecord) -> float:

@@ -429,7 +429,7 @@ def _table_scores(record) -> np.ndarray:
     it: the weighted row sum of the record's cached tables."""
     powers, weights = _likelihood_columns([record])
     node = np.zeros(1, dtype=np.intp)
-    tables = [_log_tables(power)[0] for power in powers]
+    tables = [_log_tables(power) for power in powers]
     return _scores(weights, tables, GRID_POINTS, node, node)[0]
 
 
@@ -491,8 +491,8 @@ def _check_lockstep_maximizer() -> CheckResult:
         batch = [_edge_record(schedule, shots, rng) for shots in (1, 3, 1024) for _ in range(3)]
         results += zip(batch, maximize_likelihoods(batch))
         singles += batch[::3]
-    # a lone record takes the maximizer's scalar path: the lone scan, then
-    # the refine and the tie rule in Python floats
+    # a lone record takes the lone scan and the one-run kernel in Python
+    # floats into the pipeline a batch takes
     results += [(record, maximize_likelihoods([record])[0]) for record in singles]
     differ = sum(got != reference_maximize_likelihood(record) for record, got in results)
     return CheckResult(

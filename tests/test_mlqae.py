@@ -28,8 +28,10 @@ from qaelab.mlqae import (
     _likelihood_columns,
     _log_likelihood_at,
     _log_likelihoods,
+    _lockstep,
     _log_tables,
     _lone_scan,
+    _maxima,
     _multipliers,
     _pieces,
     _scores,
@@ -215,11 +217,22 @@ class TestLogLikelihoodBitwise:
         # whole blocks of whole sub-blocks cover the grid: no pad points
         assert _BLOCKS * _BLOCK_POINTS == GRID_POINTS
         assert _BLOCK_POINTS % _SUB_POINTS == 0
-        table, sub_maxima, block_maxima = _log_tables(power)
+        table = _log_tables(power)
         assert table.shape == (2, GRID_POINTS)
         assert np.array_equal(table, np.stack(_reference_logs(power, _grid())))
-        assert np.array_equal(sub_maxima, table.reshape(2, -1, _SUB_POINTS).max(axis=2))
-        assert np.array_equal(block_maxima, table.reshape(2, _BLOCKS, _BLOCK_POINTS).max(axis=2))
+        # a schedule's entry holds the cached tables themselves, and their
+        # maxima stacked in schedule order: rows 2j and 2j + 1 are power j's
+        powers = (1, power)
+        tables, block_maxima, sub_maxima = _maxima(powers)
+        assert sub_maxima.shape == (4, GRID_POINTS // _SUB_POINTS)
+        assert block_maxima.shape == (4, _BLOCKS)
+        for j, own in enumerate(powers):
+            assert tables[j] is _log_tables(own)
+            rows = slice(2 * j, 2 * j + 2)
+            assert np.array_equal(sub_maxima[rows],
+                                  tables[j].reshape(2, -1, _SUB_POINTS).max(axis=2))
+            assert np.array_equal(block_maxima[rows],
+                                  tables[j].reshape(2, _BLOCKS, _BLOCK_POINTS).max(axis=2))
         assert not any(part.flags.writeable for part in (table, sub_maxima, block_maxima))
 
     @settings(max_examples=100, deadline=None)
@@ -373,7 +386,7 @@ def golden_steps(lo, hi, f=None):
         def f(theta):
             return -abs(theta - lo)
     done = []
-    refine = _golden_max(lo, hi, 1e-10, done)
+    refine = _golden_max(lo, hi, done)
     point, sent = next(refine), []
     while not done:
         sent.append(Compared(f(point)))
@@ -425,7 +438,7 @@ class TestOneAngle:
             alone = [_log_likelihood_at(*lists, t).hex() for t in angles]
             # a batch of the record at every angle takes the array path
             batch = _likelihood_columns([subset] * len(angles))[1]
-            columns = [v.hex() for v in _log_likelihoods(multipliers, batch, angles).tolist()]
+            columns = [v.hex() for v in _log_likelihoods(multipliers, batch, angles)]
             want = [reference_scalar_log_likelihood(subset, t).hex() for t in angles]
             assert alone == columns == want
             assert log_likelihood(subset, theta).hex() == want[0]
@@ -468,8 +481,9 @@ def lone_records(draw):
 
 
 class TestLoneRecord:
-    """A chunk of one record takes the maximizer's scalar path, bit for bit
-    the batched one and the scalar reference in ``verify``."""
+    """A chunk of one record takes its own scan and the one-run kernel into
+    the pipeline a batch takes, bit for bit the batched results and the
+    scalar reference in ``verify``."""
 
     @settings(max_examples=30, deadline=None)
     @given(batch=record_batches())
@@ -499,6 +513,19 @@ class TestLoneRecord:
             assert hexes(alone) == hexes(maximize_likelihoods([subset, subset])[0]) == want
             assert maximize_likelihood(subset).hex() == want[0]
 
+    def test_a_chunk_of_any_width_refines_in_one_lockstep(self, monkeypatch):
+        # the width picks the scan and the kernel; what follows is one pipeline
+        calls = []
+        monkeypatch.setattr(mlqae_mod, "_lockstep",
+                            lambda *args: calls.append(1) or _lockstep(*args))
+        batch = [MeasurementRecord((0, 1, 2), 64, (40, 9, 30)),
+                 MeasurementRecord((0, 1, 2), 16, (0, 0, 0))]
+        for records in (batch[:1], batch):
+            calls.clear()
+            assert maximize_likelihoods(records) == [reference_maximize_likelihood(r)
+                                                     for r in records]
+            assert len(calls) == 1
+
     def test_a_last_chunk_of_one_takes_the_lone_path(self, monkeypatch):
         records = [MeasurementRecord((0, 1, 2), 64, (h % 65, 64 - h % 65, 30))
                    for h in range(_CHUNK + 1)]
@@ -517,11 +544,14 @@ class TestLockstep:
     @settings(max_examples=20, deadline=None)
     @given(batch=record_batches(), seed=st.integers(0, 2**32 - 1))
     def test_kernel_columns_match_scalar_loop(self, batch, seed):
+        # the array path takes two or more columns; a lone run is scored by
+        # _log_likelihood_at (TestOneAngle)
+        batch = batch if len(batch) > 1 else batch * 2
         powers, weights = _likelihood_columns(batch)
         thetas = np.random.default_rng(seed).uniform(0.0, math.pi / 2, len(batch)).tolist()
         thetas[0] = 0.0
         thetas[-1] = math.pi / 2
-        got = _log_likelihoods(_multipliers(powers), weights, thetas).tolist()
+        got = _log_likelihoods(_multipliers(powers), weights, thetas)
         assert got == [reference_scalar_log_likelihood(record, theta)
                        for record, theta in zip(batch, thetas)]
 
@@ -628,9 +658,9 @@ class TestMaximize:
         for record, missed in zip(sets, (1, 2)):
             values = reference_grid_log_likelihood(record)
             powers, weights = _likelihood_columns([record])
-            _, sub_maxima, block_maxima = zip(*(_log_tables(power) for power in powers))
-            top = int(_scores(weights, block_maxima, _BLOCKS, [0], [0]).argmax())
-            sub_bounds = _scores(weights, sub_maxima, _SUBS, [0], [top])[0]
+            _, block_maxima, sub_maxima = _maxima(powers)
+            top = int(_scores(weights, (block_maxima,), _BLOCKS, [0], [0]).argmax())
+            sub_bounds = _scores(weights, (sub_maxima,), _SUBS, [0], [top])[0]
             block = values[top * _BLOCK_POINTS:(top + 1) * _BLOCK_POINTS]
             holder = int(block.reshape(_SUBS, _SUB_POINTS).max(axis=1).argmax())
             # so many sub-blocks bound above the one holding the block's maximum
@@ -738,6 +768,22 @@ class TestMaximize:
             for _, config in table_configs(table):
                 run_sweep(config)
         assert pieces and all(len(stage) == 1 for stage in pieces)
+
+    def test_tables_2_to_4_cache_each_array_once(self):
+        # two schedules, EIS depths 3 and 4, of five distinct powers: one
+        # table per power, and one scan entry per schedule holding those tables
+        _log_tables.cache_clear()
+        _maxima.cache_clear()
+        for table in (2, 3, 4):
+            for _, config in table_configs(table):
+                run_sweep(config)
+        assert _log_tables.cache_info().currsize == _log_tables.cache_info().misses == 5
+        assert _maxima.cache_info().currsize == _maxima.cache_info().misses == 2
+        for depth in (3, 4):
+            powers = make_schedule("eis", depth)
+            assert all(table is _log_tables(power)
+                       for table, power in zip(_maxima(powers)[0], powers))
+        assert _log_tables.cache_info().misses == 5 and _maxima.cache_info().misses == 2
 
     def test_deep_schedule_tables_stay_cached(self):
         # LIS depth 40 uses 41 powers, more than a 32-entry cache holds
